@@ -153,18 +153,18 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    graph = load_graph(config.triples_path, config.entities_path, config.relations_path)
-    seeds = sorted(link_entities(graph, args.question))
-    candidates = neighborhood(graph, seeds, config.hops)
     method = args.method or config.method
-    if method in ("kaping", "no_knowledge"):
+    if method == "kaping":
         strategy = Similarity(config.embedder)
     elif method == "random_knowledge":
         strategy = Random(config.seed)
     elif method == "popular_knowledge":
         strategy = Popular()
     else:
-        raise ConfigError(f"cannot rank with method {method!r}")
+        raise ConfigError(f"method {method!r} has no retrieval strategy")
+    graph = load_graph(config.triples_path, config.entities_path, config.relations_path)
+    seeds = sorted(link_entities(graph, args.question))
+    candidates = neighborhood(graph, seeds, config.hops)
     ranked = top_k(rank_candidates(strategy, args.question, candidates, graph), args.k)
     print(
         json.dumps(

@@ -72,8 +72,9 @@ class RemoteEmbedder:
     """Client for the remote embedding protocol.
 
     Bounds the number of concurrently in-flight batch requests to
-    ``config.max_concurrency``; vectors are re-normalized client-side so the
-    unit-norm invariant holds regardless of what the server returns.
+    ``config.max_concurrency``; vectors with null, NaN or infinite components
+    are rejected, and the rest re-normalized client-side so the unit-norm
+    invariant holds regardless of what the server returns.
     """
 
     def __init__(self, config: EmbedderConfig, timeout: float = 30.0):
@@ -98,6 +99,8 @@ class RemoteEmbedder:
                     f"embedding endpoint returned dimension {vector.shape}, "
                     f"configured dimension is {self.config.dimension}"
                 )
+            if not np.isfinite(vector).all():
+                raise RemoteServiceError("embedding endpoint returned a null or non-finite component")
             norm = float(np.linalg.norm(vector))
             if norm > 0.0:
                 vector = vector / norm

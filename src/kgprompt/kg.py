@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Union
 
@@ -75,6 +76,20 @@ class Triple:
         return self.object.entity_id if isinstance(self.object, EntityRef) else None
 
 
+@dataclass(frozen=True)
+class SurfaceIndex:
+    """Normalized surface forms of a graph's entity names and aliases.
+
+    ``entries`` maps a surface's normalized tokens, joined by single spaces,
+    to its entity id; a key shared by several surfaces maps to the tuple of
+    their ids in ``graph.entities`` order, one per surface. ``widths`` lists
+    the distinct surface token counts, longest first.
+    """
+
+    entries: dict[str, EntityId | tuple[EntityId, ...]]
+    widths: tuple[int, ...]
+
+
 @dataclass
 class KnowledgeGraph:
     """Immutable-after-build triple store with an incidence index.
@@ -83,6 +98,10 @@ class KnowledgeGraph:
     order everywhere else in the pipeline. ``adjacency`` maps an entity id
     to the ascending indices of triples it is incident to, whether as
     subject or as entity-valued object.
+
+    ``surface_index`` and ``relation_counts`` are derived views, each built
+    once on first use; they assume the graph is not mutated after
+    ``build_graph``.
     """
 
     entities: dict[EntityId, Entity] = field(default_factory=dict)
@@ -93,6 +112,30 @@ class KnowledgeGraph:
     def entity_name(self, entity_id: EntityId) -> str | None:
         entity = self.entities.get(entity_id)
         return entity.name if entity is not None else None
+
+    @cached_property
+    def surface_index(self) -> SurfaceIndex:
+        entries: dict[str, EntityId | tuple[EntityId, ...]] = {}
+        widths: set[int] = set()
+        for entity in self.entities.values():
+            for surface in (entity.name, *entity.aliases):
+                tokens = normalize_tokens(surface) if surface else []
+                if not tokens:
+                    continue
+                key = " ".join(tokens)
+                widths.add(len(tokens))
+                present = entries.get(key)
+                if present is None:
+                    entries[key] = entity.id
+                elif isinstance(present, tuple):
+                    entries[key] = (*present, entity.id)
+                else:
+                    entries[key] = (present, entity.id)
+        return SurfaceIndex(entries, tuple(sorted(widths, reverse=True)))
+
+    @cached_property
+    def relation_counts(self) -> Counter[RelationId]:
+        return Counter(triple.relation for triple in self.triples)
 
 
 def build_graph(
@@ -280,15 +323,16 @@ def neighborhood(
 
 
 def relation_frequency(graph: KnowledgeGraph) -> dict[RelationId, int]:
-    """Number of triples per relation over the whole graph."""
-    return dict(Counter(triple.relation for triple in graph.triples))
+    """Number of triples per relation over the whole graph (a fresh copy)."""
+    return dict(graph.relation_counts)
 
 
 def link_entities(graph: KnowledgeGraph, question: str) -> set[EntityId]:
     """Exact surface-form entity linking over normalized tokens.
 
     Matches every entity whose canonical name or alias occurs as a contiguous
-    token sequence in the normalized question, longest match first. Shorter
+    token sequence in the normalized question, longest match first, by
+    looking each question n-gram up in ``graph.surface_index``. Shorter
     matches nested inside an already-accepted longer match are suppressed
     ("York" inside an accepted "New York").
     """
@@ -296,17 +340,15 @@ def link_entities(graph: KnowledgeGraph, question: str) -> set[EntityId]:
     if not question_tokens:
         return set()
 
+    index = graph.surface_index
     occurrences: list[tuple[int, int, int, EntityId]] = []  # (length, start, end, id)
-    for entity in graph.entities.values():
-        surfaces = ([entity.name] if entity.name else []) + list(entity.aliases)
-        for surface in surfaces:
-            pattern = normalize_tokens(surface)
-            if not pattern:
+    for width in index.widths:
+        for start in range(len(question_tokens) - width + 1):
+            ids = index.entries.get(" ".join(question_tokens[start : start + width]))
+            if ids is None:
                 continue
-            width = len(pattern)
-            for start in range(len(question_tokens) - width + 1):
-                if question_tokens[start : start + width] == pattern:
-                    occurrences.append((width, start, start + width, entity.id))
+            for entity_id in (ids,) if isinstance(ids, str) else ids:
+                occurrences.append((width, start, start + width, entity_id))
 
     occurrences.sort(key=lambda item: (-item[0], item[1], item[3]))
     accepted_spans: list[tuple[int, int]] = []

@@ -44,6 +44,8 @@ class ServiceState:
     def __init__(self):
         self.lock = threading.Lock()
         self.embed_dimension = 8
+        # first component of every /embed_nonfinite vector (None -> JSON null)
+        self.nonfinite_component = None
         self.fail_remaining = 0
         self.delay = 0.0
         self.active = 0
@@ -91,6 +93,10 @@ def _make_handler(state: ServiceState):
                     dim = state.embed_dimension + 1
                     vectors = [[1.0] * dim for _ in request["texts"]]
                     self._reply(200, {"vectors": vectors})
+                elif self.path == "/embed_nonfinite":
+                    dim = state.embed_dimension
+                    vector = [state.nonfinite_component] + [1.0] * (dim - 1)
+                    self._reply(200, {"vectors": [vector for _ in request["texts"]]})
                 elif self.path == "/complete":
                     self._reply(200, {"text": f"completion for {len(request['prompt'])} chars"})
                 elif self.path == "/flaky":

@@ -42,3 +42,33 @@ def oracle_rank(question: str, texts: list[str], dimension: int) -> list[int]:
         vector = oracle_vector(text, dimension)
         scores.append(math.fsum(q * v for q, v in zip(question_vector, vector)))
     return sorted(range(len(texts)), key=lambda index: (-scores[index], index))
+
+
+def oracle_tokens(text: str) -> list[str]:
+    return _ORACLE_TOKEN.findall(text.lower())
+
+
+def oracle_link(entities, question: str) -> set[str]:
+    """Brute-force entity linking: compare every surface at every position.
+
+    ``entities`` are objects with ``id``, ``name`` and ``aliases``. Matches
+    are accepted longest first, then by start, then by id; a match lying
+    inside an accepted, strictly longer span is dropped.
+    """
+    words = oracle_tokens(question)
+    matches = []
+    for entity in entities:
+        for surface in [entity.name, *entity.aliases]:
+            pattern = oracle_tokens(surface or "")
+            if not pattern:
+                continue
+            for start in range(len(words) - len(pattern) + 1):
+                if words[start : start + len(pattern)] == pattern:
+                    matches.append((len(pattern), start, entity.id))
+    matches.sort(key=lambda match: (-match[0], match[1], match[2]))
+    accepted = []
+    for width, start, entity_id in matches:
+        end = start + width
+        if not any(s <= start and end <= e and width < e - s for s, e, _ in accepted):
+            accepted.append((start, end, entity_id))
+    return {entity_id for _, _, entity_id in accepted}

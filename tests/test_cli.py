@@ -108,6 +108,22 @@ class TestRetrieveCommand:
         assert len(payload["results"]) == 3
 
 
+    def test_no_knowledge_has_no_retrieval_strategy(self, toy_config_path, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "retrieve",
+            "--config",
+            toy_config_path,
+            "--question",
+            "What is the place of birth of Mara Ellison?",
+            "--method",
+            "no_knowledge",
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: method 'no_knowledge' has no retrieval strategy" in err
+
+
 class TestScoreAndReportCommands:
     @pytest.fixture()
     def predictions(self, toy_config_path, tmp_path, capsys):

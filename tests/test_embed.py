@@ -108,6 +108,16 @@ class TestRemoteEmbedder:
         with pytest.raises(ConfigError, match="dimension"):
             embed_batch(config, ["text"])
 
+    @pytest.mark.parametrize("component", [None, math.nan, math.inf, -math.inf])
+    def test_null_or_non_finite_component_rejected(self, http_service, component):
+        http_service.state.embed_dimension = 8
+        http_service.state.nonfinite_component = component
+        config = EmbedderConfig(
+            kind="remote", dimension=8, endpoint=f"{http_service.url}/embed_nonfinite"
+        )
+        with pytest.raises(RemoteServiceError, match="non-finite"):
+            embed_batch(config, ["text"])
+
     def test_http_error_carries_status(self, http_service):
         config = EmbedderConfig(
             kind="remote", dimension=8, endpoint=f"{http_service.url}/always_500"

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 
@@ -15,6 +17,8 @@ from kgprompt.kg import (
     neighborhood,
     relation_frequency,
 )
+
+from oracles import oracle_link
 
 
 def write_graph_files(tmp_path, triples_text, entities_text, relations_text=None):
@@ -276,3 +280,113 @@ class TestLinkEntities:
             graph = build_graph(entities, [], [])
             question = " ".join(rng.choices(words, k=8))
             assert link_entities(graph, question) <= set(graph.entities)
+
+
+# Surface variants: case and punctuation twins, non-ASCII letters, and
+# surfaces that normalize to nothing.
+LINK_WORDS = ["new", "york", "lady", "susan", "café", "straße", "東京", "ñandú", "x"]
+LINK_NOISE = ["!!!", "--", "_", "", "   "]
+
+
+def random_surface(rng: random.Random) -> str:
+    if rng.random() < 0.1:
+        return rng.choice(LINK_NOISE)
+    words = rng.choices(LINK_WORDS, k=rng.randint(1, 4))
+    words = [word.upper() if rng.random() < 0.3 else word for word in words]
+    return rng.choice([" ", "-", "_", ". ", "  "]).join(words) + rng.choice(["", "!", "?", "."])
+
+
+def random_linking_case(rng: random.Random):
+    entities = []
+    for i in range(rng.randint(0, 10)):
+        name = None if rng.random() < 0.1 else random_surface(rng)
+        aliases = [random_surface(rng) for _ in range(rng.randint(0, 3))]
+        if name and rng.random() < 0.3:
+            aliases.append(name.upper() + "!")  # alias normalizing equal to the name
+        if entities and rng.random() < 0.3:
+            other = rng.choice(entities)  # a surface shared with another entity
+            aliases.append(rng.choice([other.name or "x", *other.aliases]))
+        entities.append(Entity(f"Q{rng.randint(0, 99)}-{i}", name, tuple(aliases)))
+    pieces = []
+    for _ in range(rng.randint(0, 5)):
+        if entities and rng.random() < 0.6:
+            entity = rng.choice(entities)
+            pieces.append(rng.choice([entity.name or "", *entity.aliases, ""]))
+        else:
+            pieces.append(random_surface(rng))
+    return entities, rng.choice([" ", ", ", " and ", "-"]).join(pieces)
+
+
+class TestLinkerMatchesOracle:
+    def test_random_graphs_and_questions(self):
+        rng = random.Random(20261017)
+        linked_any = 0
+        for _ in range(300):
+            entities, question = random_linking_case(rng)
+            graph = build_graph(entities, [], [])
+            for asked in (question, question.upper(), "who is " + question + "?"):
+                expected = oracle_link(entities, asked)
+                assert link_entities(graph, asked) == expected, (entities, asked)
+                linked_any += bool(expected)
+        assert linked_any > 300
+
+    def test_shared_surface_links_every_entity(self):
+        entities = [Entity("Q2", "Paris"), Entity("Q1", "Other", ("PARIS!",)), Entity("Q3", "!!!")]
+        graph = build_graph(entities, [], [])
+        assert link_entities(graph, "paris, !!!") == {"Q1", "Q2"}
+        assert graph.surface_index.entries["paris"] == ("Q2", "Q1")
+        assert "" not in graph.surface_index.entries
+
+    def test_equal_width_overlaps_both_kept(self):
+        graph = build_graph([Entity("A", "new york"), Entity("B", "york café")], [], [])
+        assert link_entities(graph, "New York Café") == {"A", "B"}
+
+
+def linking_graph(size: int = 3000):
+    rng = random.Random(5)
+    entities = [
+        Entity(f"Q{i}", f"{rng.choice(LINK_WORDS)} {i}", (f"alias {i} {rng.choice(LINK_WORDS)}",))
+        for i in range(size)
+    ]
+    relations = [Relation(f"P{i}", f"rel {i}") for i in range(7)]
+    triples = [
+        Triple(f"Q{i}", f"P{i % 7 * i % 5}", EntityRef(f"Q{(i * 31) % size}")) for i in range(size)
+    ]
+    return build_graph(entities, relations, triples)
+
+
+class TestDerivedViewSafety:
+    def test_concurrent_first_links_match_single_threaded(self):
+        questions = [f"is new 12 the same as alias 7 york or café {n}?" for n in range(40)]
+        single = linking_graph()
+        expected = [link_entities(single, question) for question in questions]
+        graph = linking_graph()
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(slot):
+            barrier.wait(timeout=60)
+            results[slot] = [link_entities(graph, question) for question in questions]
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the first index build too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
+
+    def test_relation_frequency_result_does_not_alias_the_cache(self):
+        graph = linking_graph(50)
+        first = relation_frequency(graph)
+        expected = dict(first)
+        first["P0"] = -1
+        first["bogus"] = 99
+        first.clear()
+        assert relation_frequency(graph) == expected
+        assert sum(expected.values()) == len(graph.triples)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from kgprompt.embed import EmbedderConfig
 from kgprompt.errors import ConfigError
 from kgprompt.kg import Entity, build_graph, load_graph
 from kgprompt.llm import ProviderConfig, RemoteClient, build_client
@@ -270,6 +271,23 @@ class TestRun:
         assert result["report"]["overall"]["mrr"] == 1.0
         report_on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report_on_disk == result["report"]
+
+    def test_non_finite_remote_vectors_fail_the_example_not_the_json(
+        self, alex_dir, tmp_path, http_service
+    ):
+        http_service.state.nonfinite_component = None
+        embedder = EmbedderConfig(
+            kind="remote", dimension=8, endpoint=f"{http_service.url}/embed_nonfinite"
+        )
+        run(self.alex_run_config(alex_dir, tmp_path / "out", embedder=embedder))
+
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        lines = (tmp_path / "out" / "predictions.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert [record["flags"] for record in records] == [["example_failed"]]
+        json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=reject)
 
     def test_seven_of_ten_accuracy(self, tmp_path):
         entities = [Entity(f"Q{i}", f"City {i}") for i in range(10)]
