@@ -9,7 +9,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, GraphLoadError
+from .errors import ConfigError, GraphLoadError, RemoteServiceError
 from .kg import link_entities, load_graph, neighborhood
 from .pipeline import (
     aggregate_records,
@@ -210,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, GraphLoadError, OSError) as exc:
+    except (ConfigError, GraphLoadError, RemoteServiceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,7 +8,10 @@ endpoint, response ``{"vectors": [[...], ...]}``.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +54,36 @@ def fnv1a_64(token: str) -> int:
     return value
 
 
-def hashed_bow_vector(text: str, dimension: int) -> np.ndarray:
-    """Hashed bag-of-words embedding, L2-normalized.
+# Token hashes repeat across questions and facts; the cache fills at query
+# time and is bounded, so it never grows with the corpus.
+_token_hash = functools.lru_cache(maxsize=1 << 16)(fnv1a_64)
+
+
+def hashed_bow_sparse(text: str, dimension: int) -> dict[int, float]:
+    """Nonzero buckets of the hashed bag-of-words embedding, ``{bucket: value}``.
 
     Tokens are lowercased alphanumeric runs; each token increments the
-    bucket ``fnv1a_64(token) % dimension`` by one. Empty token lists map to
-    the all-zero vector, the degenerate-input sentinel.
+    bucket ``fnv1a_64(token) % dimension`` by one, and the counts are divided
+    by their L2 norm. The norm is the square root of the integer sum of
+    squared counts, which is exactly what ``np.linalg.norm`` computes on the
+    integer-valued dense counts, so every value equals the dense vector's
+    component bit for bit. Empty token lists map to ``{}``, the all-zero
+    vector.
+    """
+    counts = Counter(_token_hash(token) % dimension for token in normalize_tokens(text))
+    norm = math.sqrt(sum(count * count for count in counts.values()))
+    return {bucket: count / norm for bucket, count in counts.items()}
+
+
+def hashed_bow_vector(text: str, dimension: int) -> np.ndarray:
+    """Hashed bag-of-words embedding, L2-normalized, as a dense array.
+
+    The dense form of ``hashed_bow_sparse``: the all-zero vector for texts
+    without tokens, the degenerate-input sentinel.
     """
     vector = np.zeros(dimension, dtype=np.float64)
-    tokens = normalize_tokens(text)
-    for token in tokens:
-        vector[fnv1a_64(token) % dimension] += 1.0
-    norm = float(np.linalg.norm(vector))
-    if norm > 0.0:
-        vector /= norm
+    for bucket, value in hashed_bow_sparse(text, dimension).items():
+        vector[bucket] = value
     return vector
 
 

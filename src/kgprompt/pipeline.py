@@ -17,6 +17,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from .errors import ConfigError, RemoteServiceError
 from .embed import EmbedderConfig
@@ -208,11 +209,47 @@ def _strategy_for(config: RunConfig, example: QaExample):
     raise ValueError(f"no retrieval strategy for method {config.method}")
 
 
-def _triples_payload(included: tuple[ScoredTriple, ...]) -> list[dict]:
-    return [
-        {"rank": scored.rank, "score": scored.score, "text": scored.verbalized}
-        for scored in included
-    ]
+def _record(
+    config: RunConfig,
+    example: QaExample,
+    answers: AnswerSet,
+    *,
+    flags: list[str],
+    prompt: str = "",
+    included: Sequence[ScoredTriple] = (),
+    knowledge_lines: Sequence[str] = (),
+    truncated: bool = False,
+    generation: str | None = None,
+    retrieval: RetrievalScores | None = None,
+) -> dict:
+    """The JSONL-ready record of one example; the defaults are a failed one."""
+    gen_scores = score_generation(generation, answers) if generation is not None else GenScores(0, 0, 0.0)
+    return {
+        "id": example.id,
+        "question": example.question,
+        "category": example.category,
+        "method": config.method,
+        "flags": sorted(flags),
+        "prompt": prompt,
+        "included_triples": [
+            {"rank": scored.rank, "score": scored.score, "text": scored.verbalized}
+            for scored in included
+        ],
+        "knowledge_lines": list(knowledge_lines),
+        "truncated": truncated,
+        "generation": generation,
+        "answers": [
+            {"name": entity.name, "aliases": list(entity.aliases)} for entity in answers.entities
+        ],
+        "scores": {"accuracy": gen_scores.accuracy, "em": gen_scores.em, "f1": gen_scores.f1},
+        "retrieval": None
+        if retrieval is None
+        else {
+            "first_hit_rank": retrieval.first_hit_rank,
+            "mrr": retrieval.mrr,
+            "top_k_hits": dict(retrieval.top_k_hits),
+        },
+    }
 
 
 def run_example(
@@ -268,52 +305,22 @@ def run_example(
             logger.error("example %s: generation failed: %s", example.id, exc)
             flags.append("generation_failed")
 
-    gen_scores = score_generation(generation, answers) if generation is not None else GenScores(0, 0, 0.0)
-
-    return {
-        "id": example.id,
-        "question": example.question,
-        "category": example.category,
-        "method": config.method,
-        "flags": sorted(flags),
-        "prompt": prompt_text,
-        "included_triples": _triples_payload(included),
-        "knowledge_lines": knowledge_lines,
-        "truncated": truncated,
-        "generation": generation,
-        "answers": [
-            {"name": entity.name, "aliases": list(entity.aliases)} for entity in answers.entities
-        ],
-        "scores": {"accuracy": gen_scores.accuracy, "em": gen_scores.em, "f1": gen_scores.f1},
-        "retrieval": None
-        if retrieval is None
-        else {
-            "first_hit_rank": retrieval.first_hit_rank,
-            "mrr": retrieval.mrr,
-            "top_k_hits": dict(retrieval.top_k_hits),
-        },
-    }
+    return _record(
+        config,
+        example,
+        answers,
+        flags=flags,
+        prompt=prompt_text,
+        included=included,
+        knowledge_lines=knowledge_lines,
+        truncated=truncated,
+        generation=generation,
+        retrieval=retrieval,
+    )
 
 
 def _failure_record(config: RunConfig, example: QaExample, graph: KnowledgeGraph) -> dict:
-    answers = answer_set_for(example, graph)
-    return {
-        "id": example.id,
-        "question": example.question,
-        "category": example.category,
-        "method": config.method,
-        "flags": ["example_failed"],
-        "prompt": "",
-        "included_triples": [],
-        "knowledge_lines": [],
-        "truncated": False,
-        "generation": None,
-        "answers": [
-            {"name": entity.name, "aliases": list(entity.aliases)} for entity in answers.entities
-        ],
-        "scores": {"accuracy": 0, "em": 0, "f1": 0.0},
-        "retrieval": None,
-    }
+    return _record(config, example, answer_set_for(example, graph), flags=["example_failed"])
 
 
 def scores_from_record(record: dict) -> tuple[GenScores, RetrievalScores | None, str | None]:

@@ -4,8 +4,10 @@ A prompt is built from up to three parts, joined by single newlines with no
 trailing newline: optional few-shot demonstration lines, an optional
 knowledge block (instruction line followed by one fact per line), and the
 rendered question. When the whole text exceeds the input token budget, the
-lowest-scored facts are dropped one at a time until it fits; demonstrations
-are caller-fixed context and are never dropped.
+lowest-scored facts are dropped until it fits: the longest prefix of the
+ranking that fits is found by binary search over its length, which assumes
+a token counter that never drops when a line is added. Demonstrations are
+caller-fixed context and are never dropped.
 """
 
 from __future__ import annotations
@@ -137,6 +139,43 @@ def _assemble(spec: PromptSpec, knowledge_block: str, question: str) -> str:
     return "\n".join(lines)
 
 
+def _fit(
+    budget: int,
+    count: int,
+    render: Callable[[int], str],
+    token_counter: TokenCounter,
+) -> tuple[int, str]:
+    """Longest knowledge prefix that fits the budget: (length, prompt text).
+
+    ``render(n)`` is the prompt with the first ``n`` knowledge lines. The
+    full prefix is tried first; if it is over budget, the longest fitting
+    prefix is found by binary search over ``0..count - 1``, which needs
+    O(log count) renders and is exact as long as the token count never drops
+    when a line is added. Raises PromptTooLongError when even ``n = 0`` is
+    over budget.
+    """
+    text = render(count)
+    tokens = token_counter(text)
+    if tokens <= budget:
+        return count, text
+    best = None
+    low, high = 0, count - 1
+    while low <= high:
+        middle = (low + high) // 2
+        text = render(middle)
+        tokens = token_counter(text)
+        if tokens <= budget:
+            best, low = (middle, text), middle + 1
+        else:
+            high = middle - 1
+    if best is None:
+        # Every probe failed, so the last one rendered no knowledge at all.
+        raise PromptTooLongError(
+            f"prompt is {tokens} tokens with no knowledge left to drop; budget is {budget}"
+        )
+    return best
+
+
 def render_prompt(
     spec: PromptSpec,
     ranked_triples: Sequence[ScoredTriple],
@@ -150,22 +189,16 @@ def render_prompt(
     via ``included_triples``. Raises PromptTooLongError when the prompt is
     over budget with no facts left to drop.
     """
-    included = list(ranked_triples)
-    truncated = False
-    while True:
+    ranked = tuple(ranked_triples)
+
+    def render(count: int) -> str:
         block = render_knowledge_block(
-            spec.instruction_text(), included, spec.ordering, spec.shuffle_seed
+            spec.instruction_text(), ranked[:count], spec.ordering, spec.shuffle_seed
         )
-        text = _assemble(spec, block, question)
-        if token_counter(text) <= spec.max_input_tokens:
-            return RenderedPrompt(text, tuple(included), truncated)
-        if not included:
-            raise PromptTooLongError(
-                f"prompt is {token_counter(text)} tokens with no knowledge left to drop;"
-                f" budget is {spec.max_input_tokens}"
-            )
-        included.pop()
-        truncated = True
+        return _assemble(spec, block, question)
+
+    count, text = _fit(spec.max_input_tokens, len(ranked), render, token_counter)
+    return RenderedPrompt(text, ranked[:count], count < len(ranked))
 
 
 def render_prompt_from_lines(
@@ -180,17 +213,11 @@ def render_prompt_from_lines(
     budget, trailing lines are dropped first. Returns (text, kept lines,
     truncated flag).
     """
-    included = [line for line in knowledge_lines if line]
-    truncated = False
-    while True:
-        block = "\n".join([spec.instruction_text()] + included) if included else ""
-        text = _assemble(spec, block, question)
-        if token_counter(text) <= spec.max_input_tokens:
-            return text, included, truncated
-        if not included:
-            raise PromptTooLongError(
-                f"prompt is {token_counter(text)} tokens with no knowledge left to drop;"
-                f" budget is {spec.max_input_tokens}"
-            )
-        included.pop()
-        truncated = True
+    lines = [line for line in knowledge_lines if line]
+
+    def render(count: int) -> str:
+        block = "\n".join([spec.instruction_text()] + lines[:count]) if count else ""
+        return _assemble(spec, block, question)
+
+    count, text = _fit(spec.max_input_tokens, len(lines), render, token_counter)
+    return text, lines[:count], count < len(lines)

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .embed import EmbedderConfig, embed_batch
+from .embed import EmbedderConfig, embed_batch, hashed_bow_sparse
 from .kg import EntityId, KnowledgeGraph, Triple, relation_frequency
 from .verbalize import verbalize
 
@@ -49,20 +49,35 @@ class Popular:
 RetrievalStrategy = Union[Similarity, Random, Popular]
 
 
-def _cosine(left: np.ndarray, right: np.ndarray) -> float:
+SparseVector = dict[int, float]
+
+
+def _nonzero(vector: np.ndarray) -> SparseVector:
+    return {index: value for index, value in enumerate(vector.tolist()) if value}
+
+
+def _cosine(question: SparseVector, candidate: SparseVector) -> float:
     # Vectors are unit-norm or all-zero, so the dot product is the cosine
     # and a zero vector on either side yields 0. fsum gives the exactly
     # rounded sum of the products, so the score does not depend on
-    # accumulation order and stays bit-reproducible.
-    return math.fsum(a * b for a, b in zip(left.tolist(), right.tolist()))
+    # accumulation order and stays bit-reproducible. Summing only the
+    # buckets nonzero on both sides is exact too: every other product is
+    # +-0.0, which leaves the exact sum unchanged, and fsum never returns
+    # -0.0.
+    return math.fsum(value * candidate[bucket] for bucket, value in question.items() if bucket in candidate)
 
 
 def _similarity_scores(
     config: EmbedderConfig, question: str, verbalized: list[str]
 ) -> list[float]:
-    vectors = embed_batch(config, [question] + verbalized)
-    question_vector = vectors[0]
-    return [_cosine(question_vector, vector) for vector in vectors[1:]]
+    if config.kind == "hashed_bow":
+        question_vector = hashed_bow_sparse(question, config.dimension)
+        vectors = (hashed_bow_sparse(text, config.dimension) for text in verbalized)
+    else:
+        dense = embed_batch(config, [question] + verbalized)
+        question_vector = _nonzero(dense[0])
+        vectors = map(_nonzero, dense[1:])
+    return [_cosine(question_vector, vector) for vector in vectors]
 
 
 def rank_candidates(

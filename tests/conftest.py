@@ -12,8 +12,19 @@ import pytest
 
 from kgprompt.kg import load_graph
 
-DATA_DIR = Path(__file__).parent / "data"
+TESTS_DIR = Path(__file__).parent
+DATA_DIR = TESTS_DIR / "data"
 ALEX_QUESTION = "Where did Alex Chilton die?"
+
+
+def pytest_collection_modifyitems(items):
+    # A resource a test leaves open (a socket, a file) warns when it is
+    # collected; these markers turn that warning into an error of the test
+    # that leaked it.
+    for item in items:
+        if item.path.is_relative_to(TESTS_DIR):
+            item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+            item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
 
 
 @pytest.fixture(scope="session")
@@ -133,4 +144,5 @@ def http_service():
         yield SimpleNamespace(url=f"http://127.0.0.1:{server.server_port}", state=state)
     finally:
         server.shutdown()
+        server.server_close()
         thread.join(timeout=5)

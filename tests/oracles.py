@@ -30,18 +30,36 @@ def oracle_vector(text: str, dimension: int) -> list[float]:
     return [component / norm for component in counts]
 
 
-def oracle_rank(question: str, texts: list[str], dimension: int) -> list[int]:
-    """Candidate indices sorted by cosine descending, ties by input index.
+def oracle_cosine(left: list[float], right: list[float]) -> float:
+    """Dense dot product over every component, zeros included.
 
-    math.fsum makes each cosine the exactly rounded sum of the per-bucket
-    products, the same well-defined value the production path promises.
+    math.fsum makes it the exactly rounded sum of the per-bucket products,
+    the same well-defined value the production path promises.
     """
+    return math.fsum(a * b for a, b in zip(left, right))
+
+
+def oracle_rank(question: str, texts: list[str], dimension: int) -> list[int]:
+    """Candidate indices sorted by cosine descending, ties by input index."""
     question_vector = oracle_vector(question, dimension)
-    scores = []
-    for text in texts:
-        vector = oracle_vector(text, dimension)
-        scores.append(math.fsum(q * v for q, v in zip(question_vector, vector)))
+    scores = [oracle_cosine(question_vector, oracle_vector(text, dimension)) for text in texts]
     return sorted(range(len(texts)), key=lambda index: (-scores[index], index))
+
+
+def oracle_truncate(render, count: int, budget: int, token_counter=lambda text: len(text.split())):
+    """Drop-one truncation: try every prefix length from ``count`` down.
+
+    ``render(n)`` is the prompt holding the first ``n`` knowledge lines.
+    Returns ``(n, text)`` for the longest prefix within ``budget`` tokens, or
+    ``(None, tokens)`` with the token count of the knowledge-free prompt when
+    even that is over budget.
+    """
+    for length in range(count, -1, -1):
+        text = render(length)
+        tokens = token_counter(text)
+        if tokens <= budget:
+            return length, text
+    return None, tokens
 
 
 def oracle_tokens(text: str) -> list[str]:

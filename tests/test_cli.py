@@ -107,6 +107,48 @@ class TestRetrieveCommand:
         assert "Harbor City" in payload["results"][0]["text"]
         assert len(payload["results"]) == 3
 
+    @pytest.fixture()
+    def remote_config(self, toy_dir, tmp_path):
+        """Write the toy config with a remote embedder at the given endpoint."""
+
+        def write(endpoint: str, dimension: int) -> str:
+            config = json.loads((toy_dir / "config.json").read_text())
+            config["embedder"] = {"kind": "remote", "dimension": dimension, "endpoint": endpoint}
+            for name in ("triples_path", "entities_path", "relations_path", "dataset_path"):
+                config[name] = str(toy_dir / config[name])
+            path = tmp_path / "remote.json"
+            path.write_text(json.dumps(config))
+            return str(path)
+
+        return write
+
+    def test_unreachable_embedder_is_error_exit(self, remote_config, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "retrieve",
+            "--config",
+            remote_config("http://127.0.0.1:1/embed", 256),
+            "--question",
+            "What is the place of birth of Mara Ellison?",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: request to http://127.0.0.1:1/embed failed")
+        assert "Traceback" not in err
+
+    def test_non_finite_embedding_is_error_exit(self, remote_config, http_service, capsys):
+        http_service.state.embed_dimension = 8
+        code, out, err = run_cli(
+            capsys,
+            "retrieve",
+            "--config",
+            remote_config(f"{http_service.url}/embed_nonfinite", 8),
+            "--question",
+            "What is the place of birth of Mara Ellison?",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: embedding endpoint returned a null or non-finite component\n"
 
     def test_no_knowledge_has_no_retrieval_strategy(self, toy_config_path, capsys):
         code, out, err = run_cli(

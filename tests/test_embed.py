@@ -1,14 +1,18 @@
 import math
+import random
 import threading
 
 import numpy as np
 import pytest
+
+from oracles import oracle_vector
 
 from kgprompt.embed import (
     EmbedderConfig,
     RemoteEmbedder,
     embed_batch,
     fnv1a_64,
+    hashed_bow_sparse,
     hashed_bow_vector,
 )
 from kgprompt.errors import ConfigError, RemoteServiceError
@@ -84,6 +88,33 @@ class TestEmbedderConfig:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             EmbedderConfig(kind="magic")
+
+
+class TestSparseHashedBow:
+    TOKENS = ["alex", "Chilton", "new", "orleans", "42", "Ünïcode", "a"]
+
+    def texts(self, rng):
+        yield from ("", "!!!", "(, )", "a a a", "A a A")
+        for _ in range(200):
+            words = rng.choices(self.TOKENS, k=rng.randint(1, 15))
+            yield rng.choice([" ", ", ", "_"]).join(words)
+
+    @pytest.mark.parametrize("dimension", [1, 2, 7, 256])
+    def test_dense_vector_equals_oracle_element_for_element(self, dimension):
+        for text in self.texts(random.Random(dimension)):
+            vector = hashed_bow_vector(text, dimension)
+            assert vector.dtype == np.float64
+            assert [value.hex() for value in vector.tolist()] == [
+                value.hex() for value in oracle_vector(text, dimension)
+            ]
+
+    @pytest.mark.parametrize("dimension", [1, 2, 7, 256])
+    def test_sparse_holds_exactly_the_nonzero_buckets(self, dimension):
+        for text in self.texts(random.Random(dimension)):
+            dense = hashed_bow_vector(text, dimension).tolist()
+            assert hashed_bow_sparse(text, dimension) == {
+                bucket: value for bucket, value in enumerate(dense) if value
+            }
 
 
 class TestRemoteEmbedder:

@@ -1,12 +1,17 @@
+import dataclasses
+import math
 import random
 
 import pytest
+
+from oracles import oracle_truncate
 
 from kgprompt.embed import EmbedderConfig
 from kgprompt.errors import ConfigError, PromptTooLongError
 from kgprompt.kg import Literal, Triple
 from kgprompt.prompts import (
     INSTRUCTION_TEXTS,
+    ORDERINGS,
     PromptSpec,
     render_knowledge_block,
     render_prompt,
@@ -14,6 +19,7 @@ from kgprompt.prompts import (
     render_question,
 )
 from kgprompt.retrieve import ScoredTriple, Similarity, rank_candidates
+from kgprompt.text import whitespace_token_count
 
 
 def make_scored(texts_scores):
@@ -191,6 +197,104 @@ class TestRenderPromptFromLines:
         )
         assert kept == ["one", "two"]
         assert truncated is True
+
+
+UNLIMITED = 10**9
+WORDS = ["alex", "chilton", "died", "in", "new", "orleans", "born", "memphis", "(x,", "y)"]
+
+
+def char_count(text: str) -> int:
+    return len(text)
+
+
+def random_case(rng: random.Random):
+    """A spec with a random budget, ordering and demos, lines, and a question."""
+    spec = PromptSpec(
+        ordering=rng.choice(ORDERINGS),
+        shuffle_seed=rng.randint(0, 99),
+        fewshot_demos=tuple(
+            (" ".join(rng.choices(WORDS, k=2)) + "?", rng.choice(WORDS)) for _ in range(rng.randint(0, 2))
+        ),
+        max_input_tokens=rng.randint(1, 80),
+    )
+    lines = [" ".join(rng.choices(WORDS, k=rng.randint(1, 6))) for _ in range(rng.randint(0, 20))]
+    question = " ".join(rng.choices(WORDS, k=rng.randint(1, 4)))
+    return spec, lines, question
+
+
+class TestBinarySearchTruncation:
+    """The longest fitting prefix equals the drop-one reference's."""
+
+    @pytest.mark.parametrize("token_counter", [whitespace_token_count, char_count])
+    def test_render_prompt_matches_drop_one(self, token_counter):
+        rng = random.Random(97)
+        for _ in range(400):
+            spec, lines, question = random_case(rng)
+            if token_counter is char_count:
+                spec = dataclasses.replace(spec, max_input_tokens=spec.max_input_tokens * 8)
+            ranked = make_scored([(line, len(lines) - i) for i, line in enumerate(lines)])
+            unlimited = dataclasses.replace(spec, max_input_tokens=UNLIMITED)
+
+            def render(count):
+                return render_prompt(unlimited, ranked[:count], question, token_counter).text
+
+            count, expected = oracle_truncate(render, len(ranked), spec.max_input_tokens, token_counter)
+            if count is None:
+                with pytest.raises(PromptTooLongError) as error:
+                    render_prompt(spec, ranked, question, token_counter)
+                assert str(error.value) == (
+                    f"prompt is {expected} tokens with no knowledge left to drop;"
+                    f" budget is {spec.max_input_tokens}"
+                )
+                continue
+            rendered = render_prompt(spec, ranked, question, token_counter)
+            assert rendered.text == expected
+            assert rendered.included_triples == tuple(ranked[:count])
+            assert rendered.truncated is (count < len(ranked))
+
+    @pytest.mark.parametrize("token_counter", [whitespace_token_count, char_count])
+    def test_render_prompt_from_lines_matches_drop_one(self, token_counter):
+        rng = random.Random(98)
+        for _ in range(400):
+            spec, lines, question = random_case(rng)
+            if token_counter is char_count:
+                spec = dataclasses.replace(spec, max_input_tokens=spec.max_input_tokens * 8)
+            offered = [line if rng.random() < 0.8 else "" for line in lines]
+            kept_lines = [line for line in offered if line]
+            unlimited = dataclasses.replace(spec, max_input_tokens=UNLIMITED)
+
+            def render(count):
+                return render_prompt_from_lines(unlimited, kept_lines[:count], question, token_counter)[0]
+
+            count, expected = oracle_truncate(render, len(kept_lines), spec.max_input_tokens, token_counter)
+            if count is None:
+                with pytest.raises(PromptTooLongError) as error:
+                    render_prompt_from_lines(spec, offered, question, token_counter)
+                assert str(error.value) == (
+                    f"prompt is {expected} tokens with no knowledge left to drop;"
+                    f" budget is {spec.max_input_tokens}"
+                )
+                continue
+            text, kept, truncated = render_prompt_from_lines(spec, offered, question, token_counter)
+            assert text == expected
+            assert kept == kept_lines[:count]
+            assert truncated is (count < len(kept_lines))
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 100, 1000])
+    def test_logarithmic_number_of_renders(self, count):
+        ranked = make_scored([(f"(s{i}, r, o{i})", count - i) for i in range(count)])
+        rng = random.Random(count)
+        for _ in range(20):
+            calls = []
+
+            def counter(text):
+                calls.append(text)
+                return whitespace_token_count(text)
+
+            budget = rng.randint(17, 17 + 3 * count)
+            render_prompt(PromptSpec(max_input_tokens=budget), ranked, "q", counter)
+            # the full prefix, then a binary search over 0..count-1
+            assert len(calls) <= 1 + math.ceil(math.log2(count + 1))
 
 
 class TestPromptSpecValidation:

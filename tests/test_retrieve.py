@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
-from oracles import oracle_rank
+from oracles import oracle_cosine, oracle_rank, oracle_vector
 
+from kgprompt import retrieve
 from kgprompt.embed import EmbedderConfig
 from kgprompt.kg import Entity, EntityRef, Literal, Relation, Triple, build_graph
 from kgprompt.retrieve import (
@@ -89,6 +91,72 @@ class TestSimilarityRanking:
             ranked = rank_candidates(Similarity(config), question, graph.triples, graph)
             scores = [scored.score for scored in ranked]
             assert scores == sorted(scores, reverse=True)
+
+
+def random_text(rng: random.Random) -> str:
+    """Texts with repeated tokens, mixed case, digits and non-ASCII words;
+    some are empty or punctuation-only and so have no tokens at all."""
+    draw = rng.random()
+    if draw < 0.08:
+        return ""
+    if draw < 0.16:
+        return rng.choice(["!!!", "(, )", " -- ", "_", "?"])
+    words = rng.choices(WORDS[:8] + ["Ünïcode", "42", "Harbor"], k=rng.randint(1, 12))
+    return rng.choice([" ", ", ", "-"]).join(words)
+
+
+class TestSparseCosine:
+    @pytest.mark.parametrize("dimension", [1, 2, 7, 256])
+    def test_hashed_scores_equal_dense_fsum_bit_for_bit(self, dimension):
+        # Dimensions 1, 2 and 7 force bucket collisions between tokens.
+        rng = random.Random(dimension)
+        config = EmbedderConfig(dimension=dimension)
+        for _ in range(80):
+            question = random_text(rng)
+            texts = [random_text(rng) for _ in range(rng.randint(0, 20))]
+            scores = retrieve._similarity_scores(config, question, texts)
+            question_vector = oracle_vector(question, dimension)
+            expected = [oracle_cosine(question_vector, oracle_vector(text, dimension)) for text in texts]
+            assert [score.hex() for score in scores] == [score.hex() for score in expected]
+            order = sorted(range(len(texts)), key=lambda index: (-scores[index], index))
+            assert order == oracle_rank(question, texts, dimension)
+
+    def remote_scores(self, monkeypatch, vectors):
+        """Scores of vectors[1:] against vectors[0] as a remote embedder returns them."""
+        monkeypatch.setattr(retrieve, "embed_batch", lambda config, texts: [np.array(v) for v in vectors])
+        config = EmbedderConfig(kind="remote", dimension=len(vectors[0]), endpoint="http://unused/embed")
+        return retrieve._similarity_scores(config, "q", ["t"] * (len(vectors) - 1))
+
+    @pytest.mark.parametrize("dimension", [1, 2, 7, 256])
+    def test_remote_vectors_score_as_dense_fsum(self, dimension, monkeypatch):
+        rng = random.Random(100 + dimension)
+
+        def component():
+            draw = rng.random()
+            if draw < 0.3:
+                return 0.0
+            if draw < 0.45:
+                return -0.0
+            return rng.uniform(-1.0, 1.0)
+
+        for _ in range(20):
+            vectors = [[component() for _ in range(dimension)] for _ in range(12)]
+            expected = [oracle_cosine(vectors[0], vector) for vector in vectors[1:]]
+            scores = self.remote_scores(monkeypatch, vectors)
+            assert [score.hex() for score in scores] == [score.hex() for score in expected]
+
+    def test_zero_products_score_positive_zero(self, monkeypatch):
+        vectors = [
+            [0.5, -0.0, 0.0, 0.25],
+            [-0.0, 0.75, -0.5, -0.0],  # every product is -0.0
+            [0.5, 0.0, 0.0, -1.0],  # 0.25 - 0.25 cancels exactly
+            [0.0, 0.0, 0.0, 0.0],
+            [-0.5, 1.0, 1.0, 0.0],  # one nonzero product, negative
+        ]
+        expected = [oracle_cosine(vectors[0], vector) for vector in vectors[1:]]
+        assert [score.hex() for score in expected] == ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p-2"]
+        scores = self.remote_scores(monkeypatch, vectors)
+        assert [score.hex() for score in scores] == [score.hex() for score in expected]
 
 
 class TestRandomStrategy:
