@@ -15,7 +15,7 @@ from .kg import (
     neighborhood,
     relation_frequency,
 )
-from .llm import CompletionRequest, ProviderConfig, build_client, generate
+from .llm import CompletionRequest, ProviderConfig, build_client
 from .metrics import (
     AnswerEntity,
     AnswerSet,
@@ -91,7 +91,6 @@ __all__ = [
     "embed_batch",
     "filter_unnamed",
     "fnv1a_64",
-    "generate",
     "hashed_bow_vector",
     "link_entities",
     "load_config",

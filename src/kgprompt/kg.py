@@ -10,6 +10,11 @@ entities TSV  ``entity_id <TAB> canonical_name <TAB> alias1|alias2|...``
               (aliases optional; an empty name field marks an unnamed entity).
 relations TSV ``relation_id <TAB> relation_name``; optional, picked up as
               ``relations.tsv`` next to the entities file when not given.
+
+``Triple``, ``EntityRef`` and ``Literal`` are named tuples, so hashing and
+comparing them runs in C; tell object kinds apart with ``isinstance``.
+Loading parses each distinct object token once and shares the parsed term
+between the triples that use it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import GraphLoadError
 from .text import normalize_tokens
@@ -47,15 +52,13 @@ class Relation:
     name: str
 
 
-@dataclass(frozen=True)
-class EntityRef:
+class EntityRef(NamedTuple):
     """Triple object pointing at another entity."""
 
     entity_id: EntityId
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     """Triple object holding a typed literal value."""
 
     value: str
@@ -65,15 +68,15 @@ class Literal:
 ObjectTerm = Union[EntityRef, Literal]
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     subject: EntityId
     relation: RelationId
     object: ObjectTerm
 
     def object_entity_id(self) -> EntityId | None:
         """The object's entity id, or None for literal objects."""
-        return self.object.entity_id if isinstance(self.object, EntityRef) else None
+        obj = self.object
+        return obj.entity_id if isinstance(obj, EntityRef) else None
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ class KnowledgeGraph:
     ``triples`` keeps ingestion order, which is the tie-break and output
     order everywhere else in the pipeline. ``adjacency`` maps an entity id
     to the ascending indices of triples it is incident to, whether as
-    subject or as entity-valued object.
+    subject or as entity-valued object; a self-loop is listed once.
 
     ``surface_index`` and ``relation_counts`` are derived views, each built
     once on first use; they assume the graph is not mutated after
@@ -174,8 +177,9 @@ def build_graph(
             graph.relations[triple.relation] = Relation(triple.relation, triple.relation)
         index = len(graph.triples)
         graph.triples.append(triple)
-        for incident in {triple.subject, object_id} - {None}:
-            graph.adjacency.setdefault(incident, []).append(index)
+        graph.adjacency.setdefault(triple.subject, []).append(index)
+        if object_id is not None and object_id != triple.subject:
+            graph.adjacency.setdefault(object_id, []).append(index)
     return graph
 
 
@@ -254,16 +258,24 @@ def _load_relations(path: Path) -> list[Relation]:
 
 def _load_triples(path: Path) -> list[Triple]:
     triples = []
+    # Raw object token -> its parsed term, so each distinct token is parsed
+    # (and allocated) once; its first occurrence is the line errors name.
+    objects: dict[str, ObjectTerm] = {}
     for number, line in _data_lines(path):
         columns = line.split("\t")
         if len(columns) != 3:
             raise GraphLoadError(
                 f"{path}:{number}: expected 3 tab-separated columns, got {len(columns)}"
             )
-        subject, relation, object_token = (column.strip() for column in columns)
+        subject, relation, object_token = columns
+        subject = subject.strip()
+        relation = relation.strip()
         if not subject or not relation:
             raise GraphLoadError(f"{path}:{number}: empty subject or relation id")
-        triples.append(Triple(subject, relation, _parse_object(object_token, path, number)))
+        term = objects.get(object_token)
+        if term is None:
+            term = objects[object_token] = _parse_object(object_token.strip(), path, number)
+        triples.append(Triple(subject, relation, term))
     return triples
 
 

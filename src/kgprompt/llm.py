@@ -77,13 +77,20 @@ class ScriptedClient:
         return SCRIPTED_DEFAULT_RESPONSE
 
 
+def _retryable(status: int | None) -> bool:
+    """Whether a failed call may succeed later: transport errors, 429 and 5xx."""
+    return status is None or status == 429 or status >= 500
+
+
 class RemoteClient:
     """HTTP completion client with retries and a shared concurrency bound.
 
-    Failed calls are retried up to MAX_RETRIES times with exponential
-    backoff (1s, 2s, 4s); the final RemoteServiceError carries the attempt
-    count. ``max_in_flight`` records the peak number of simultaneously
-    outstanding requests, for instrumentation.
+    Calls that may succeed later (see ``_retryable``) are retried up to
+    MAX_RETRIES times with exponential backoff (1s, 2s, 4s); any other 4xx,
+    and a 2xx body that is not JSON or lacks a ``text`` string, fail at
+    once. The final RemoteServiceError carries the attempt count.
+    ``max_in_flight`` records the peak number of simultaneously outstanding
+    requests, for instrumentation.
     """
 
     def __init__(self, config: ProviderConfig, sleep: Callable[[float], None] = time.sleep):
@@ -117,12 +124,9 @@ class RemoteClient:
             attempts += 1
             try:
                 body = self._post(payload)
-                text = body.get("text")
-                if not isinstance(text, str):
-                    raise RemoteServiceError("completion response is missing a 'text' string")
-                return text
+                break
             except RemoteServiceError as exc:
-                if attempts > MAX_RETRIES:
+                if attempts > MAX_RETRIES or not _retryable(exc.status):
                     raise RemoteServiceError(
                         f"completion failed after {attempts} attempts: {exc}",
                         status=exc.status,
@@ -133,6 +137,12 @@ class RemoteClient:
                 )
                 self._sleep(delay)
                 delay *= 2
+        text = body.get("text")
+        if not isinstance(text, str):
+            raise RemoteServiceError(
+                "completion response is missing a 'text' string", attempts=attempts
+            )
+        return text
 
 
 CompletionClient = ScriptedClient | RemoteClient
@@ -142,8 +152,3 @@ def build_client(config: ProviderConfig) -> CompletionClient:
     if config.kind == "scripted":
         return ScriptedClient(config)
     return RemoteClient(config)
-
-
-def generate(config: ProviderConfig, request: CompletionRequest) -> str:
-    """One-shot convenience wrapper around build_client().generate()."""
-    return build_client(config).generate(request)

@@ -58,6 +58,7 @@ class ServiceState:
         # first component of every /embed_nonfinite vector (None -> JSON null)
         self.nonfinite_component = None
         self.fail_remaining = 0
+        self.flaky_status = 503  # status of each failing /flaky reply
         self.delay = 0.0
         self.active = 0
         self.max_active = 0
@@ -116,7 +117,7 @@ def _make_handler(state: ServiceState):
                         if failing:
                             state.fail_remaining -= 1
                     if failing:
-                        self._reply(503, {"error": "try again"})
+                        self._reply(state.flaky_status, {"error": "try again"})
                     else:
                         self._reply(200, {"text": "recovered"})
                 elif self.path == "/always_500":
@@ -138,7 +139,10 @@ def _make_handler(state: ServiceState):
 def http_service():
     state = ServiceState()
     server = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(state))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval lets shutdown() return quickly at teardown.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     try:
         yield SimpleNamespace(url=f"http://127.0.0.1:{server.server_port}", state=state)

@@ -90,3 +90,82 @@ def oracle_link(entities, question: str) -> set[str]:
         if not any(s <= start and end <= e and width < e - s for s, e, _ in accepted):
             accepted.append((start, end, entity_id))
     return {entity_id for _, _, entity_id in accepted}
+
+
+def _oracle_rows(path):
+    """(line number, columns) of every data line: no blanks, no # comments.
+
+    Line breaks are the universal-newline set (\\n, \\r\\n, \\r), as text
+    mode reads them.
+    """
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    rows = []
+    for number, line in enumerate(re.split(r"\r\n|\r|\n", text), 1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            rows.append((number, line.split("\t")))
+    return rows
+
+
+def oracle_load(triples_path, entities_path, relations_path=None):
+    """Line-by-line graph load and build over plain tuples and dicts.
+
+    Returns ``(triples, adjacency, entities, relations)``: triples as
+    ``(subject, relation, object)`` with object ``("E", entity_id)`` or
+    ``("L", datatype, value)``; adjacency as entity id -> ascending triple
+    indices; entities as id -> ``(name or None, aliases)``; relations as
+    id -> name. A malformed line raises ``ValueError("<file name>:<line>")``
+    for the first such line; a graph-level fault raises ``ValueError`` with
+    the offending id.
+    """
+    entities = {}
+    for number, columns in _oracle_rows(entities_path):
+        entity_id = columns[0].strip()
+        if len(columns) not in (2, 3) or not entity_id:
+            raise ValueError(f"{entities_path.name}:{number}")
+        if entity_id in entities:
+            raise ValueError(entity_id)
+        name = columns[1].strip() or None
+        aliases = []
+        for alias in columns[2].split("|") if len(columns) == 3 else []:
+            alias = alias.strip()
+            if alias and alias != name and alias not in aliases:
+                aliases.append(alias)
+        entities[entity_id] = (name, tuple(aliases))
+
+    relations = {}
+    for number, columns in _oracle_rows(relations_path) if relations_path else []:
+        if len(columns) != 2 or not columns[0].strip() or not columns[1].strip():
+            raise ValueError(f"{relations_path.name}:{number}")
+        if columns[0].strip() in relations:
+            raise ValueError(columns[0].strip())
+        relations[columns[0].strip()] = columns[1].strip()
+
+    parsed = []
+    for number, columns in _oracle_rows(triples_path):
+        if len(columns) != 3:
+            raise ValueError(f"{triples_path.name}:{number}")
+        subject, relation, token = (column.strip() for column in columns)
+        literal = token[2:].split(":", 1) if token[:2] == "L:" else None
+        if not subject or not relation:
+            raise ValueError(f"{triples_path.name}:{number}")
+        if token[:2] == "E:" and token[2:]:
+            parsed.append((subject, relation, ("E", token[2:])))
+        elif literal and len(literal) == 2 and literal[0] in ("plain", "time", "quantity") and literal[1]:
+            parsed.append((subject, relation, ("L", literal[0], literal[1])))
+        else:
+            raise ValueError(f"{triples_path.name}:{number}")
+
+    triples, adjacency = [], {}
+    for triple in parsed:
+        if triple in triples:
+            continue
+        subject, relation, obj = triple
+        for entity_id in (subject, obj[1]) if obj[0] == "E" else (subject,):
+            if entity_id not in entities:
+                raise ValueError(entity_id)
+        relations.setdefault(relation, relation)
+        triples.append(triple)
+        for entity_id in sorted({subject, obj[1]} if obj[0] == "E" else {subject}):
+            adjacency.setdefault(entity_id, []).append(len(triples) - 1)
+    return triples, adjacency, entities, relations

@@ -17,8 +17,9 @@ from kgprompt.kg import (
     neighborhood,
     relation_frequency,
 )
+from kgprompt.verbalize import verbalize
 
-from oracles import oracle_link
+from oracles import oracle_link, oracle_load
 
 
 def write_graph_files(tmp_path, triples_text, entities_text, relations_text=None):
@@ -110,6 +111,47 @@ class TestLoadGraph:
         assert repr(first) == repr(second)
         assert first.triples == second.triples
         assert first.adjacency == second.adjacency
+
+
+class TestGraphValueTypes:
+    def test_self_loop_listed_once(self):
+        graph = build_graph(
+            [Entity("A", "Alpha"), Entity("B", "Beta")],
+            [],
+            [Triple("A", "r", EntityRef("A")), Triple("A", "r", EntityRef("B"))],
+        )
+        assert graph.adjacency == {"A": [0, 1], "B": [1]}
+        assert neighborhood(graph, {"A"}, 1) == graph.triples
+
+    def test_values_hashable_and_immutable(self):
+        def make():
+            return [EntityRef("Q1"), Literal("x", "time"), Triple("Q1", "P1", EntityRef("Q2"))]
+
+        for value, twin, field in zip(make(), make(), ["entity_id", "value", "subject"]):
+            assert hash(value) == hash(twin)
+            assert len({value, twin}) == 1
+            with pytest.raises(AttributeError):
+                setattr(value, field, "changed")
+            with pytest.raises(AttributeError):
+                value.extra = 1
+
+    def test_literal_defaults_to_plain(self):
+        assert Literal("x").datatype == "plain"
+        assert Literal("x") == Literal("x", "plain")
+        assert Triple("Q1", "P1", Literal("x")).object_entity_id() is None
+        assert Triple("Q1", "P1", EntityRef("Q2")).object_entity_id() == "Q2"
+
+    def test_verbalize_tells_object_kinds_apart(self):
+        # a literal whose value is an entity id renders as written, never as that entity's name
+        graph = build_graph(
+            [Entity("Q1", "Alpha"), Entity("Q2", "Beta")],
+            [Relation("P1", "knows")],
+            [Triple("Q1", "P1", EntityRef("Q2")), Triple("Q1", "P1", Literal("Q2"))],
+        )
+        texts = [verbalize(triple, graph).text for triple in graph.triples]
+        assert texts == ["(Alpha, knows, Beta)", "(Alpha, knows, Q2)"]
+        assert [isinstance(t.object, EntityRef) for t in graph.triples] == [True, False]
+        assert [isinstance(t.object, Literal) for t in graph.triples] == [False, True]
 
 
 def chain_graph():
@@ -390,3 +432,145 @@ class TestDerivedViewSafety:
         first.clear()
         assert relation_frequency(graph) == expected
         assert sum(expected.values()) == len(graph.triples)
+
+
+LITERAL_VALUES = ["2010", "12:30:00", "a:b:c", "x y", "Q1", "+1976-03-17T00:00:00Z"]
+BAD_OBJECTS = ["X:Q1", "Q1", "E:", "L:plain", "L:plain:", "L:date:x", "L::x"]
+
+
+def pad(rng: random.Random, column: str) -> str:
+    return rng.choice(["", "", " ", "  "]) + column + rng.choice(["", "", " "])
+
+
+def random_graph_files(rng: random.Random, tmp_path, lines: int = 200):
+    """Random TSV graph files with the quirks the loader must absorb.
+
+    Duplicate and re-padded lines, comments and blank lines, CRLF endings,
+    literals whose value holds ':', self-loops, relations that are never
+    declared, and unnamed entities. Returns the three paths; the relations
+    path is None when no relations file was written.
+    """
+    ids = [f"Q{i}" for i in range(rng.randint(2, 30))]
+
+    def write(path, rows):
+        text = "".join(row + rng.choice(["\n", "\r\n"]) for row in rows)
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    entity_rows = []
+    for entity_id in ids:
+        name = "" if rng.random() < 0.15 else f"name {entity_id}"
+        aliases = rng.choices([name, f"alias {entity_id}", "shared", "", " x "], k=rng.randint(0, 4))
+        columns = [pad(rng, entity_id), pad(rng, name)]
+        if aliases or rng.random() < 0.5:
+            columns.append("|".join(aliases))
+        entity_rows.append("\t".join(columns))
+    entities = write(tmp_path / "entities.tsv", ["# entities", *entity_rows])
+
+    relations = None
+    (tmp_path / "relations.tsv").unlink(missing_ok=True)
+    if rng.random() < 0.7:
+        declared = [f"P{i}\trelation {i}" for i in range(rng.randint(0, 5))]
+        relations = write(tmp_path / "relations.tsv", [pad(rng, row) for row in declared])
+
+    triple_rows = []
+    while len(triple_rows) < lines:
+        roll = rng.random()
+        if roll < 0.05:
+            triple_rows.append(rng.choice(["# comment", "  # indented\tcomment", "", "   "]))
+            continue
+        if roll < 0.15 and triple_rows:
+            triple_rows.append(rng.choice(triple_rows))
+            continue
+        subject = rng.choice(ids)
+        if roll < 0.25:
+            token = f"E:{subject}"  # self-loop
+        elif roll < 0.45:
+            token = f"L:{rng.choice(['plain', 'time', 'quantity'])}:{rng.choice(LITERAL_VALUES)}"
+        else:
+            token = f"E:{rng.choice(ids)}"
+        relation = f"P{rng.randint(0, 7)}"
+        triple_rows.append("\t".join(pad(rng, column) for column in (subject, relation, token)))
+    triples = write(tmp_path / "triples.tsv", triple_rows)
+    return triples, entities, relations
+
+
+def plain_triple(triple: Triple) -> tuple:
+    obj = triple.object
+    if isinstance(obj, EntityRef):
+        return triple.subject, triple.relation, ("E", obj.entity_id)
+    assert isinstance(obj, Literal)
+    return triple.subject, triple.relation, ("L", obj.datatype, obj.value)
+
+
+def assert_graph_matches_oracle(graph, expected):
+    triples, adjacency, entities, relations = expected
+    assert [plain_triple(triple) for triple in graph.triples] == triples
+    assert graph.adjacency == adjacency
+    assert [(e.id, e.name, e.aliases) for e in graph.entities.values()] == [
+        (entity_id, *entity) for entity_id, entity in entities.items()
+    ]
+    assert [(r.id, r.name) for r in graph.relations.values()] == list(relations.items())
+
+
+def load_failure(*paths) -> str:
+    with pytest.raises(GraphLoadError) as excinfo:
+        load_graph(*paths)
+    return str(excinfo.value)
+
+
+def oracle_failure(*paths) -> str:
+    with pytest.raises(ValueError) as excinfo:
+        oracle_load(*paths)
+    return str(excinfo.value)
+
+
+class TestLoaderMatchesOracle:
+    def test_random_graph_files(self, tmp_path):
+        rng = random.Random(20261018)
+        self_loops = undeclared = unnamed = duplicates = 0
+        for _ in range(25):
+            paths = random_graph_files(rng, tmp_path)
+            graph = load_graph(*paths)
+            assert_graph_matches_oracle(graph, oracle_load(*paths))
+            self_loops += sum(t.subject == t.object_entity_id() for t in graph.triples)
+            undeclared += sum(r.id == r.name for r in graph.relations.values())
+            unnamed += sum(e.name is None for e in graph.entities.values())
+            data = [line for line in paths[0].read_text().splitlines() if line.strip()[:1] not in ("", "#")]
+            duplicates += len(data) - len(graph.triples)
+        assert min(self_loops, undeclared, unnamed, duplicates) > 0
+
+    def test_random_bad_objects_fail_at_the_oracles_line(self, tmp_path):
+        rng = random.Random(20261019)
+        for _ in range(40):
+            triples, entities, relations = random_graph_files(rng, tmp_path, lines=60)
+            rows = triples.read_bytes().decode("utf-8").split("\n")
+            bad = rng.choice([*BAD_OBJECTS, "E:Q999"])
+            for position in sorted(rng.sample(range(len(rows) - 1), 3)):
+                rows[position] = f"Q0\tP0\t{pad(rng, bad)}\r"
+            triples.write_bytes("\n".join(rows).encode("utf-8"))
+            expected = oracle_failure(triples, entities, relations)
+            actual = load_failure(triples, entities)
+            if bad == "E:Q999":
+                assert actual.endswith(f": {expected}")
+            else:
+                assert f"{expected}:" in actual
+
+    def test_repeated_bad_object_reported_at_first_line(self, tmp_path):
+        triples, entities = write_graph_files(
+            tmp_path,
+            "Q1\tP1\tE:Q2\n# note\nQ1\tP2\tL:date:x\nQ2\tP1\tL:date:x\nQ2\tP2\t L:date:x\n",
+            "Q1\tAlpha\nQ2\tBeta\n",
+        )
+        assert oracle_failure(triples, entities) == "triples.tsv:3"
+        assert "triples.tsv:3: unknown literal datatype 'date'" in load_failure(triples, entities)
+
+    def test_good_object_seen_earlier_does_not_hide_a_bad_one(self, tmp_path):
+        for bad in ["L:time:", "L:time", "E:", "time:2010"]:
+            triples, entities = write_graph_files(
+                tmp_path,
+                f"Q1\tP1\tL:time:2010\nQ1\tP1\tE:Q2\nQ2\tP1\t L:time:2010 \nQ2\tP1\t{bad}\n",
+                "Q1\tAlpha\nQ2\tBeta\n",
+            )
+            assert oracle_failure(triples, entities) == "triples.tsv:4"
+            assert "triples.tsv:4:" in load_failure(triples, entities)

@@ -8,7 +8,6 @@ from kgprompt.llm import (
     ProviderConfig,
     RemoteClient,
     build_client,
-    generate,
 )
 from kgprompt.remote import API_TOKEN_ENV
 
@@ -25,15 +24,16 @@ class TestScriptedProvider:
             "(Alex Chilton, place of death, New Orleans)\n"
             "Question: Where did Alex Chilton die? Answer:"
         )
-        assert generate(config, CompletionRequest(prompt)) == "Alex Chilton died in New Orleans."
+        text = build_client(config).generate(CompletionRequest(prompt))
+        assert text == "Alex Chilton died in New Orleans."
 
     def test_no_match_returns_unknown(self):
         config = ProviderConfig(script={"never present": "nope"})
-        assert generate(config, CompletionRequest("Question: x Answer:")) == "UNKNOWN"
+        assert build_client(config).generate(CompletionRequest("Question: x Answer:")) == "UNKNOWN"
 
     def test_insertion_order_precedence(self):
         config = ProviderConfig(script={"alpha": "first", "alpha beta": "second"})
-        assert generate(config, CompletionRequest("alpha beta gamma")) == "first"
+        assert build_client(config).generate(CompletionRequest("alpha beta gamma")) == "first"
 
     def test_pure_and_deterministic(self):
         config = ProviderConfig(script={"a": "one"})
@@ -60,7 +60,7 @@ class TestRemoteProvider:
         config = ProviderConfig(
             kind="remote", endpoint=f"{http_service.url}/complete", model_name="m1"
         )
-        text = generate(config, CompletionRequest("hello there"))
+        text = build_client(config).generate(CompletionRequest("hello there"))
         assert text == "completion for 11 chars"
 
     def test_retry_then_success(self, http_service):
@@ -98,6 +98,62 @@ class TestRemoteProvider:
         with pytest.raises(RemoteServiceError, match="text"):
             client.generate(CompletionRequest("x"))
 
+    @pytest.mark.parametrize("status", [429, 502])
+    def test_retryable_statuses_retried(self, http_service, status):
+        http_service.state.fail_remaining = 1
+        http_service.state.flaky_status = status
+        delays = []
+        config = ProviderConfig(kind="remote", endpoint=f"{http_service.url}/flaky")
+        client = RemoteClient(config, sleep=delays.append)
+        assert client.generate(CompletionRequest("x")) == "recovered"
+        assert delays == [1.0]
+        assert http_service.state.requests == 2
+
+    def test_transport_error_retried(self):
+        delays = []
+        config = ProviderConfig(kind="remote", endpoint="http://127.0.0.1:1/complete", timeout=2)
+        client = RemoteClient(config, sleep=delays.append)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.generate(CompletionRequest("x"))
+        assert excinfo.value.attempts == 4
+        assert excinfo.value.status is None
+        assert delays == [1.0, 2.0, 4.0]
+
+    def test_unknown_path_fails_fast(self, http_service):
+        delays = []
+        config = ProviderConfig(kind="remote", endpoint=f"{http_service.url}/wrong_path")
+        client = RemoteClient(config, sleep=delays.append)
+        with pytest.raises(RemoteServiceError, match="404") as excinfo:
+            client.generate(CompletionRequest("x"))
+        assert excinfo.value.status == 404
+        assert excinfo.value.attempts == 1
+        assert http_service.state.requests == 1
+        assert delays == []
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 422])
+    def test_client_errors_fail_fast(self, http_service, status):
+        http_service.state.fail_remaining = 1
+        http_service.state.flaky_status = status
+        delays = []
+        config = ProviderConfig(kind="remote", endpoint=f"{http_service.url}/flaky")
+        client = RemoteClient(config, sleep=delays.append)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.generate(CompletionRequest("x"))
+        assert (excinfo.value.status, excinfo.value.attempts) == (status, 1)
+        assert http_service.state.requests == 1
+        assert delays == []
+
+    @pytest.mark.parametrize("path", ["/not_json", "/no_text"])
+    def test_bad_success_body_fails_fast(self, http_service, path):
+        delays = []
+        config = ProviderConfig(kind="remote", endpoint=f"{http_service.url}{path}")
+        client = RemoteClient(config, sleep=delays.append)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.generate(CompletionRequest("x"))
+        assert excinfo.value.attempts == 1
+        assert http_service.state.requests == 1
+        assert delays == []
+
     def test_in_flight_bound_and_counter(self, http_service):
         http_service.state.delay = 0.05
         config = ProviderConfig(
@@ -120,11 +176,11 @@ class TestRemoteProvider:
     def test_bearer_token_sent_when_configured(self, http_service, monkeypatch):
         monkeypatch.setenv(API_TOKEN_ENV, "sekret-token")
         config = ProviderConfig(kind="remote", endpoint=f"{http_service.url}/complete")
-        generate(config, CompletionRequest("x"))
+        build_client(config).generate(CompletionRequest("x"))
         assert http_service.state.last_authorization == "Bearer sekret-token"
 
     def test_no_auth_header_without_token(self, http_service, monkeypatch):
         monkeypatch.delenv(API_TOKEN_ENV, raising=False)
         config = ProviderConfig(kind="remote", endpoint=f"{http_service.url}/complete")
-        generate(config, CompletionRequest("x"))
+        build_client(config).generate(CompletionRequest("x"))
         assert http_service.state.last_authorization is None
