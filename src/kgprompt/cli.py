@@ -45,7 +45,7 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--provider-endpoint")
     parser.add_argument("--model", dest="model_name", help="remote model name")
     parser.add_argument("--timeout", type=float, help="remote request timeout (s)")
-    parser.add_argument("--max-concurrency", type=int)
+    parser.add_argument("--max-concurrency", type=int, help="the provider's bound on requests in flight")
 
 
 _TOP_LEVEL_OVERRIDES = (

@@ -11,13 +11,14 @@ from __future__ import annotations
 import functools
 import math
 import threading
+import time
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, RemoteServiceError
-from .remote import post_json
+from .remote import Transport, post_json
 from .text import normalize_tokens
 
 EMBEDDER_KINDS = ("hashed_bow", "remote")
@@ -88,22 +89,20 @@ def hashed_bow_vector(text: str, dimension: int) -> np.ndarray:
 
 
 class RemoteEmbedder:
-    """Client for the remote embedding protocol.
+    """Client for the remote embedding protocol over one ``remote.Transport``.
 
-    Bounds the number of concurrently in-flight batch requests to
-    ``config.max_concurrency``; vectors with null, NaN or infinite components
-    are rejected, and the rest re-normalized client-side so the unit-norm
-    invariant holds regardless of what the server returns.
+    The transport bounds concurrency and retries what may succeed later;
+    vectors with null, NaN or infinite components are rejected at once, and
+    the rest re-normalized client-side so the unit-norm invariant holds
+    regardless of what the server returns.
     """
 
-    def __init__(self, config: EmbedderConfig, timeout: float = 30.0):
+    def __init__(self, config: EmbedderConfig, timeout: float = 30.0, sleep=time.sleep):
         self.config = config
-        self.timeout = timeout
-        self._slots = threading.Semaphore(config.max_concurrency)
+        self.transport = Transport(config.endpoint, timeout, config.max_concurrency, post_json, sleep)
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        with self._slots:
-            body = post_json(self.config.endpoint, {"texts": list(texts)}, self.timeout)
+        body, _ = self.transport.call({"texts": list(texts)})
         vectors = body.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise RemoteServiceError(
@@ -131,8 +130,8 @@ _remote_clients: dict[EmbedderConfig, RemoteEmbedder] = {}
 _remote_lock = threading.Lock()
 
 
-def _remote_client(config: EmbedderConfig) -> RemoteEmbedder:
-    # One shared client per config so the concurrency bound spans callers.
+def remote_embedder(config: EmbedderConfig) -> RemoteEmbedder:
+    """The process's one client for ``config``, so its bound spans every caller."""
     with _remote_lock:
         client = _remote_clients.get(config)
         if client is None:
@@ -145,4 +144,4 @@ def embed_batch(config: EmbedderConfig, texts: list[str]) -> list[np.ndarray]:
     """Embed texts in input order; one unit-norm (or all-zero) vector each."""
     if config.kind == "hashed_bow":
         return [hashed_bow_vector(text, config.dimension) for text in texts]
-    return _remote_client(config).embed(texts)
+    return remote_embedder(config).embed(texts)

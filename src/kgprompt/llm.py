@@ -9,22 +9,15 @@ deterministic and offline.
 
 from __future__ import annotations
 
-import logging
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError, RemoteServiceError
-from .remote import post_json
-
-logger = logging.getLogger(__name__)
+from .remote import Transport, post_json
 
 PROVIDER_KINDS = ("scripted", "remote")
 SCRIPTED_DEFAULT_RESPONSE = "UNKNOWN"
-
-MAX_RETRIES = 3
-BACKOFF_INITIAL_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -77,40 +70,21 @@ class ScriptedClient:
         return SCRIPTED_DEFAULT_RESPONSE
 
 
-def _retryable(status: int | None) -> bool:
-    """Whether a failed call may succeed later: transport errors, 429 and 5xx."""
-    return status is None or status == 429 or status >= 500
-
-
 class RemoteClient:
-    """HTTP completion client with retries and a shared concurrency bound.
+    """HTTP completion client over one ``remote.Transport``.
 
-    Calls that may succeed later (see ``_retryable``) are retried up to
-    MAX_RETRIES times with exponential backoff (1s, 2s, 4s); any other 4xx,
-    and a 2xx body that is not JSON or lacks a ``text`` string, fail at
-    once. The final RemoteServiceError carries the attempt count.
-    ``max_in_flight`` records the peak number of simultaneously outstanding
-    requests, for instrumentation.
+    The transport bounds concurrency and retries what may succeed later; a
+    2xx body that is not JSON or lacks a ``text`` string fails at once.
     """
 
     def __init__(self, config: ProviderConfig, sleep: Callable[[float], None] = time.sleep):
         self.config = config
-        self._sleep = sleep
-        self._slots = threading.Semaphore(config.max_concurrency)
-        self._lock = threading.Lock()
-        self._in_flight = 0
-        self.max_in_flight = 0
+        self.transport = Transport(config.endpoint, config.timeout, config.max_concurrency, post_json, sleep)
 
-    def _post(self, payload: dict) -> dict:
-        with self._slots:
-            with self._lock:
-                self._in_flight += 1
-                self.max_in_flight = max(self.max_in_flight, self._in_flight)
-            try:
-                return post_json(self.config.endpoint, payload, self.config.timeout)
-            finally:
-                with self._lock:
-                    self._in_flight -= 1
+    @property
+    def max_in_flight(self) -> int:
+        """Peak number of simultaneously outstanding requests."""
+        return self.transport.peak_in_flight
 
     def generate(self, request: CompletionRequest) -> str:
         payload = {
@@ -118,25 +92,7 @@ class RemoteClient:
             "prompt": request.prompt,
             "max_tokens": request.max_output_tokens,
         }
-        attempts = 0
-        delay = BACKOFF_INITIAL_SECONDS
-        while True:
-            attempts += 1
-            try:
-                body = self._post(payload)
-                break
-            except RemoteServiceError as exc:
-                if attempts > MAX_RETRIES or not _retryable(exc.status):
-                    raise RemoteServiceError(
-                        f"completion failed after {attempts} attempts: {exc}",
-                        status=exc.status,
-                        attempts=attempts,
-                    ) from exc
-                logger.warning(
-                    "completion attempt %d failed (%s); retrying in %.1fs", attempts, exc, delay
-                )
-                self._sleep(delay)
-                delay *= 2
+        body, attempts = self.transport.call(payload)
         text = body.get("text")
         if not isinstance(text, str):
             raise RemoteServiceError(

@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, RemoteServiceError
-from .embed import EmbedderConfig
+from .embed import EmbedderConfig, remote_embedder
 from .kg import KnowledgeGraph, link_entities, load_graph, neighborhood
-from .llm import CompletionClient, CompletionRequest, ProviderConfig, build_client
+from .llm import CompletionClient, CompletionRequest, ProviderConfig, RemoteClient, build_client
 from .metrics import (
     AnswerEntity,
     AnswerSet,
@@ -373,9 +373,9 @@ def read_records(path: str | Path) -> list[dict]:
 def run(config: RunConfig) -> dict:
     """Execute a full run and write predictions.jsonl plus report.json.
 
-    Examples are processed with at most ``provider.max_concurrency`` workers
-    but always written in dataset order. Per-example failures are recorded
-    and scored as incorrect; only configuration and load problems raise.
+    Examples run on one worker per slot of the remote services they call and
+    are written in dataset order. Per-example failures are recorded and
+    scored as incorrect; only configuration and load problems raise.
     """
     for name in ("triples_path", "entities_path", "dataset_path", "output_dir"):
         if not getattr(config, name):
@@ -391,6 +391,11 @@ def run(config: RunConfig) -> dict:
         len(examples) - len(kept),
     )
     client = build_client(config.provider)
+    transports = [client.transport] if isinstance(client, RemoteClient) else []
+    workers = config.provider.max_concurrency
+    if config.method == "kaping" and config.embedder.kind == "remote":
+        transports.append(remote_embedder(config.embedder).transport)
+        workers += config.embedder.max_concurrency
 
     def process(example: QaExample) -> dict:
         try:
@@ -399,8 +404,11 @@ def run(config: RunConfig) -> dict:
             logger.exception("example %s failed", example.id)
             return _failure_record(config, example, graph)
 
-    with ThreadPoolExecutor(max_workers=config.provider.max_concurrency) as executor:
+    with ThreadPoolExecutor(max_workers=workers) as executor:
         records = list(executor.map(process, kept))
+    for t in transports:
+        counts = (t.requests, t.retries, t.peak_in_flight)
+        logger.info("%s: %d requests, %d retries, peak %d in flight", t.endpoint, *counts)
 
     output_dir = Path(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import itertools
+import logging
 import os
+import threading
+import time
 
 import requests
 
 from .errors import RemoteServiceError
 
+logger = logging.getLogger(__name__)
+
 # Bearer token for remote services; read from the environment on every call
 # and never persisted to any output file.
 API_TOKEN_ENV = "KGPROMPT_API_TOKEN"
+
+MAX_RETRIES = 3
+BACKOFF_INITIAL_SECONDS = 1.0
 
 
 def post_json(url: str, payload: dict, timeout: float) -> dict:
@@ -43,3 +52,51 @@ def post_json(url: str, payload: dict, timeout: float) -> dict:
             status=response.status_code,
         )
     return body
+
+
+def _retryable(status: int | None) -> bool:
+    """Whether a failed call may succeed later: transport errors, 429 and 5xx."""
+    return status is None or status == 429 or status >= 500
+
+
+class Transport:
+    """One remote service: endpoint, timeout, concurrency bound, retry policy and counters.
+
+    A failure that may succeed later (see ``_retryable``) is retried up to
+    MAX_RETRIES times with exponential backoff (1s, 2s, 4s), slept outside
+    the bound; any other fails at once, and the final RemoteServiceError
+    carries the attempt count. Each client passes its own module's
+    ``post_json`` as ``post``, so a wrapper installed there sees every request.
+    """
+
+    def __init__(self, endpoint: str, timeout: float, max_concurrency: int, post=post_json, sleep=time.sleep):
+        self.endpoint = endpoint
+        self.timeout = timeout
+        self._post = post
+        self._sleep = sleep
+        self._slots = threading.Semaphore(max_concurrency)
+        self._lock = threading.Lock()
+        self._in_flight = self.requests = self.retries = self.peak_in_flight = 0
+
+    def call(self, payload: dict) -> tuple[dict, int]:
+        """POST ``payload`` under the retry policy; the JSON body and the attempts made."""
+        for attempts in itertools.count(1):
+            with self._slots:
+                with self._lock:
+                    self.requests += 1
+                    self.retries += attempts > 1
+                    self._in_flight += 1
+                    self.peak_in_flight = max(self.peak_in_flight, self._in_flight)
+                try:
+                    return self._post(self.endpoint, payload, self.timeout), attempts
+                except RemoteServiceError as exc:
+                    error = exc
+                finally:
+                    with self._lock:
+                        self._in_flight -= 1
+            if attempts > MAX_RETRIES or not _retryable(error.status):
+                message = f"{error} (attempts: {attempts})"
+                raise RemoteServiceError(message, status=error.status, attempts=attempts) from error
+            delay = BACKOFF_INITIAL_SECONDS * 2 ** (attempts - 1)
+            logger.warning("attempt %d failed (%s); retrying in %.1fs", attempts, error, delay)
+            self._sleep(delay)

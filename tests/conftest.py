@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import SimpleNamespace
@@ -58,10 +59,14 @@ class ServiceState:
         # first component of every /embed_nonfinite vector (None -> JSON null)
         self.nonfinite_component = None
         self.fail_remaining = 0
-        self.flaky_status = 503  # status of each failing /flaky reply
+        self.flaky_status = 503  # status of each failing /flaky or /embed_flaky reply
         self.delay = 0.0
         self.active = 0
         self.max_active = 0
+        # Requests per path not yet answered, and the most distinct paths
+        # that had one at the same moment.
+        self.active_by_path = Counter()
+        self.max_paths_active = 0
         self.last_authorization = None
         self.requests = 0
 
@@ -73,11 +78,24 @@ def _make_handler(state: ServiceState):
 
         def _reply(self, status: int, payload, raw: bytes | None = None):
             body = raw if raw is not None else json.dumps(payload).encode("utf-8")
+            # Leave active_by_path before the reply is written: once the
+            # client has read it, it may send its next request, and that
+            # request must not look concurrent with this one.
+            with state.lock:
+                state.active_by_path[self.path] -= 1
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
+
+        def _take_failure(self) -> bool:
+            """Whether this reply fails, using up one of ``fail_remaining``."""
+            with state.lock:
+                failing = state.fail_remaining > 0
+                if failing:
+                    state.fail_remaining -= 1
+            return failing
 
         def do_POST(self):
             import time
@@ -89,10 +107,16 @@ def _make_handler(state: ServiceState):
                 state.last_authorization = self.headers.get("Authorization")
                 state.active += 1
                 state.max_active = max(state.max_active, state.active)
+                state.active_by_path[self.path] += 1
+                state.max_paths_active = max(
+                    state.max_paths_active, sum(1 for count in state.active_by_path.values() if count)
+                )
             try:
                 if state.delay:
                     time.sleep(state.delay)
-                if self.path == "/embed":
+                if self.path == "/embed_flaky" and self._take_failure():
+                    self._reply(state.flaky_status, {"error": "try again"})
+                elif self.path in ("/embed", "/embed_flaky"):
                     dim = state.embed_dimension
                     vectors = [
                         [0.0] * dim
@@ -112,11 +136,7 @@ def _make_handler(state: ServiceState):
                 elif self.path == "/complete":
                     self._reply(200, {"text": f"completion for {len(request['prompt'])} chars"})
                 elif self.path == "/flaky":
-                    with state.lock:
-                        failing = state.fail_remaining > 0
-                        if failing:
-                            state.fail_remaining -= 1
-                    if failing:
+                    if self._take_failure():
                         self._reply(state.flaky_status, {"error": "try again"})
                     else:
                         self._reply(200, {"text": "recovered"})

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kgprompt import remote
 from kgprompt.cli import main
 
 
@@ -122,7 +123,9 @@ class TestRetrieveCommand:
 
         return write
 
-    def test_unreachable_embedder_is_error_exit(self, remote_config, capsys):
+    def test_unreachable_embedder_is_error_exit(self, remote_config, capsys, monkeypatch):
+        # Transport errors are retried; back off by 0 s so the test does not wait 7 s.
+        monkeypatch.setattr(remote, "BACKOFF_INITIAL_SECONDS", 0.0)
         code, out, err = run_cli(
             capsys,
             "retrieve",
@@ -134,6 +137,7 @@ class TestRetrieveCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error: request to http://127.0.0.1:1/embed failed")
+        assert err.endswith("(attempts: 4)\n")
         assert "Traceback" not in err
 
     def test_non_finite_embedding_is_error_exit(self, remote_config, http_service, capsys):

@@ -1,6 +1,5 @@
 import math
 import random
-import threading
 
 import numpy as np
 import pytest
@@ -148,38 +147,48 @@ class TestRemoteEmbedder:
         )
         with pytest.raises(RemoteServiceError, match="non-finite"):
             embed_batch(config, ["text"])
+        assert http_service.state.requests == 1  # bad data is never retried
 
     def test_http_error_carries_status(self, http_service):
         config = EmbedderConfig(
             kind="remote", dimension=8, endpoint=f"{http_service.url}/always_500"
         )
         with pytest.raises(RemoteServiceError) as excinfo:
-            embed_batch(config, ["text"])
+            RemoteEmbedder(config, sleep=lambda _s: None).embed(["text"])
         assert excinfo.value.status == 500
+        assert excinfo.value.attempts == 4  # 1 initial + 3 retries
 
     def test_transport_error_has_no_status(self):
         config = EmbedderConfig(
             kind="remote", dimension=8, endpoint="http://127.0.0.1:1/embed"
         )
         with pytest.raises(RemoteServiceError) as excinfo:
-            embed_batch(config, ["text"])
+            RemoteEmbedder(config, sleep=lambda _s: None).embed(["text"])
         assert excinfo.value.status is None
+        assert excinfo.value.attempts == 4
 
-    def test_concurrent_batches_bounded(self, http_service):
-        http_service.state.embed_dimension = 4
-        http_service.state.delay = 0.05
-        config = EmbedderConfig(
-            kind="remote",
-            dimension=4,
-            endpoint=f"{http_service.url}/embed",
-            max_concurrency=2,
-        )
-        client = RemoteEmbedder(config)
-        threads = [
-            threading.Thread(target=client.embed, args=(["text"],)) for _ in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert http_service.state.max_active <= 2
+    def test_retry_then_success(self, http_service):
+        http_service.state.embed_dimension = 8
+        http_service.state.fail_remaining = 1
+        delays = []
+        config = EmbedderConfig(kind="remote", dimension=8, endpoint=f"{http_service.url}/embed_flaky")
+        client = RemoteEmbedder(config, sleep=delays.append)
+        vectors = client.embed(["hello", "much longer text here"])
+        assert [float(np.linalg.norm(vector)) for vector in vectors] == pytest.approx([1.0, 1.0])
+        assert http_service.state.requests == 2
+        assert (client.transport.requests, client.transport.retries) == (2, 1)
+        assert delays == [1.0]
+
+    @pytest.mark.parametrize(
+        ("path", "status"), [("/embed_flaky", 400), ("/wrong_path", 404)]
+    )
+    def test_client_errors_fail_fast(self, http_service, path, status):
+        http_service.state.fail_remaining = 1
+        http_service.state.flaky_status = status
+        delays = []
+        config = EmbedderConfig(kind="remote", dimension=8, endpoint=f"{http_service.url}{path}")
+        with pytest.raises(RemoteServiceError) as excinfo:
+            RemoteEmbedder(config, sleep=delays.append).embed(["text"])
+        assert (excinfo.value.status, excinfo.value.attempts) == (status, 1)
+        assert http_service.state.requests == 1
+        assert delays == []

@@ -1,5 +1,3 @@
-import threading
-
 import pytest
 
 from kgprompt.errors import ConfigError, RemoteServiceError
@@ -153,25 +151,6 @@ class TestRemoteProvider:
         assert excinfo.value.attempts == 1
         assert http_service.state.requests == 1
         assert delays == []
-
-    def test_in_flight_bound_and_counter(self, http_service):
-        http_service.state.delay = 0.05
-        config = ProviderConfig(
-            kind="remote", endpoint=f"{http_service.url}/complete", max_concurrency=3
-        )
-        client = RemoteClient(config)
-        threads = [
-            threading.Thread(
-                target=client.generate, args=(CompletionRequest(f"prompt {i}"),)
-            )
-            for i in range(10)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert client.max_in_flight <= 3
-        assert http_service.state.max_active <= 3
 
     def test_bearer_token_sent_when_configured(self, http_service, monkeypatch):
         monkeypatch.setenv(API_TOKEN_ENV, "sekret-token")

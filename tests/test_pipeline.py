@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import logging
 
 import pytest
 
-from kgprompt.embed import EmbedderConfig
+from kgprompt import pipeline
+from kgprompt.embed import EmbedderConfig, remote_embedder
 from kgprompt.errors import ConfigError
 from kgprompt.kg import Entity, build_graph, load_graph
 from kgprompt.llm import ProviderConfig, RemoteClient, build_client
@@ -326,6 +328,41 @@ class TestRun:
             for line in (tmp_path / "predictions.jsonl").read_text().splitlines()
         ]
         assert [record["id"] for record in records] == [f"toy-{i:03d}" for i in range(1, 26)]
+
+    def test_remote_pool_keeps_both_services_busy(self, toy_dir, tmp_path, http_service, monkeypatch, caplog):
+        http_service.state.delay = 0.02
+        http_service.state.embed_dimension = 8
+        clients = []
+
+        def capture_client(provider):
+            clients.append(build_client(provider))
+            return clients[-1]
+
+        monkeypatch.setattr(pipeline, "build_client", capture_client)
+        caplog.set_level(logging.INFO, logger="kgprompt.pipeline")
+        base = load_config(toy_dir / "config.json")
+        outputs = []
+        for bound in (2, 1):
+            http_service.state.max_paths_active = 0
+            embedder = EmbedderConfig(
+                kind="remote", dimension=8, endpoint=f"{http_service.url}/embed", max_concurrency=bound
+            )
+            provider = ProviderConfig(
+                kind="remote", endpoint=f"{http_service.url}/complete", max_concurrency=bound
+            )
+            out = tmp_path / f"bound{bound}"
+            run(dataclasses.replace(base, embedder=embedder, provider=provider, output_dir=str(out)))
+            for transport in (clients[-1].transport, remote_embedder(embedder).transport):
+                assert (transport.requests, transport.retries) == (25, 0)
+                assert 1 <= transport.peak_in_flight <= bound
+                assert (
+                    f"{transport.endpoint}: 25 requests, 0 retries, peak {transport.peak_in_flight} in flight"
+                    in caplog.messages
+                )
+            outputs.append([(out / name).read_bytes() for name in ("predictions.jsonl", "report.json")])
+        # With one slot per service, an /embed and a /complete were in flight together.
+        assert http_service.state.max_paths_active == 2
+        assert outputs[0] == outputs[1]
 
     def test_prompt_shape_invariants(self, toy_dir, tmp_path):
         base = load_config(toy_dir / "config.json")
