@@ -17,8 +17,9 @@ from .pipeline import (
     read_records,
     rescore_record,
     run,
+    strategy_for,
 )
-from .retrieve import Popular, Random, Similarity, rank_candidates, top_k
+from .retrieve import rank_candidates, top_k
 
 
 def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
@@ -153,15 +154,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    method = args.method or config.method
-    if method == "kaping":
-        strategy = Similarity(config.embedder)
-    elif method == "random_knowledge":
-        strategy = Random(config.seed)
-    elif method == "popular_knowledge":
-        strategy = Popular()
-    else:
-        raise ConfigError(f"method {method!r} has no retrieval strategy")
+    strategy = strategy_for(config, config.seed)
     graph = load_graph(config.triples_path, config.entities_path, config.relations_path)
     seeds = sorted(link_entities(graph, args.question))
     candidates = neighborhood(graph, seeds, config.hops)

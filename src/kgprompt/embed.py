@@ -60,6 +60,20 @@ def fnv1a_64(token: str) -> int:
 _token_hash = functools.lru_cache(maxsize=1 << 16)(fnv1a_64)
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def part_buckets(text: str, dimension: int) -> tuple[int, ...]:
+    """The bucket ``fnv1a_64(token) % dimension`` of each token of ``text``.
+
+    Meant for the part texts a verbalized triple joins, which recur across
+    candidates: the bucket counts of the joined text are the sums of its
+    parts' counts (see ``verbalize``). The cache is keyed by ``(text,
+    dimension)`` and holds no graph state, so a graph that renames an
+    entity gets the new name's buckets. It keeps at most 65,536 entries,
+    each a flat tuple of small ints, so it never grows with the corpus.
+    """
+    return tuple(_token_hash(token) % dimension for token in normalize_tokens(text))
+
+
 def hashed_bow_sparse(text: str, dimension: int) -> dict[int, float]:
     """Nonzero buckets of the hashed bag-of-words embedding, ``{bucket: value}``.
 

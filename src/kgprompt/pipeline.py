@@ -199,14 +199,15 @@ def derive_seed(run_seed: int, example_id: str) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-def _strategy_for(config: RunConfig, example: QaExample):
+def strategy_for(config: RunConfig, seed: int):
+    """The retrieval strategy of ``config.method``; ``seed`` seeds ``Random``."""
     if config.method == "kaping":
         return Similarity(config.embedder)
     if config.method == "random_knowledge":
-        return Random(derive_seed(config.seed, example.id))
+        return Random(seed)
     if config.method == "popular_knowledge":
         return Popular()
-    raise ValueError(f"no retrieval strategy for method {config.method}")
+    raise ConfigError(f"method {config.method!r} has no retrieval strategy")
 
 
 def _record(
@@ -275,7 +276,8 @@ def run_example(
 
     if config.method in TRIPLE_METHODS:
         candidates = neighborhood(graph, question_entities, config.hops)
-        ranked = rank_candidates(_strategy_for(config, example), example.question, candidates, graph)
+        strategy = strategy_for(config, derive_seed(config.seed, example.id))
+        ranked = rank_candidates(strategy, example.question, candidates, graph)
         retrieval = score_retrieval(answer_bearing(ranked, set(example.answer_entities)))
         if not candidates:
             flags.append("empty_candidates")

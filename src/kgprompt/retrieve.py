@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .embed import EmbedderConfig, embed_batch, hashed_bow_sparse
+from .embed import EmbedderConfig, embed_batch, hashed_bow_sparse, part_buckets
 from .kg import EntityId, KnowledgeGraph, Triple, relation_frequency
-from .verbalize import verbalize
+from .verbalize import VerbalizedTriple, verbalize
 
 
-@dataclass(frozen=True)
-class ScoredTriple:
+class ScoredTriple(NamedTuple):
     triple: Triple
     verbalized: str
     score: float
@@ -67,17 +66,41 @@ def _cosine(question: SparseVector, candidate: SparseVector) -> float:
     return math.fsum(value * candidate[bucket] for bucket, value in question.items() if bucket in candidate)
 
 
+def _hashed_scores(dimension: int, question: str, verbalized: list[VerbalizedTriple]) -> list[float]:
+    # A candidate's bucket counts are the sums of its parts' counts (see
+    # ``verbalize``), so a part text is tokenized only when it is not in the
+    # ``part_buckets`` cache, and ``count / norm`` is the value
+    # ``hashed_bow_sparse`` gives the joined text, bit for bit: the counts
+    # and their squared sum are integers. fsum is exactly rounded, so the
+    # order of the shared buckets does not matter, and a candidate sharing
+    # no bucket scores the 0.0 that fsum gives an empty sum.
+    question_vector = hashed_bow_sparse(question, dimension)
+    scores = []
+    for _, subject, relation, object_text in verbalized:
+        buckets = part_buckets(subject, dimension) + part_buckets(relation, dimension)
+        buckets += part_buckets(object_text, dimension)
+        distinct = set(buckets)
+        shared = distinct.intersection(question_vector)
+        if not shared:
+            scores.append(0.0)
+            continue
+        if len(distinct) == len(buckets):  # every count is 1
+            norm = math.sqrt(len(buckets))
+        else:
+            norm = math.sqrt(sum(buckets.count(bucket) ** 2 for bucket in distinct))
+        products = [question_vector[bucket] * (buckets.count(bucket) / norm) for bucket in shared]
+        scores.append(math.fsum(products))
+    return scores
+
+
 def _similarity_scores(
-    config: EmbedderConfig, question: str, verbalized: list[str]
+    config: EmbedderConfig, question: str, verbalized: list[VerbalizedTriple]
 ) -> list[float]:
     if config.kind == "hashed_bow":
-        question_vector = hashed_bow_sparse(question, config.dimension)
-        vectors = (hashed_bow_sparse(text, config.dimension) for text in verbalized)
-    else:
-        dense = embed_batch(config, [question] + verbalized)
-        question_vector = _nonzero(dense[0])
-        vectors = map(_nonzero, dense[1:])
-    return [_cosine(question_vector, vector) for vector in vectors]
+        return _hashed_scores(config.dimension, question, verbalized)
+    dense = embed_batch(config, [question] + [triple.text for triple in verbalized])
+    question_vector = _nonzero(dense[0])
+    return [_cosine(question_vector, _nonzero(vector)) for vector in dense[1:]]
 
 
 def rank_candidates(
@@ -89,22 +112,30 @@ def rank_candidates(
     """Score and sort candidates descending; ties keep input order.
 
     Returns the full ranking with 1-based ranks and non-increasing scores.
+    Each candidate is verbalized once. The hashed embedder counts its
+    buckets from the cached token buckets of its three part texts
+    (``embed.part_buckets``); the counts add up to those of the joined text
+    (see ``verbalize``), so scores equal the cosine of ``hashed_bow_sparse``
+    vectors of the question and ``.verbalized`` bit for bit. A remote
+    embedder embeds the joined texts in one batch.
     """
-    verbalized = [verbalize(triple, graph).text for triple in candidates]
+    verbalized = [verbalize(triple, graph) for triple in candidates]
     if isinstance(strategy, Similarity):
         scores = _similarity_scores(strategy.embedder, question, verbalized)
     elif isinstance(strategy, Random):
         rng = np.random.default_rng(strategy.seed & 0xFFFFFFFFFFFFFFFF)
-        scores = list(rng.random(len(candidates)))
+        scores = rng.random(len(candidates)).tolist()
     elif isinstance(strategy, Popular):
         frequency = relation_frequency(graph)
         scores = [float(frequency.get(triple.relation, 0)) for triple in candidates]
     else:
         raise TypeError(f"unknown retrieval strategy: {strategy!r}")
 
-    order = sorted(range(len(candidates)), key=lambda index: (-scores[index], index))
+    # No score is NaN, and sorted stays stable with reverse=True, so equal
+    # scores keep input order.
+    order = sorted(range(len(candidates)), key=scores.__getitem__, reverse=True)
     return [
-        ScoredTriple(candidates[index], verbalized[index], float(scores[index]), rank)
+        ScoredTriple(candidates[index], verbalized[index].text, scores[index], rank)
         for rank, index in enumerate(order, start=1)
     ]
 

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kg import EntityRef, KnowledgeGraph, Triple
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class VerbalizedTriple:
+class VerbalizedTriple(NamedTuple):
+    """A triple's text and the three part texts it joins."""
+
     text: str
-    source: Triple
+    subject: str
+    relation: str
+    object: str
 
 
 def _entity_text(graph: KnowledgeGraph, entity_id: str) -> str:
@@ -29,7 +32,13 @@ def verbalize(triple: Triple, graph: KnowledgeGraph) -> VerbalizedTriple:
 
     Entity references render their canonical name (raw id when unnamed);
     plain literals render their value as-is; time and quantity literals get
-    a ``time: `` / ``quantity: `` prefix. Pure function of its inputs.
+    a ``time: `` / ``quantity: `` prefix inside the object part. ``subject``,
+    ``relation`` and ``object`` hold the three part texts. The joiners
+    ``(``, ``, `` and ``)`` are token separators that are neither cased nor
+    case-ignorable, so the tokens of ``text`` are the tokens of each part in
+    turn, each part lowercased on its own (final sigma included): hashed
+    bucket counts of ``text`` are the sums of its parts' counts. Pure
+    function of its inputs.
     """
     subject = _entity_text(graph, triple.subject)
     relation = graph.relations[triple.relation].name
@@ -40,4 +49,4 @@ def verbalize(triple: Triple, graph: KnowledgeGraph) -> VerbalizedTriple:
         object_text = obj.value
     else:
         object_text = f"{obj.datatype}: {obj.value}"
-    return VerbalizedTriple(f"({subject}, {relation}, {object_text})", triple)
+    return VerbalizedTriple(f"({subject}, {relation}, {object_text})", subject, relation, object_text)

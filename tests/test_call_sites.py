@@ -1,0 +1,35 @@
+"""The benchmark's traced call sites must exist in the program.
+
+``perfbench/spans.py`` wraps named functions where the calling module binds
+them (``kgprompt.retrieve.verbalize``, ``kgprompt.retrieve.embed_batch``,
+...). A refactor that drops or renames one of those bindings would only
+break a traced benchmark run; this test makes it fail here instead.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_call_site_resolves_to_a_callable(monkeypatch):
+    spans = load_spans(monkeypatch)
+    assert spans.CALL_SITES
+    for target, attribute, *_ in spans.CALL_SITES:
+        module_name, _, class_name = target.partition(":")
+        owner = importlib.import_module(module_name)
+        if class_name:
+            owner = getattr(owner, class_name)
+        assert callable(getattr(owner, attribute, None)), f"{target}.{attribute} is not callable"

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from kgprompt import remote
+from kgprompt import cli, remote
 from kgprompt.cli import main
+from kgprompt.kg import load_graph, neighborhood
+from kgprompt.retrieve import Random, rank_candidates
 
 
 @pytest.fixture()
@@ -154,7 +156,35 @@ class TestRetrieveCommand:
         assert out == ""
         assert err == "error: embedding endpoint returned a null or non-finite component\n"
 
-    def test_no_knowledge_has_no_retrieval_strategy(self, toy_config_path, capsys):
+    def test_random_ranks_with_the_run_seed(self, toy_config_path, toy_dir, capsys):
+        question = "What is the place of birth of Mara Ellison?"
+        code, out, _ = run_cli(
+            capsys,
+            "retrieve",
+            "--config",
+            toy_config_path,
+            "--question",
+            question,
+            "--method",
+            "random_knowledge",
+            "--seed",
+            "5",
+            "--k",
+            "100",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        graph = load_graph(toy_dir / "triples.tsv", toy_dir / "entities.tsv", toy_dir / "relations.tsv")
+        candidates = neighborhood(graph, payload["linked_entities"], 1)
+        expected = rank_candidates(Random(5), question, candidates, graph)
+        assert payload["candidates"] == len(candidates) > 1
+        assert [(result["text"], result["score"]) for result in payload["results"]] == [
+            (scored.verbalized, scored.score) for scored in expected
+        ]
+
+    def test_no_knowledge_has_no_retrieval_strategy(self, toy_config_path, capsys, monkeypatch):
+        # The method is checked before the graph is loaded.
+        monkeypatch.setattr(cli, "load_graph", None)
         code, out, err = run_cli(
             capsys,
             "retrieve",

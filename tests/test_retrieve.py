@@ -5,7 +5,7 @@ import pytest
 
 from oracles import oracle_cosine, oracle_rank, oracle_vector
 
-from kgprompt import retrieve
+from kgprompt import embed, retrieve
 from kgprompt.embed import EmbedderConfig
 from kgprompt.kg import Entity, EntityRef, Literal, Relation, Triple, build_graph
 from kgprompt.retrieve import (
@@ -17,7 +17,7 @@ from kgprompt.retrieve import (
     rank_candidates,
     top_k,
 )
-from kgprompt.verbalize import verbalize
+from kgprompt.verbalize import VerbalizedTriple, verbalize
 
 # ---------------------------------------------------------------------------
 # Random fixture graphs
@@ -105,6 +105,10 @@ def random_text(rng: random.Random) -> str:
     return rng.choice([" ", ", ", "-"]).join(words)
 
 
+def verbalized_of(parts: tuple[str, str, str]) -> VerbalizedTriple:
+    return VerbalizedTriple("({}, {}, {})".format(*parts), *parts)
+
+
 class TestSparseCosine:
     @pytest.mark.parametrize("dimension", [1, 2, 7, 256])
     def test_hashed_scores_equal_dense_fsum_bit_for_bit(self, dimension):
@@ -113,8 +117,12 @@ class TestSparseCosine:
         config = EmbedderConfig(dimension=dimension)
         for _ in range(80):
             question = random_text(rng)
-            texts = [random_text(rng) for _ in range(rng.randint(0, 20))]
-            scores = retrieve._similarity_scores(config, question, texts)
+            verbalized = [
+                verbalized_of((random_text(rng), random_text(rng), random_text(rng)))
+                for _ in range(rng.randint(0, 20))
+            ]
+            texts = [triple.text for triple in verbalized]
+            scores = retrieve._similarity_scores(config, question, verbalized)
             question_vector = oracle_vector(question, dimension)
             expected = [oracle_cosine(question_vector, oracle_vector(text, dimension)) for text in texts]
             assert [score.hex() for score in scores] == [score.hex() for score in expected]
@@ -125,7 +133,8 @@ class TestSparseCosine:
         """Scores of vectors[1:] against vectors[0] as a remote embedder returns them."""
         monkeypatch.setattr(retrieve, "embed_batch", lambda config, texts: [np.array(v) for v in vectors])
         config = EmbedderConfig(kind="remote", dimension=len(vectors[0]), endpoint="http://unused/embed")
-        return retrieve._similarity_scores(config, "q", ["t"] * (len(vectors) - 1))
+        verbalized = [verbalized_of(("s", "r", "o"))] * (len(vectors) - 1)
+        return retrieve._similarity_scores(config, "q", verbalized)
 
     @pytest.mark.parametrize("dimension", [1, 2, 7, 256])
     def test_remote_vectors_score_as_dense_fsum(self, dimension, monkeypatch):
@@ -157,6 +166,98 @@ class TestSparseCosine:
         assert [score.hex() for score in expected] == ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p-2"]
         scores = self.remote_scores(monkeypatch, vectors)
         assert [score.hex() for score in scores] == [score.hex() for score in expected]
+
+
+# Pieces whose lowercasing or tokenizing could differ between a part alone
+# and the joined text: separators that are also the joiners, final and
+# medial sigma, the dotted capital I (lowercases to two code points), sharp
+# s, a ligature, a titlecase digraph, zero-width joiner, soft hyphen and a
+# combining accent (all three case-ignorable separators), and digits.
+ADVERSARIAL_PIECES = [
+    "harbor", "Harbor", "ΟΔΟΣ", "ΣΟΦΙΑ", "ΟΔΟΣ\u200d", "\u200dΣΑ", "Σ", "İstanbul", "İ", "ı",
+    "STRAẞE", "straße", "ﬁre", "ǅemal", "e\u0301", "soft\u00adhyphen", "42", "Ünïcode",
+    ":", "_", "(", ", ", ")", "!!!", "time:", "a_b", "x:y",
+]
+
+
+def adversarial_text(rng: random.Random) -> str:
+    """A part text from adversarial pieces; sometimes empty or tokenless."""
+    if rng.random() < 0.1:
+        return rng.choice(["", "(, )", ":", "_"])
+    pieces = rng.choices(ADVERSARIAL_PIECES, k=rng.randint(1, 5))
+    return rng.choice(["", " ", ", ", "_"]).join(pieces)
+
+
+def adversarial_graph(rng: random.Random):
+    entities = [
+        Entity(
+            f"Q{i}",
+            None if rng.random() < 0.15 else adversarial_text(rng),
+            tuple(adversarial_text(rng) for _ in range(rng.randint(0, 2))),
+        )
+        for i in range(rng.randint(1, 8))
+    ]
+    relations = [Relation(f"P{i}", adversarial_text(rng)) for i in range(rng.randint(1, 4))]
+    triples, seen = [], set()
+    for _ in range(rng.randint(0, 30)):
+        if rng.random() < 0.3:
+            obj = Literal(adversarial_text(rng), rng.choice(("plain", "time", "quantity")))
+        else:
+            obj = EntityRef(rng.choice(entities).id)
+        triple = Triple(rng.choice(entities).id, rng.choice(relations).id, obj)
+        if triple not in seen:
+            seen.add(triple)
+            triples.append(triple)
+    return build_graph(entities, relations, triples)
+
+
+def assert_oracle_ranking(ranked, question: str, graph, dimension: int) -> None:
+    """The ranking, texts and scores are the oracle's over the joined texts."""
+    texts = [verbalize(triple, graph).text for triple in graph.triples]
+    question_vector = oracle_vector(question, dimension)
+    expected = [oracle_cosine(question_vector, oracle_vector(text, dimension)) for text in texts]
+    order = oracle_rank(question, texts, dimension)
+    assert [scored.triple for scored in ranked] == [graph.triples[index] for index in order]
+    assert [scored.verbalized for scored in ranked] == [texts[index] for index in order]
+    assert [scored.score.hex() for scored in ranked] == [expected[index].hex() for index in order]
+    assert [scored.rank for scored in ranked] == list(range(1, len(texts) + 1))
+
+
+class TestPartScoring:
+    @pytest.mark.parametrize("dimension", [1, 2, 7, 256])
+    def test_adversarial_graphs_match_oracle(self, dimension):
+        rng = random.Random(500 + dimension)
+        config = EmbedderConfig(dimension=dimension)
+        for _ in range(60):
+            graph = adversarial_graph(rng)
+            question = " ".join(adversarial_text(rng) for _ in range(rng.randint(1, 4)))
+            ranked = rank_candidates(Similarity(config), question, graph.triples, graph)
+            assert_oracle_ranking(ranked, question, graph, dimension)
+
+    def test_renamed_entity_gets_its_new_buckets(self):
+        # Part buckets are cached per text, never per graph: the same ids
+        # under other names must score by the new names.
+        relations = [Relation("P1", "located in")]
+        triples = [Triple("Q1", "P1", EntityRef("Q2")), Triple("Q2", "P1", EntityRef("Q3"))]
+        first = build_graph(
+            [Entity("Q1", "amber harbor"), Entity("Q2", "quiet city"), Entity("Q3", "static")],
+            relations,
+            triples,
+        )
+        second = build_graph(
+            [Entity("Q1", "silver night"), Entity("Q2", "quiet city"), Entity("Q3", "amber harbor")],
+            relations,
+            triples,
+        )
+        question = "where is amber harbor"
+        config = EmbedderConfig()
+        orders = []
+        for graph in (first, second, first):
+            ranked = rank_candidates(Similarity(config), question, graph.triples, graph)
+            assert_oracle_ranking(ranked, question, graph, config.dimension)
+            orders.append([scored.triple for scored in ranked])
+        assert orders == [triples, triples[::-1], triples]
+        assert embed.part_buckets.cache_info().maxsize == 1 << 16
 
 
 class TestRandomStrategy:

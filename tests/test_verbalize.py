@@ -15,7 +15,9 @@ def test_entity_object():
 
 def test_time_literal(alex_graph):
     date_triple = alex_graph.triples[3]
-    assert verbalize(date_triple, alex_graph).text == "(Alex Chilton, date of death, time: +2010-03-17)"
+    rendered = verbalize(date_triple, alex_graph)
+    assert rendered.text == "(Alex Chilton, date of death, time: +2010-03-17)"
+    assert rendered[1:] == ("Alex Chilton", "date of death", "time: +2010-03-17")
 
 
 def test_quantity_literal():
@@ -45,13 +47,17 @@ def test_unnamed_entity_renders_raw_id(caplog):
     with caplog.at_level("WARNING"):
         rendered = verbalize(graph.triples[0], graph)
     assert rendered.text == "(Q1, linked to, Beta)"
+    assert rendered.subject == "Q1"
     assert "Q1" in caplog.text
 
 
 def test_pure_function(alex_graph):
     triple = alex_graph.triples[0]
-    assert verbalize(triple, alex_graph) == verbalize(triple, alex_graph)
-    assert verbalize(triple, alex_graph).source is triple
+    rendered = verbalize(triple, alex_graph)
+    assert rendered == verbalize(triple, alex_graph)
+    assert rendered.text == f"({rendered.subject}, {rendered.relation}, {rendered.object})"
+    assert rendered.subject == alex_graph.entities[triple.subject].name
+    assert rendered.relation == alex_graph.relations[triple.relation].name
 
 
 def test_shape_with_comma_free_names():
