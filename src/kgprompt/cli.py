@@ -21,6 +21,9 @@ from .pipeline import (
 )
 from .retrieve import rank_candidates, top_k
 
+# Record flags that mark an example as failed for --max-failure-rate.
+FAILURE_FLAGS = frozenset({"example_failed", "generation_failed"})
+
 
 def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", help="override the configured method")
@@ -114,6 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser("run", help="run a configured method over a dataset")
     run_parser.add_argument("--config", required=True, help="JSON run configuration")
+    run_parser.add_argument(
+        "--max-failure-rate",
+        type=float,
+        metavar="R",
+        help="exit 1 (after writing the outputs) when more than this share of"
+        " examples failed; off by default",
+    )
     _add_run_overrides(run_parser)
 
     score_parser = commands.add_parser("score", help="re-score stored generations")
@@ -135,10 +145,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    limit = args.max_failure_rate
+    if limit is not None and not 0.0 <= limit <= 1.0:
+        raise ConfigError(f"--max-failure-rate must be between 0 and 1, got {limit}")
     config = _apply_overrides(load_config(args.config), args)
     result = run(config)
     print(json.dumps(result["report"], ensure_ascii=False, sort_keys=True, indent=2))
     print(f"wrote {result['predictions_path']} and {result['report_path']}", file=sys.stderr)
+    if limit is not None:
+        records = result["records"]
+        failed = sum(1 for record in records if not FAILURE_FLAGS.isdisjoint(record["flags"]))
+        if records and failed / len(records) > limit:
+            print(
+                f"error: {failed} of {len(records)} examples failed, above --max-failure-rate {limit}",
+                file=sys.stderr,
+            )
+            return 1
     return 0
 
 

@@ -14,7 +14,9 @@ relations TSV ``relation_id <TAB> relation_name``; optional, picked up as
 ``Triple``, ``EntityRef`` and ``Literal`` are named tuples, so hashing and
 comparing them runs in C; tell object kinds apart with ``isinstance``.
 Loading parses each distinct object token once and shares the parsed term
-between the triples that use it.
+between the triples that use it, and interns ids: every subject, relation
+and entity-valued object of a loaded triple is the very string object that
+keys ``graph.entities`` or ``graph.relations``.
 """
 
 from __future__ import annotations
@@ -163,42 +165,56 @@ def build_graph(
             raise GraphLoadError(f"duplicate relation id: {relation.id}")
         graph.relations[relation.id] = relation
 
+    entities_by_id, relations_by_id, adjacency = graph.entities, graph.relations, graph.adjacency
     seen: set[Triple] = set()
     for triple in triples:
         if triple in seen:
             continue
         seen.add(triple)
-        if triple.subject not in graph.entities:
-            raise GraphLoadError(f"triple references unknown subject entity: {triple.subject}")
-        object_id = triple.object_entity_id()
-        if object_id is not None and object_id not in graph.entities:
+        subject, relation, obj = triple
+        if subject not in entities_by_id:
+            raise GraphLoadError(f"triple references unknown subject entity: {subject}")
+        object_id = obj.entity_id if isinstance(obj, EntityRef) else None
+        if object_id is not None and object_id not in entities_by_id:
             raise GraphLoadError(f"triple references unknown object entity: {object_id}")
-        if triple.relation not in graph.relations:
-            graph.relations[triple.relation] = Relation(triple.relation, triple.relation)
+        if relation not in relations_by_id:
+            relations_by_id[relation] = Relation(relation, relation)
         index = len(graph.triples)
         graph.triples.append(triple)
-        graph.adjacency.setdefault(triple.subject, []).append(index)
-        if object_id is not None and object_id != triple.subject:
-            graph.adjacency.setdefault(object_id, []).append(index)
+        indices = adjacency.get(subject)
+        if indices is None:
+            adjacency[subject] = [index]
+        else:
+            indices.append(index)
+        if object_id is not None and object_id != subject:
+            indices = adjacency.get(object_id)
+            if indices is None:
+                adjacency[object_id] = [index]
+            else:
+                indices.append(index)
     return graph
 
 
 def _data_lines(path: Path):
-    """Yield (line_number, stripped_line), skipping blanks and # comments."""
+    """Yield (line_number, line) for each data line, skipping blanks and # comments.
+
+    ``line`` is the raw line without its line ending; columns are stripped by
+    the callers.
+    """
     with path.open("r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, 1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip() or line.lstrip().startswith("#"):
+            stripped = raw.strip()
+            if not stripped or stripped[0] == "#":
                 continue
-            yield number, line
+            yield number, raw.rstrip("\n").rstrip("\r")
 
 
-def _parse_object(token: str, path: Path, line_number: int) -> ObjectTerm:
+def _parse_object(token: str, path: Path, line_number: int, ids: dict[str, str]) -> ObjectTerm:
     if token.startswith("E:"):
         entity_id = token[2:]
         if not entity_id:
             raise GraphLoadError(f"{path}:{line_number}: empty entity id in object")
-        return EntityRef(entity_id)
+        return EntityRef(ids.setdefault(entity_id, entity_id))
     if token.startswith("L:"):
         parts = token.split(":", 2)
         if len(parts) != 3:
@@ -256,7 +272,12 @@ def _load_relations(path: Path) -> list[Relation]:
     return relations
 
 
-def _load_triples(path: Path) -> list[Triple]:
+def _load_triples(path: Path, ids: dict[str, str]) -> list[Triple]:
+    """Parse a triples file, interning every id through ``ids``.
+
+    ``ids`` maps an id to the one string object all triples share for it;
+    ids not in it yet (unknown entities, undeclared relations) are added.
+    """
     triples = []
     # Raw object token -> its parsed term, so each distinct token is parsed
     # (and allocated) once; its first occurrence is the line errors name.
@@ -274,8 +295,10 @@ def _load_triples(path: Path) -> list[Triple]:
             raise GraphLoadError(f"{path}:{number}: empty subject or relation id")
         term = objects.get(object_token)
         if term is None:
-            term = objects[object_token] = _parse_object(object_token.strip(), path, number)
-        triples.append(Triple(subject, relation, term))
+            term = objects[object_token] = _parse_object(object_token.strip(), path, number, ids)
+        triples.append(
+            Triple(ids.setdefault(subject, subject), ids.setdefault(relation, relation), term)
+        )
     return triples
 
 
@@ -296,7 +319,12 @@ def load_graph(
         candidate = entities_path.parent / "relations.tsv"
         relations_path = candidate if candidate.is_file() else None
     relations = _load_relations(Path(relations_path)) if relations_path else []
-    return build_graph(_load_entities(entities_path), relations, _load_triples(triples_path))
+    entities = _load_entities(entities_path)
+    # One string object per id, shared by the triples and the graph's keys.
+    ids = {entity.id: entity.id for entity in entities}
+    for relation in relations:
+        ids.setdefault(relation.id, relation.id)
+    return build_graph(entities, relations, _load_triples(triples_path, ids))
 
 
 def neighborhood(

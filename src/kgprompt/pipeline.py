@@ -144,7 +144,12 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def load_dataset(path: str | Path) -> list[QaExample]:
-    """Read QA examples from JSONL, one object per line."""
+    """Read QA examples from JSONL, one object per line.
+
+    ``question`` must be a string, and ``answer_entities`` and a non-null
+    ``question_entities`` lists of entity id strings; anything else raises
+    ConfigError naming ``path:line`` and the field.
+    """
     path = Path(path)
     examples = []
     with path.open("r", encoding="utf-8") as handle:
@@ -155,10 +160,21 @@ def load_dataset(path: str | Path) -> list[QaExample]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}:{number}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ConfigError(f"{path}:{number}: expected a JSON object")
             for required in ("id", "question", "answer_entities"):
                 if required not in record:
                     raise ConfigError(f"{path}:{number}: missing field {required!r}")
+            if not isinstance(record["question"], str):
+                raise ConfigError(f"{path}:{number}: field 'question' must be a string")
             question_entities = record.get("question_entities")
+            for name, ids in (
+                ("question_entities", [] if question_entities is None else question_entities),
+                ("answer_entities", record["answer_entities"]),
+            ):
+                # A bare string would otherwise be split into one-character ids.
+                if not isinstance(ids, list) or not all(isinstance(item, str) for item in ids):
+                    raise ConfigError(f"{path}:{number}: field {name!r} must be a list of strings")
             examples.append(
                 QaExample(
                     id=str(record["id"]),
@@ -375,6 +391,8 @@ def read_records(path: str | Path) -> list[dict]:
 def run(config: RunConfig) -> dict:
     """Execute a full run and write predictions.jsonl plus report.json.
 
+    Returns the records, the report and the paths of both files.
+
     Examples run on one worker per slot of the remote services they call and
     are written in dataset order. Per-example failures are recorded and
     scored as incorrect; only configuration and load problems raise.
@@ -426,6 +444,7 @@ def run(config: RunConfig) -> dict:
         encoding="utf-8",
     )
     return {
+        "records": records,
         "report": report,
         "predictions_path": str(predictions_path),
         "report_path": str(report_path),

@@ -90,6 +90,45 @@ class TestRunCommand:
         assert code == 1
         assert "method" in err
 
+    def test_failure_gate_exits_1_after_writing_outputs(
+        self, toy_config_path, http_service, tmp_path, capsys
+    ):
+        # An unknown path answers 404, which fails at once: no retry, no backoff.
+        failing = ["--provider-kind", "remote", "--provider-endpoint", f"{http_service.url}/missing"]
+        results = {}
+        for name, gate in (("plain", []), ("gated", ["--max-failure-rate", "0.5"])):
+            out_dir = tmp_path / name
+            code, out, err = run_cli(
+                capsys, "run", "--config", toy_config_path, *failing, *gate, "--out", str(out_dir)
+            )
+            assert json.loads(out)["overall"]["count"] == 25
+            lines = (out_dir / "predictions.jsonl").read_text().splitlines()
+            assert all("generation_failed" in json.loads(line)["flags"] for line in lines)
+            results[name] = (code, err, (out_dir / "report.json").read_text())
+        assert results["plain"][0] == 0
+        assert results["gated"][0] == 1
+        assert results["gated"][1].endswith(
+            "error: 25 of 25 examples failed, above --max-failure-rate 0.5\n"
+        )
+        assert results["gated"][2] == results["plain"][2]
+        assert http_service.state.requests == 50
+
+    def test_failure_gate_passes_at_its_limit(self, toy_config_path, tmp_path, capsys):
+        code, _out, err = run_cli(
+            capsys, "run", "--config", toy_config_path, "--max-failure-rate", "0", "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert "error" not in err
+
+    @pytest.mark.parametrize("limit", ["-0.1", "1.5", "nan"])
+    def test_failure_gate_out_of_range_is_error_exit(self, toy_config_path, tmp_path, limit, capsys):
+        gate = ["--max-failure-rate", limit]
+        code, out, err = run_cli(capsys, "run", "--config", toy_config_path, *gate, "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --max-failure-rate must be between 0 and 1")
+        assert not (tmp_path / "predictions.jsonl").exists()
+
 
 class TestRetrieveCommand:
     def test_single_question_debug(self, toy_config_path, capsys):

@@ -574,3 +574,74 @@ class TestLoaderMatchesOracle:
             )
             assert oracle_failure(triples, entities) == "triples.tsv:4"
             assert "triples.tsv:4:" in load_failure(triples, entities)
+
+
+def fresh(text: str) -> str:
+    """An equal string that is a distinct object (for ids of two or more characters)."""
+    copy = text.encode("utf-8").decode("utf-8")
+    assert copy == text and (copy is not text or len(text) < 2)
+    return copy
+
+
+def key_objects(mapping: dict) -> dict:
+    """Each key of ``mapping`` mapped to itself, to recover the key object."""
+    return {key: key for key in mapping}
+
+
+class TestInternedIds:
+    def test_triple_ids_are_the_graphs_keys(self, tmp_path):
+        rng = random.Random(20261018)
+        checked = 0
+        for _ in range(25):
+            graph = load_graph(*random_graph_files(rng, tmp_path))
+            entity_keys = key_objects(graph.entities)
+            relation_keys = key_objects(graph.relations)
+            for triple in graph.triples:
+                assert triple.subject is entity_keys[triple.subject]
+                assert triple.relation is relation_keys[triple.relation]
+                if isinstance(triple.object, EntityRef):
+                    assert triple.object.entity_id is entity_keys[triple.object.entity_id]
+                checked += 1
+            for entity_id in graph.adjacency:
+                assert entity_id is entity_keys[entity_id]
+        assert checked > 1000
+
+    def test_undeclared_relation_is_one_shared_object(self, tmp_path):
+        triples, entities = write_graph_files(
+            tmp_path,
+            "Q1\tP9\tE:Q2\nQ2\t P9 \tL:plain:x\n Q1\tP9\tE:Q1\nQ2\tP1\tE:Q1\n",
+            "Q1\tAlpha\nQ2\tBeta\n",
+            "P1\tknows\n",
+        )
+        graph = load_graph(triples, entities)
+        undeclared = [triple.relation for triple in graph.triples if triple.relation == "P9"]
+        assert len(undeclared) == 3
+        relation = graph.relations["P9"]
+        assert relation == Relation("P9", "P9")
+        for value in undeclared:
+            assert value is relation.id is relation.name is key_objects(graph.relations)["P9"]
+
+    def test_caller_made_triples_with_distinct_strings_build_the_same_graph(self, tmp_path):
+        rng = random.Random(20261020)
+        for _ in range(10):
+            loaded = load_graph(*random_graph_files(rng, tmp_path))
+            entities = [
+                Entity(fresh(e.id), e.name and fresh(e.name), tuple(map(fresh, e.aliases)))
+                for e in loaded.entities.values()
+            ]
+            # Undeclared relations are named by their id; build_graph adds them back.
+            declared = [r for r in loaded.relations.values() if r.id != r.name]
+            relations = [Relation(fresh(r.id), fresh(r.name)) for r in declared]
+            triples = [
+                Triple(
+                    fresh(t.subject),
+                    fresh(t.relation),
+                    EntityRef(fresh(t.object.entity_id)) if isinstance(t.object, EntityRef) else t.object,
+                )
+                for t in loaded.triples * 2  # the repeats are dropped as duplicates
+            ]
+            built = build_graph(entities, relations, triples)
+            assert built.triples[0].subject is not loaded.triples[0].subject
+            assert built == loaded
+            seeds = sorted(loaded.entities)[:3]
+            assert neighborhood(built, seeds, 2) == neighborhood(loaded, seeds, 2)

@@ -247,6 +247,31 @@ class TestDataset:
         with pytest.raises(ConfigError, match=":1"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ('"answer_entities": "Q42"', "field 'answer_entities' must be a list of strings"),
+            ('"answer_entities": null', "field 'answer_entities' must be a list of strings"),
+            ('"answer_entities": ["Q1", 42]', "field 'answer_entities' must be a list of strings"),
+            ('"answer_entities": ["Q1"], "question_entities": "Q7"', "field 'question_entities' must be"),
+            ('"answer_entities": ["Q1"], "question_entities": [["Q7"]]', "field 'question_entities' must be"),
+            ('"answer_entities": ["Q1"], "question": 7', "field 'question' must be a string"),
+        ],
+    )
+    def test_ill_typed_field_names_line_and_field(self, tmp_path, fields, message):
+        path = tmp_path / "data.jsonl"
+        good = '{"id": "e1", "question": "q?", "answer_entities": ["Q1"]}'
+        path.write_text(f'{good}\n\n{{"id": "e2", "question": "r?", {fields}}}\n')
+        with pytest.raises(ConfigError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value).startswith(f"{path}:3: {message}")
+
+    def test_non_object_line_is_rejected(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('["e1", "q?", ["Q1"]]\n')
+        with pytest.raises(ConfigError, match=r":1: expected a JSON object"):
+            load_dataset(path)
+
 
 class TestRun:
     def alex_run_config(self, alex_dir, out_dir, **overrides):
