@@ -13,20 +13,37 @@ relations TSV ``relation_id <TAB> relation_name``; optional, picked up as
 
 ``Triple``, ``EntityRef`` and ``Literal`` are named tuples, so hashing and
 comparing them runs in C; tell object kinds apart with ``isinstance``.
-Loading parses each distinct object token once and shares the parsed term
-between the triples that use it, and interns ids: every subject, relation
-and entity-valued object of a loaded triple is the very string object that
-keys ``graph.entities`` or ``graph.relations``.
+
+Storage
+-------
+A graph keeps its triples as integer-coded columns, not as ``Triple``
+objects. Every entity id and relation id has a code: its position in
+``entity_ids`` or ``relation_ids``, which list the keys of
+``graph.entities`` and ``graph.relations`` (declared ones in file order,
+then undeclared relations in order of first use). Every distinct object
+term, compared by value, has a code into ``terms``; ``term_entities`` gives
+its entity code, or -1 for a literal. The int32 columns ``subjects``,
+``predicates`` and ``objects`` hold one row per distinct triple in
+ingestion order, and the CSR pair ``offsets``/``incident`` lists each
+entity's incident rows in ascending order. ``neighborhood`` makes
+``Triple``s only for its result; ``graph.triples`` and ``graph.adjacency``
+are derived views built on first access.
+
+Loading parses each distinct object token once and interns ids: every
+subject, relation and entity-valued object of a triple the graph returns is
+the very string object that keys ``graph.entities`` or ``graph.relations``.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Union
+
+import numpy as np
 
 from .errors import GraphLoadError
 from .text import normalize_tokens
@@ -95,28 +112,71 @@ class SurfaceIndex:
     widths: tuple[int, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class KnowledgeGraph:
-    """Immutable-after-build triple store with an incidence index.
+    """Immutable-after-build columnar triple store with a CSR incidence index.
 
-    ``triples`` keeps ingestion order, which is the tie-break and output
-    order everywhere else in the pipeline. ``adjacency`` maps an entity id
-    to the ascending indices of triples it is incident to, whether as
-    subject or as entity-valued object; a self-loop is listed once.
+    Row order is ingestion order, which is the tie-break and output order
+    everywhere else in the pipeline. ``entity_codes`` maps an entity id to
+    its code. Entity ``c``'s incident rows, whether it is their subject or
+    their entity-valued object, are ``incident[offsets[c]:offsets[c + 1]]``;
+    a self-loop is listed once. Build graphs with ``build_graph`` or
+    ``load_graph``.
 
-    ``surface_index`` and ``relation_counts`` are derived views, each built
-    once on first use; they assume the graph is not mutated after
-    ``build_graph``.
+    ``triples`` (a ``Triple`` per row), ``adjacency`` (entity id to its
+    incident rows, for entities that have any), ``surface_index`` and
+    ``relation_counts`` are derived views, each built once on first access;
+    the pipeline reads only the last two. They assume the graph is not
+    mutated after it is built, and changing a view does not change the
+    graph. Two graphs are equal when their entities, relations and triples
+    are.
     """
 
-    entities: dict[EntityId, Entity] = field(default_factory=dict)
-    relations: dict[RelationId, Relation] = field(default_factory=dict)
-    triples: list[Triple] = field(default_factory=list)
-    adjacency: dict[EntityId, list[int]] = field(default_factory=dict)
+    entities: dict[EntityId, Entity]
+    relations: dict[RelationId, Relation]
+    entity_ids: np.ndarray
+    relation_ids: np.ndarray
+    entity_codes: dict[EntityId, int]
+    terms: np.ndarray
+    term_entities: np.ndarray
+    subjects: np.ndarray
+    predicates: np.ndarray
+    objects: np.ndarray
+    offsets: np.ndarray
+    incident: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KnowledgeGraph):
+            return NotImplemented
+        return (
+            self.entities == other.entities
+            and self.relations == other.relations
+            and self._triples_at(slice(None)) == other._triples_at(slice(None))
+        )
+
+    def _triples_at(self, rows) -> list[Triple]:
+        """The triples of ``rows`` (an index array or a slice), in that order."""
+        subjects = self.entity_ids[self.subjects[rows]].tolist()
+        relations = self.relation_ids[self.predicates[rows]].tolist()
+        objects = self.terms[self.objects[rows]].tolist()
+        return list(map(Triple._make, zip(subjects, relations, objects)))
 
     def entity_name(self, entity_id: EntityId) -> str | None:
         entity = self.entities.get(entity_id)
         return entity.name if entity is not None else None
+
+    @cached_property
+    def triples(self) -> list[Triple]:
+        return self._triples_at(slice(None))
+
+    @cached_property
+    def adjacency(self) -> dict[EntityId, list[int]]:
+        offsets, incident = self.offsets.tolist(), self.incident.tolist()
+        return {
+            entity_id: incident[offsets[code] : offsets[code + 1]]
+            for code, entity_id in enumerate(self.entity_ids)
+            if offsets[code] < offsets[code + 1]
+        }
 
     @cached_property
     def surface_index(self) -> SurfaceIndex:
@@ -140,7 +200,146 @@ class KnowledgeGraph:
 
     @cached_property
     def relation_counts(self) -> Counter[RelationId]:
-        return Counter(triple.relation for triple in self.triples)
+        counts = np.bincount(self.predicates, minlength=len(self.relation_ids)).tolist()
+        return Counter(
+            {relation_id: count for relation_id, count in zip(self.relation_ids, counts) if count}
+        )
+
+
+def _objects(items: list) -> np.ndarray:
+    """An object array holding ``items`` themselves (tuples are not unpacked)."""
+    return np.fromiter(items, dtype=object, count=len(items))
+
+
+class _Codes(dict):
+    """Maps a key to its code, numbered in first-seen order.
+
+    Looking up an unseen key gives it the next code. ``ids`` lists the
+    stored key objects by code, so every use of an id shares the first
+    string seen for it.
+    """
+
+    def __init__(self, keys: Iterable[str]):
+        self.ids: list[str] = list(dict.fromkeys(keys))
+        super().__init__(zip(self.ids, range(len(self.ids))))
+
+    def __missing__(self, key: str) -> int:
+        code = self[key] = len(self.ids)
+        self.ids.append(key)
+        return code
+
+
+class _Terms(dict):
+    """Maps an object term, compared by value, to its code in first-seen order.
+
+    ``terms`` lists the terms by code, an entity reference remade around the
+    interned id unless it holds it already; ``entities`` lists each term's
+    entity code, or -1 for a literal.
+    """
+
+    def __init__(self, entity_codes: _Codes):
+        super().__init__()
+        self.entity_codes = entity_codes
+        self.terms: list[ObjectTerm] = []
+        self.entities: list[int] = []
+
+    def __missing__(self, term: ObjectTerm) -> int:
+        code = self[term] = len(self.terms)
+        if isinstance(term, EntityRef):
+            entity = self.entity_codes[term.entity_id]
+            interned = self.entity_codes.ids[entity]
+            if term.entity_id is not interned:
+                term = EntityRef(interned)
+        else:
+            entity = -1
+        self.terms.append(term)
+        self.entities.append(entity)
+        return code
+
+
+class _Coder:
+    """A graph's parts while it is built: ids and terms coded, one row per triple.
+
+    ``build_graph`` and ``load_graph`` fill the three code lists, then call
+    ``assemble``. Unknown entity ids get codes past the declared ones, so
+    that ``assemble`` can name them.
+    """
+
+    def __init__(self, entities: Iterable[Entity], relations: Iterable[Relation]):
+        self.entity_list = list(entities)
+        self.relation_list = list(relations)
+        self.entities = _Codes(entity.id for entity in self.entity_list)
+        self.relations = _Codes(relation.id for relation in self.relation_list)
+        self.terms = _Terms(self.entities)
+        self.subjects: list[int] = []
+        self.predicates: list[int] = []
+        self.objects: list[int] = []
+
+    def assemble(self) -> KnowledgeGraph:
+        """Validate and dedupe the rows and index them into a graph."""
+        entities: dict[EntityId, Entity] = {}
+        for entity in self.entity_list:
+            if entity.id in entities:
+                raise GraphLoadError(f"duplicate entity id: {entity.id}")
+            entities[entity.id] = entity
+        relations: dict[RelationId, Relation] = {}
+        for relation in self.relation_list:
+            if relation.id in relations:
+                raise GraphLoadError(f"duplicate relation id: {relation.id}")
+            relations[relation.id] = relation
+
+        count = len(self.subjects)
+        subjects = np.fromiter(self.subjects, np.int32, count)
+        predicates = np.fromiter(self.predicates, np.int32, count)
+        objects = np.fromiter(self.objects, np.int32, count)
+        term_entities = np.array(self.terms.entities, dtype=np.int32)
+        # Exact duplicates, first occurrence kept. A row's key codes its
+        # (relation, object) pair densely first, so that it fits in 63 bits.
+        pair_keys = predicates.astype(np.int64) * len(term_entities) + objects
+        pairs = np.unique(pair_keys, return_inverse=True)[1]
+        keys = subjects.astype(np.int64) * count + pairs
+        ordered = np.sort(keys)
+        if (ordered[1:] == ordered[:-1]).any():
+            keep = np.sort(np.unique(keys, return_index=True)[1])
+            subjects, predicates, objects = subjects[keep], predicates[keep], objects[keep]
+            count = len(keep)
+
+        known = len(entities)
+        object_entities = term_entities[objects]
+        unknown = np.flatnonzero((subjects >= known) | (object_entities >= known))
+        if unknown.size:
+            row = unknown[0]
+            if subjects[row] >= known:
+                entity_id = self.entities.ids[subjects[row]]
+                raise GraphLoadError(f"triple references unknown subject entity: {entity_id}")
+            entity_id = self.entities.ids[object_entities[row]]
+            raise GraphLoadError(f"triple references unknown object entity: {entity_id}")
+        for relation_id in self.relations.ids[len(relations) :]:
+            relations[relation_id] = Relation(relation_id, relation_id)
+
+        # A row is incident to its subject, and to its entity object unless
+        # that is a literal or the subject again. Sorting (entity, row) keys
+        # lists each entity's rows in ascending order.
+        rows = np.arange(count, dtype=np.int64)
+        on_object = (object_entities >= 0) & (object_entities != subjects)
+        owners = np.concatenate((subjects, object_entities[on_object])).astype(np.int64)
+        incidence = np.sort(owners * count + np.concatenate((rows, rows[on_object])))
+        offsets = np.zeros(known + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=known), out=offsets[1:])
+        return KnowledgeGraph(
+            entities=entities,
+            relations=relations,
+            entity_ids=_objects(self.entities.ids),
+            relation_ids=_objects(self.relations.ids),
+            entity_codes=dict(self.entities),
+            terms=_objects(self.terms.terms),
+            term_entities=term_entities,
+            subjects=subjects,
+            predicates=predicates,
+            objects=objects,
+            offsets=offsets,
+            incident=(incidence % max(count, 1)).astype(np.int32),
+        )
 
 
 def build_graph(
@@ -155,66 +354,35 @@ def build_graph(
     Raises GraphLoadError on duplicate entity/relation ids or on triples
     referencing unknown entities.
     """
-    graph = KnowledgeGraph()
-    for entity in entities:
-        if entity.id in graph.entities:
-            raise GraphLoadError(f"duplicate entity id: {entity.id}")
-        graph.entities[entity.id] = entity
-    for relation in relations:
-        if relation.id in graph.relations:
-            raise GraphLoadError(f"duplicate relation id: {relation.id}")
-        graph.relations[relation.id] = relation
-
-    entities_by_id, relations_by_id, adjacency = graph.entities, graph.relations, graph.adjacency
-    seen: set[Triple] = set()
-    for triple in triples:
-        if triple in seen:
-            continue
-        seen.add(triple)
-        subject, relation, obj = triple
-        if subject not in entities_by_id:
-            raise GraphLoadError(f"triple references unknown subject entity: {subject}")
-        object_id = obj.entity_id if isinstance(obj, EntityRef) else None
-        if object_id is not None and object_id not in entities_by_id:
-            raise GraphLoadError(f"triple references unknown object entity: {object_id}")
-        if relation not in relations_by_id:
-            relations_by_id[relation] = Relation(relation, relation)
-        index = len(graph.triples)
-        graph.triples.append(triple)
-        indices = adjacency.get(subject)
-        if indices is None:
-            adjacency[subject] = [index]
-        else:
-            indices.append(index)
-        if object_id is not None and object_id != subject:
-            indices = adjacency.get(object_id)
-            if indices is None:
-                adjacency[object_id] = [index]
-            else:
-                indices.append(index)
-    return graph
+    coder = _Coder(entities, relations)
+    entity_codes, relation_codes, terms = coder.entities, coder.relations, coder.terms
+    for subject, relation, obj in triples:
+        coder.subjects.append(entity_codes[subject])
+        coder.predicates.append(relation_codes[relation])
+        coder.objects.append(terms[obj])
+    return coder.assemble()
 
 
 def _data_lines(path: Path):
     """Yield (line_number, line) for each data line, skipping blanks and # comments.
 
-    ``line`` is the raw line without its line ending; columns are stripped by
-    the callers.
+    ``line`` is the raw line, line ending included: the callers strip every
+    column they keep, and the ending never changes a line's column count.
     """
     with path.open("r", encoding="utf-8") as handle:
         for number, raw in enumerate(handle, 1):
             stripped = raw.strip()
             if not stripped or stripped[0] == "#":
                 continue
-            yield number, raw.rstrip("\n").rstrip("\r")
+            yield number, raw
 
 
-def _parse_object(token: str, path: Path, line_number: int, ids: dict[str, str]) -> ObjectTerm:
+def _parse_object(token: str, path: Path, line_number: int, entity_codes: _Codes) -> ObjectTerm:
     if token.startswith("E:"):
         entity_id = token[2:]
         if not entity_id:
             raise GraphLoadError(f"{path}:{line_number}: empty entity id in object")
-        return EntityRef(ids.setdefault(entity_id, entity_id))
+        return EntityRef(entity_codes.ids[entity_codes[entity_id]])
     if token.startswith("L:"):
         parts = token.split(":", 2)
         if len(parts) != 3:
@@ -272,16 +440,15 @@ def _load_relations(path: Path) -> list[Relation]:
     return relations
 
 
-def _load_triples(path: Path, ids: dict[str, str]) -> list[Triple]:
-    """Parse a triples file, interning every id through ``ids``.
-
-    ``ids`` maps an id to the one string object all triples share for it;
-    ids not in it yet (unknown entities, undeclared relations) are added.
-    """
-    triples = []
-    # Raw object token -> its parsed term, so each distinct token is parsed
-    # (and allocated) once; its first occurrence is the line errors name.
-    objects: dict[str, ObjectTerm] = {}
+def _load_triples(path: Path, coder: _Coder) -> None:
+    """Parse a triples file straight into ``coder``'s code lists."""
+    entity_codes, relation_codes, terms = coder.entities, coder.relations, coder.terms
+    add_subject = coder.subjects.append
+    add_predicate = coder.predicates.append
+    add_object = coder.objects.append
+    # Raw object token -> its term code, so each distinct token is parsed
+    # once; its first occurrence is the line errors name.
+    token_codes: dict[str, int] = {}
     for number, line in _data_lines(path):
         columns = line.split("\t")
         if len(columns) != 3:
@@ -293,13 +460,14 @@ def _load_triples(path: Path, ids: dict[str, str]) -> list[Triple]:
         relation = relation.strip()
         if not subject or not relation:
             raise GraphLoadError(f"{path}:{number}: empty subject or relation id")
-        term = objects.get(object_token)
-        if term is None:
-            term = objects[object_token] = _parse_object(object_token.strip(), path, number, ids)
-        triples.append(
-            Triple(ids.setdefault(subject, subject), ids.setdefault(relation, relation), term)
-        )
-    return triples
+        code = token_codes.get(object_token)
+        if code is None:
+            code = token_codes[object_token] = terms[
+                _parse_object(object_token.strip(), path, number, entity_codes)
+            ]
+        add_subject(entity_codes[subject])
+        add_predicate(relation_codes[relation])
+        add_object(code)
 
 
 def load_graph(
@@ -311,7 +479,8 @@ def load_graph(
 
     When ``relations_path`` is not given, a ``relations.tsv`` sitting next to
     the entities file is used if present; relation ids without a declared
-    name fall back to the id itself.
+    name fall back to the id itself. Errors naming a triple (an unknown
+    entity) or a duplicate id are raised after the whole file has parsed.
     """
     triples_path = Path(triples_path)
     entities_path = Path(entities_path)
@@ -319,12 +488,26 @@ def load_graph(
         candidate = entities_path.parent / "relations.tsv"
         relations_path = candidate if candidate.is_file() else None
     relations = _load_relations(Path(relations_path)) if relations_path else []
-    entities = _load_entities(entities_path)
-    # One string object per id, shared by the triples and the graph's keys.
-    ids = {entity.id: entity.id for entity in entities}
-    for relation in relations:
-        ids.setdefault(relation.id, relation.id)
-    return build_graph(entities, relations, _load_triples(triples_path, ids))
+    coder = _Coder(_load_entities(entities_path), relations)
+    _load_triples(triples_path, coder)
+    return coder.assemble()
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: ``np.unique`` by a sort, faster on small arrays."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
+def _incident_rows(graph: KnowledgeGraph, codes: np.ndarray) -> np.ndarray:
+    """The incident rows of each entity code in turn, concatenated."""
+    starts = graph.offsets[codes]
+    counts = graph.offsets[codes + 1] - starts
+    # Row positions start, start + 1, ... of each entity, in one arange.
+    shifts = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return graph.incident[np.arange(shifts.size) + shifts]
 
 
 def neighborhood(
@@ -339,27 +522,22 @@ def neighborhood(
     """
     if hops not in (1, 2):
         raise ValueError(f"hops must be 1 or 2, got {hops}")
-    present = []
+    codes = []
     for seed in sorted(set(seeds)):
-        if seed in graph.entities:
-            present.append(seed)
-        else:
+        code = graph.entity_codes.get(seed)
+        if code is None:
             logger.warning("seed entity %s not in graph; skipping", seed)
+        else:
+            codes.append(code)
 
-    indices: set[int] = set()
-    for seed in present:
-        indices.update(graph.adjacency.get(seed, ()))
+    rows = _incident_rows(graph, np.array(codes, dtype=np.int64))
     if hops == 2:
-        frontier: set[EntityId] = set()
-        for index in indices:
-            triple = graph.triples[index]
-            frontier.add(triple.subject)
-            object_id = triple.object_entity_id()
-            if object_id is not None:
-                frontier.add(object_id)
-        for entity_id in frontier:
-            indices.update(graph.adjacency.get(entity_id, ()))
-    return [graph.triples[index] for index in sorted(indices)]
+        # Every 1-hop row touches a seed, so the entities of the 1-hop rows
+        # (seeds included) reach all of it again.
+        object_entities = graph.term_entities[graph.objects[rows]]
+        frontier = np.concatenate((graph.subjects[rows], object_entities[object_entities >= 0]))
+        rows = _incident_rows(graph, _distinct(frontier))
+    return graph._triples_at(_distinct(rows))
 
 
 def relation_frequency(graph: KnowledgeGraph) -> dict[RelationId, int]:

@@ -9,6 +9,7 @@ deterministic and offline.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -48,6 +49,11 @@ class ProviderConfig:
             raise ConfigError("remote provider requires an endpoint")
         if self.max_concurrency < 1:
             raise ConfigError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
+        # requests would reject a bad timeout only at call time, with a bare ValueError.
+        timeout = self.timeout
+        number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+        if not (number and 0 < timeout < math.inf):
+            raise ConfigError(f"provider timeout must be a finite number above 0, got {timeout!r}")
         # Accept a JSON-style mapping and keep its insertion order.
         script = self.script
         if isinstance(script, dict):

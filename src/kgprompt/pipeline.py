@@ -146,12 +146,14 @@ def load_config(path: str | Path) -> RunConfig:
 def load_dataset(path: str | Path) -> list[QaExample]:
     """Read QA examples from JSONL, one object per line.
 
-    ``question`` must be a string, and ``answer_entities`` and a non-null
-    ``question_entities`` lists of entity id strings; anything else raises
-    ConfigError naming ``path:line`` and the field.
+    ``question`` must be a string, ``answer_entities`` and a non-null
+    ``question_entities`` lists of entity id strings, and ``category`` a
+    string or null; ids, taken as strings, must be unique. Anything else
+    raises ConfigError naming ``path:line`` and the field.
     """
     path = Path(path)
     examples = []
+    id_lines: dict[str, int] = {}
     with path.open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
@@ -175,9 +177,18 @@ def load_dataset(path: str | Path) -> list[QaExample]:
                 # A bare string would otherwise be split into one-character ids.
                 if not isinstance(ids, list) or not all(isinstance(item, str) for item in ids):
                     raise ConfigError(f"{path}:{number}: field {name!r} must be a list of strings")
+            # A number would break the per-category report's sort after the whole run.
+            if not isinstance(record.get("category"), (str, type(None))):
+                raise ConfigError(f"{path}:{number}: field 'category' must be a string or null")
+            example_id = str(record["id"])
+            earlier = id_lines.setdefault(example_id, number)
+            if earlier != number:
+                raise ConfigError(
+                    f"{path}:{number}: field 'id' repeats {example_id!r} from line {earlier}"
+                )
             examples.append(
                 QaExample(
-                    id=str(record["id"]),
+                    id=example_id,
                     question=record["question"],
                     question_entities=None
                     if question_entities is None

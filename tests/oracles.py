@@ -169,3 +169,22 @@ def oracle_load(triples_path, entities_path, relations_path=None):
         for entity_id in sorted({subject, obj[1]} if obj[0] == "E" else {subject}):
             adjacency.setdefault(entity_id, []).append(len(triples) - 1)
     return triples, adjacency, entities, relations
+
+
+def oracle_neighborhood(triples, seeds, hops):
+    """Triples within ``hops`` (1 or 2) of the seeds, by scanning every triple.
+
+    ``triples`` are plain tuples as ``oracle_load`` returns them. A triple
+    is reached when its subject or entity object is a reached entity; the
+    second hop adds every entity of the first hop's triples. Returns the
+    reached triples in input order.
+    """
+
+    def entities_of(triple):
+        subject, _, obj = triple
+        return {subject, obj[1]} if obj[0] == "E" else {subject}
+
+    reached = set(seeds)
+    for _ in range(hops - 1):
+        reached |= {entity for triple in triples if entities_of(triple) & reached for entity in entities_of(triple)}
+    return [triple for triple in triples if entities_of(triple) & reached]

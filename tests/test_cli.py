@@ -129,6 +129,16 @@ class TestRunCommand:
         assert err.startswith("error: --max-failure-rate must be between 0 and 1")
         assert not (tmp_path / "predictions.jsonl").exists()
 
+    @pytest.mark.parametrize("timeout", ["0", "-1", "nan", "inf"])
+    def test_bad_timeout_is_error_exit_before_the_run(self, toy_config_path, tmp_path, timeout, capsys):
+        code, out, err = run_cli(
+            capsys, "run", "--config", toy_config_path, "--timeout", timeout, "--out", str(tmp_path)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: provider timeout must be a finite number above 0, got")
+        assert not (tmp_path / "predictions.jsonl").exists()
+
 
 class TestRetrieveCommand:
     def test_single_question_debug(self, toy_config_path, capsys):

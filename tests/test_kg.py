@@ -1,9 +1,12 @@
+import dataclasses
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
+from kgprompt import pipeline
 from kgprompt.errors import GraphLoadError
 from kgprompt.kg import (
     Entity,
@@ -20,6 +23,7 @@ from kgprompt.kg import (
 from kgprompt.verbalize import verbalize
 
 from oracles import oracle_link, oracle_load
+from oracles import oracle_neighborhood
 
 
 def write_graph_files(tmp_path, triples_text, entities_text, relations_text=None):
@@ -645,3 +649,178 @@ class TestInternedIds:
             assert built == loaded
             seeds = sorted(loaded.entities)[:3]
             assert neighborhood(built, seeds, 2) == neighborhood(loaded, seeds, 2)
+
+
+class TestNeighborhoodMatchesOracle:
+    def test_random_graph_files(self, tmp_path, caplog):
+        rng = random.Random(20261021)
+        reached = self_loops = literals = 0
+        for round_ in range(40):
+            lines = rng.choice([0, 1, 5, 60, 200])
+            paths = random_graph_files(rng, tmp_path, lines=lines)
+            graph = load_graph(*paths)
+            triples = oracle_load(*paths)[0]
+            entity_keys = key_objects(graph.entities)
+            assert relation_frequency(graph) == Counter(relation for _, relation, _ in triples)
+            for _ in range(6):
+                seeds = rng.sample(sorted(graph.entities), rng.randint(0, 3))
+                seeds += rng.sample(["Q999", "nope", ""], rng.randint(0, 1))
+                for hops in (1, 2):
+                    result = neighborhood(graph, seeds, hops)
+                    expected = oracle_neighborhood(triples, seeds, hops)
+                    assert [plain_triple(triple) for triple in result] == expected, (round_, seeds, hops)
+                    for triple in result:
+                        assert triple.subject is entity_keys[triple.subject]
+                    reached += bool(result)
+                    self_loops += sum(t.subject == t.object_entity_id() for t in result)
+                    literals += sum(isinstance(t.object, Literal) for t in result)
+        assert min(reached, self_loops, literals) > 50
+
+    def test_empty_graphs(self):
+        for graph in (build_graph([], [], []), build_graph([Entity("Q1", "Alpha")], [], [])):
+            for hops in (1, 2):
+                assert neighborhood(graph, {"Q1", "Q2"}, hops) == []
+            assert relation_frequency(graph) == {}
+
+
+class TestColumnarStore:
+    def test_padded_tokens_are_one_term_and_one_triple(self, tmp_path):
+        triples, entities = write_graph_files(
+            tmp_path,
+            "Q1\tP1\tE:Q2\nQ1\tP1\t E:Q2 \nQ1\tP2\tE:Q2 \nQ2\tP1\tL:plain:x\nQ2\tP1\tL:plain:x  \n",
+            "Q1\tAlpha\nQ2\tBeta\n",
+        )
+        graph = load_graph(triples, entities)
+        assert graph.terms.tolist() == [EntityRef("Q2"), Literal("x")]
+        assert graph.term_entities.tolist() == [1, -1]
+        assert graph.triples == [
+            Triple("Q1", "P1", EntityRef("Q2")),
+            Triple("Q1", "P2", EntityRef("Q2")),
+            Triple("Q2", "P1", Literal("x")),
+        ]
+
+    def test_caller_made_ids_are_interned_too(self):
+        entities = [Entity("Q1", "Alpha"), Entity("Q2", "Beta")]
+        triples = [
+            Triple(fresh("Q1"), fresh("P1"), EntityRef(fresh("Q2"))),
+            Triple(fresh("Q2"), fresh("P1"), EntityRef(fresh("Q2"))),
+        ]
+        graph = build_graph(entities, [], triples)
+        entity_keys, relation_keys = key_objects(graph.entities), key_objects(graph.relations)
+        for triple in neighborhood(graph, ["Q1"], 2):
+            assert triple.subject is entity_keys[triple.subject]
+            assert triple.relation is relation_keys[triple.relation]
+            assert triple.object.entity_id is entity_keys[triple.object.entity_id]
+
+    def test_incidence_is_csr_of_ascending_rows(self):
+        graph = build_graph(
+            [Entity("A"), Entity("B"), Entity("C")],
+            [],
+            [
+                Triple("B", "r", EntityRef("A")),
+                Triple("A", "r", EntityRef("A")),
+                Triple("C", "r", Literal("A")),
+                Triple("A", "r", EntityRef("C")),
+            ],
+        )
+        assert graph.offsets.tolist() == [0, 3, 4, 6]
+        assert graph.incident.tolist() == [0, 1, 3, 0, 2, 3]
+        assert graph.adjacency == {"A": [0, 1, 3], "B": [0], "C": [2, 3]}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Q1\tP1\tE:Q8\nQ9\tP1\tE:Q1\n", "unknown object entity: Q8"),
+            ("Q9\tP1\tE:Q1\nQ1\tP1\tE:Q8\n", "unknown subject entity: Q9"),
+            ("Q9\tP1\tE:Q8\n", "unknown subject entity: Q9"),
+            ("Q1\tP1\tL:plain:Q8\nQ1\tP1\tE:Q1\nQ1\tP1\t E:Q7\n", "unknown object entity: Q7"),
+        ],
+    )
+    def test_unknown_entity_names_the_first_offending_triple(self, tmp_path, text, message):
+        triples, entities = write_graph_files(tmp_path, text, "Q1\tAlpha\n")
+        assert load_failure(triples, entities).endswith(message)
+
+    def test_unknown_entity_is_raised_after_the_whole_file_parses(self, tmp_path):
+        triples, entities = write_graph_files(
+            tmp_path, "Q9\tP1\tE:Q1\nQ1\tP1\tE:Q8\nQ1\tP1\tX:bad\n", "Q1\tAlpha\n"
+        )
+        assert "triples.tsv:3: object must start with" in load_failure(triples, entities)
+
+    def test_build_graph_checks_triples_like_the_loader(self):
+        entities = [Entity("Q1", "Alpha")]
+        triples = [Triple("Q1", "P1", EntityRef("Q8")), Triple("Q9", "P1", EntityRef("Q1"))]
+        with pytest.raises(GraphLoadError, match="unknown object entity: Q8$"):
+            build_graph(entities, [], triples)
+        with pytest.raises(GraphLoadError, match="duplicate entity id: Q1$"):
+            build_graph(entities * 2, [], triples)
+
+    def test_undeclared_relations_follow_declared_ones_in_first_use_order(self, tmp_path):
+        triples, entities = write_graph_files(
+            tmp_path,
+            "Q1\tP9\tE:Q1\nQ1\tP1\tE:Q1\nQ1\tP5\tE:Q1\nQ1\tP9\tL:plain:x\n",
+            "Q1\tAlpha\n",
+            "P2\tunused\nP1\tknows\n",
+        )
+        graph = load_graph(triples, entities)
+        assert list(graph.relations) == ["P2", "P1", "P9", "P5"]
+        assert graph.relation_ids.tolist() == ["P2", "P1", "P9", "P5"]
+        assert relation_frequency(graph) == {"P9": 2, "P1": 1, "P5": 1}
+
+    def test_equality_compares_parts_and_triples_in_order(self):
+        entities = [Entity("A", "Alpha"), Entity("B", "Beta")]
+        first, second = Triple("A", "r", EntityRef("B")), Triple("B", "r", Literal("x"))
+        graph = build_graph(entities, [], [first, second])
+        assert graph == build_graph(entities[::-1], [], [first, second, first])
+        assert graph != build_graph(entities, [], [second, first])
+        assert graph != build_graph(entities, [Relation("r", "rel")], [first, second])
+        assert graph != build_graph([*entities, Entity("C")], [], [first, second])
+        assert graph != "graph"
+        assert "triples" not in graph.__dict__
+
+
+class TestNoFullMaterialization:
+    @pytest.mark.parametrize("method", ["kaping", "popular_knowledge"])
+    def test_pipeline_run_builds_no_triples_or_adjacency_view(self, toy_dir, tmp_path, monkeypatch, method):
+        loaded = []
+
+        def load_and_keep(*paths):
+            loaded.append(load_graph(*paths))
+            return loaded[-1]
+
+        monkeypatch.setattr(pipeline, "load_graph", load_and_keep)
+        config = pipeline.load_config(toy_dir / "config.json")
+        result = pipeline.run(dataclasses.replace(config, method=method, output_dir=str(tmp_path)))
+        assert result["report"]["overall"]["count"] > 0
+        [graph] = loaded
+        assert "triples" not in graph.__dict__
+        assert "adjacency" not in graph.__dict__
+        # The check can see a view that was built.
+        assert ("relation_counts" in graph.__dict__) == (method == "popular_knowledge")
+
+
+class TestNeighborhoodConcurrency:
+    def test_concurrent_first_neighborhoods_match_single_threaded(self):
+        seed_sets = [[f"Q{(n * 37) % 3000}", f"Q{(n * 101) % 3000}"] for n in range(40)]
+        single = linking_graph()
+        expected = [neighborhood(single, seeds, hops) for seeds in seed_sets for hops in (1, 2)]
+        graph = linking_graph()
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(slot):
+            barrier.wait(timeout=60)
+            results[slot] = [neighborhood(graph, seeds, hops) for seeds in seed_sets for hops in (1, 2)]
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(expected)
+        assert results == [expected] * 4

@@ -52,6 +52,16 @@ class TestScriptedProvider:
         with pytest.raises(ConfigError):
             ProviderConfig(max_concurrency=0)
 
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan"), float("inf"), "30", True])
+    def test_bad_timeout_is_a_config_error_naming_it(self, timeout):
+        with pytest.raises(ConfigError, match="provider timeout must be a finite number above 0") as excinfo:
+            ProviderConfig(kind="remote", endpoint="http://127.0.0.1:1/complete", timeout=timeout)
+        assert str(excinfo.value).endswith(f"got {timeout!r}")
+
+    @pytest.mark.parametrize("timeout", [2, 0.25, 1e-3])
+    def test_positive_timeouts_accepted(self, timeout):
+        assert ProviderConfig(timeout=timeout).timeout == timeout
+
 
 class TestRemoteProvider:
     def test_successful_completion(self, http_service):

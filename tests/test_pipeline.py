@@ -266,6 +266,52 @@ class TestDataset:
             load_dataset(path)
         assert str(excinfo.value).startswith(f"{path}:3: {message}")
 
+    @pytest.mark.parametrize("category", ["5", "true", '["geo"]', '{"name": "geo"}'])
+    def test_category_that_is_not_a_string_names_line_and_field(self, tmp_path, category):
+        path = tmp_path / "data.jsonl"
+        good = '{"id": "e1", "question": "q?", "answer_entities": ["Q1"], "category": "place"}'
+        path.write_text(f'{good}\n{{"id": "e2", "question": "r?", "answer_entities": ["Q2"], "category": {category}}}\n')
+        with pytest.raises(ConfigError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"{path}:2: field 'category' must be a string or null"
+
+    def test_null_and_missing_category_accepted(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            '{"id": "e1", "question": "q?", "answer_entities": ["Q1"], "category": null}\n'
+            '{"id": "e2", "question": "r?", "answer_entities": ["Q2"]}\n'
+        )
+        assert [example.category for example in load_dataset(path)] == [None, None]
+
+    @pytest.mark.parametrize("first, second", [('"e1"', '"e1"'), ("1", '"1"'), ('"1"', "1"), ("7", "7")])
+    def test_duplicate_id_names_both_lines(self, tmp_path, first, second):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            f'{{"id": {first}, "question": "q?", "answer_entities": ["Q1"]}}\n'
+            '{"id": "other", "question": "r?", "answer_entities": ["Q1"]}\n\n'
+            f'{{"id": {second}, "question": "s?", "answer_entities": ["Q1"]}}\n'
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            load_dataset(path)
+        expected_id = first.strip('"')
+        assert str(excinfo.value) == f"{path}:4: field 'id' repeats {expected_id!r} from line 1"
+
+    def test_numeric_category_fails_before_any_example_runs(self, alex_dir, tmp_path):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(
+            (alex_dir / "dataset.jsonl").read_text().rstrip("\n")
+            + '\n{"id": "late", "question": "q?", "answer_entities": ["Q1"], "category": 5}\n'
+        )
+        config = base_config(
+            triples_path=str(alex_dir / "triples.tsv"),
+            entities_path=str(alex_dir / "entities.tsv"),
+            dataset_path=str(dataset),
+            output_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(ConfigError, match="field 'category' must be a string or null"):
+            run(config)
+        assert not (tmp_path / "out").exists()
+
     def test_non_object_line_is_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('["e1", "q?", ["Q1"]]\n')
