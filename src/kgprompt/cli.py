@@ -10,16 +10,16 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigError, GraphLoadError, RemoteServiceError
-from .kg import link_entities, load_graph, neighborhood
+from .kg import load_graph
 from .pipeline import (
     aggregate_records,
     load_config,
     read_records,
     rescore_record,
+    retrieve_facts,
     run,
     strategy_for,
 )
-from .retrieve import rank_candidates, top_k
 
 # Record flags that mark an example as failed for --max-failure-rate.
 FAILURE_FLAGS = frozenset({"example_failed", "generation_failed"})
@@ -176,20 +176,18 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    strategy = strategy_for(config, config.seed)
+    strategy_for(config, config.seed)  # a method without a strategy fails before the load
     graph = load_graph(config.triples_path, config.entities_path, config.relations_path)
-    seeds = sorted(link_entities(graph, args.question))
-    candidates = neighborhood(graph, seeds, config.hops)
-    ranked = top_k(rank_candidates(strategy, args.question, candidates, graph), args.k)
+    step = retrieve_facts(config, graph, args.question, None, config.seed)
     print(
         json.dumps(
             {
                 "question": args.question,
-                "linked_entities": seeds,
-                "candidates": len(candidates),
+                "linked_entities": list(step.entities),
+                "candidates": len(step.candidates),
                 "results": [
                     {"rank": scored.rank, "score": scored.score, "text": scored.verbalized}
-                    for scored in ranked
+                    for scored in step.top
                 ],
             },
             ensure_ascii=False,

@@ -11,8 +11,10 @@ entities TSV  ``entity_id <TAB> canonical_name <TAB> alias1|alias2|...``
 relations TSV ``relation_id <TAB> relation_name``; optional, picked up as
               ``relations.tsv`` next to the entities file when not given.
 
-``Triple``, ``EntityRef`` and ``Literal`` are named tuples, so hashing and
-comparing them runs in C; tell object kinds apart with ``isinstance``.
+``Triple``, ``EntityRef``, ``Literal``, ``Entity`` and ``Relation`` are named
+tuples, so building, hashing and comparing them runs in C (and each compares
+equal to the plain tuple of its fields); tell object kinds apart with
+``isinstance``.
 
 Storage
 -------
@@ -25,9 +27,13 @@ term, compared by value, has a code into ``terms``; ``term_entities`` gives
 its entity code, or -1 for a literal. The int32 columns ``subjects``,
 ``predicates`` and ``objects`` hold one row per distinct triple in
 ingestion order, and the CSR pair ``offsets``/``incident`` lists each
-entity's incident rows in ascending order. ``neighborhood`` makes
-``Triple``s only for its result; ``graph.triples`` and ``graph.adjacency``
-are derived views built on first access.
+entity's incident rows in ascending order. ``neighborhood`` returns a
+``Neighborhood``, a ``RowView`` sequence over rows that makes a ``Triple``
+only when an element is read; ``part_texts`` holds the text of every part by
+code (from ``entity_text`` and ``literal_text``, as ``verbalize`` renders
+them), so ranking reads a row's texts without any ``Triple``.
+``graph.triples`` and ``graph.adjacency`` are derived views built on first
+access.
 
 Loading parses each distinct object token once and interns ids: every
 subject, relation and entity-valued object of a triple the graph returns is
@@ -41,7 +47,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -56,8 +62,7 @@ RelationId = str
 LITERAL_DATATYPES = ("plain", "time", "quantity")
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     """A graph node: opaque id, optional canonical name, alternative names."""
 
     id: EntityId
@@ -65,8 +70,7 @@ class Entity:
     aliases: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     id: RelationId
     name: str
 
@@ -98,6 +102,31 @@ class Triple(NamedTuple):
         return obj.entity_id if isinstance(obj, EntityRef) else None
 
 
+def entity_text(entity: Entity) -> str:
+    """An entity's text: its canonical name, or its raw id when it is unnamed."""
+    return entity.id if entity.name is None else entity.name
+
+
+def literal_text(literal: Literal) -> str:
+    """A literal's object text: the value, after ``time: `` or ``quantity: ``."""
+    if literal.datatype == "plain":
+        return literal.value
+    return f"{literal.datatype}: {literal.value}"
+
+
+class PartTexts(NamedTuple):
+    """The text of each triple part by code, as object arrays.
+
+    ``entities`` holds each entity's ``entity_text``, ``relations`` each
+    relation's name, and ``terms`` each object term's text: its entity's
+    text, or its ``literal_text``.
+    """
+
+    entities: np.ndarray
+    relations: np.ndarray
+    terms: np.ndarray
+
+
 @dataclass(frozen=True)
 class SurfaceIndex:
     """Normalized surface forms of a graph's entity names and aliases.
@@ -124,12 +153,12 @@ class KnowledgeGraph:
     ``load_graph``.
 
     ``triples`` (a ``Triple`` per row), ``adjacency`` (entity id to its
-    incident rows, for entities that have any), ``surface_index`` and
-    ``relation_counts`` are derived views, each built once on first access;
-    the pipeline reads only the last two. They assume the graph is not
-    mutated after it is built, and changing a view does not change the
-    graph. Two graphs are equal when their entities, relations and triples
-    are.
+    incident rows, for entities that have any), ``part_texts``,
+    ``surface_index`` and ``relation_counts`` are derived views, each built
+    once on first access; the pipeline reads only the last three. They
+    assume the graph is not mutated after it is built, and changing a view
+    does not change the graph. Two graphs are equal when their entities,
+    relations and triples are.
     """
 
     entities: dict[EntityId, Entity]
@@ -151,15 +180,31 @@ class KnowledgeGraph:
         return (
             self.entities == other.entities
             and self.relations == other.relations
-            and self._triples_at(slice(None)) == other._triples_at(slice(None))
+            and self.triples_at(slice(None)) == other.triples_at(slice(None))
         )
 
-    def _triples_at(self, rows) -> list[Triple]:
+    def triples_at(self, rows) -> list[Triple]:
         """The triples of ``rows`` (an index array or a slice), in that order."""
         subjects = self.entity_ids[self.subjects[rows]].tolist()
         relations = self.relation_ids[self.predicates[rows]].tolist()
         objects = self.terms[self.objects[rows]].tolist()
         return list(map(Triple._make, zip(subjects, relations, objects)))
+
+    def rows(self, triples: Sequence[Triple]) -> np.ndarray:
+        """The row of each of ``triples`` in turn; KeyError for one not in the graph.
+
+        A ``Neighborhood`` of this graph gives its rows as they are; any
+        other sequence is looked up in a triple-to-row index, built (with
+        ``triples``) on first use.
+        """
+        if isinstance(triples, Neighborhood) and triples.graph is self:
+            return triples.rows
+        index = self._row_index
+        return np.array([index[triple] for triple in triples], dtype=np.int64)
+
+    @cached_property
+    def _row_index(self) -> dict[Triple, int]:
+        return {triple: row for row, triple in enumerate(self.triples)}
 
     def entity_name(self, entity_id: EntityId) -> str | None:
         entity = self.entities.get(entity_id)
@@ -167,7 +212,7 @@ class KnowledgeGraph:
 
     @cached_property
     def triples(self) -> list[Triple]:
-        return self._triples_at(slice(None))
+        return self.triples_at(slice(None))
 
     @cached_property
     def adjacency(self) -> dict[EntityId, list[int]]:
@@ -177,6 +222,16 @@ class KnowledgeGraph:
             for code, entity_id in enumerate(self.entity_ids)
             if offsets[code] < offsets[code + 1]
         }
+
+    @cached_property
+    def part_texts(self) -> PartTexts:
+        entities = _objects([entity_text(entity) for entity in self.entities.values()])
+        relations = _objects([self.relations[relation_id].name for relation_id in self.relation_ids])
+        # A literal's entity code -1 picks a placeholder, replaced below.
+        terms = entities[self.term_entities]
+        literals = np.flatnonzero(self.term_entities < 0)
+        terms[literals] = _objects([literal_text(term) for term in self.terms[literals].tolist()])
+        return PartTexts(entities, relations, terms)
 
     @cached_property
     def surface_index(self) -> SurfaceIndex:
@@ -204,6 +259,55 @@ class KnowledgeGraph:
         return Counter(
             {relation_id: count for relation_id, count in zip(self.relation_ids, counts) if count}
         )
+
+
+class RowView(Sequence):
+    """A sequence over ``graph``'s ``rows`` whose elements are made only when read.
+
+    Reading a slice makes its elements at once (a subclass's ``_read``);
+    iterating reads them all. A view equals any list, tuple or view of its
+    own kind holding equal elements in the same order.
+    """
+
+    __slots__ = ("graph", "rows")
+
+    def __init__(self, graph: KnowledgeGraph, rows: np.ndarray):
+        self.graph = graph
+        self.rows = rows
+
+    def _read(self, index: slice) -> list:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._read(index)
+        index = range(len(self))[index]  # IndexError past either end
+        return self._read(slice(index, index + 1))[0]
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, type(self))):
+            return NotImplemented
+        return self[:] == list(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self[:]!r})"
+
+
+class Neighborhood(RowView):
+    """The ``Triple`` of each of ``graph``'s ``rows``, made only when read."""
+
+    __slots__ = ()
+
+    def _read(self, index: slice) -> list[Triple]:
+        return self.graph.triples_at(self.rows[index])
 
 
 def _objects(items: list) -> np.ndarray:
@@ -512,13 +616,14 @@ def _incident_rows(graph: KnowledgeGraph, codes: np.ndarray) -> np.ndarray:
 
 def neighborhood(
     graph: KnowledgeGraph, seeds: Iterable[EntityId], hops: int = 1
-) -> list[Triple]:
+) -> Neighborhood:
     """Triples within ``hops`` of any seed entity, in ingestion order.
 
     1 hop collects every triple incident to a seed (subject or object side);
     2 hops additionally collects triples incident to any entity appearing in
     the 1-hop set. Literal objects have no adjacency and are never expanded.
-    Seeds missing from the graph are logged and skipped.
+    Seeds missing from the graph are logged and skipped. The result is a
+    view over the graph's rows that makes ``Triple``s only when read.
     """
     if hops not in (1, 2):
         raise ValueError(f"hops must be 1 or 2, got {hops}")
@@ -537,7 +642,7 @@ def neighborhood(
         object_entities = graph.term_entities[graph.objects[rows]]
         frontier = np.concatenate((graph.subjects[rows], object_entities[object_entities >= 0]))
         rows = _incident_rows(graph, _distinct(frontier))
-    return graph._triples_at(_distinct(rows))
+    return Neighborhood(graph, _distinct(rows))
 
 
 def relation_frequency(graph: KnowledgeGraph) -> dict[RelationId, int]:

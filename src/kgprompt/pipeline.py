@@ -2,10 +2,12 @@
 
 Five methods share one flow. ``no_knowledge`` renders the bare question.
 The triple methods (``kaping``, ``random_knowledge``, ``popular_knowledge``)
-collect the hop-bounded neighborhood of the question entities, rank it with
-their strategy, keep the top k, and render the knowledge prompt; retrieval
-metrics come from the full ranking. ``generated_knowledge`` first asks the
-provider itself for facts, then answers with those lines injected.
+run one retrieval step (``retrieve_facts``, shared with ``kgprompt
+retrieve``): collect the hop-bounded neighborhood of the question entities,
+rank it with their strategy and keep the top k. They then render the
+knowledge prompt; retrieval metrics come from the full ranking.
+``generated_knowledge`` first asks the provider itself for facts, then
+answers with those lines injected.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, RemoteServiceError
 from .embed import EmbedderConfig, remote_embedder
-from .kg import KnowledgeGraph, link_entities, load_graph, neighborhood
+from .kg import EntityId, KnowledgeGraph, Triple, link_entities, load_graph, neighborhood
 from .llm import CompletionClient, CompletionRequest, ProviderConfig, RemoteClient, build_client
 from .metrics import (
     AnswerEntity,
@@ -237,6 +239,35 @@ def strategy_for(config: RunConfig, seed: int):
     raise ConfigError(f"method {config.method!r} has no retrieval strategy")
 
 
+class Retrieval(NamedTuple):
+    """What one retrieval step found for a question."""
+
+    entities: tuple[EntityId, ...]
+    candidates: Sequence[Triple]
+    ranked: Sequence[ScoredTriple]
+    top: list[ScoredTriple]
+
+
+def retrieve_facts(
+    config: RunConfig,
+    graph: KnowledgeGraph,
+    question: str,
+    entities: Sequence[EntityId] | None,
+    seed: int,
+) -> Retrieval:
+    """The retrieval step that ``run`` and ``kgprompt retrieve`` share.
+
+    Links the question when ``entities`` is None, collects the
+    ``config.hops`` neighborhood, ranks it with ``strategy_for(config,
+    seed)`` and keeps the top ``config.k``; only those facts are verbalized.
+    """
+    if entities is None:
+        entities = sorted(link_entities(graph, question))
+    candidates = neighborhood(graph, entities, config.hops)
+    ranked = rank_candidates(strategy_for(config, seed), question, candidates, graph)
+    return Retrieval(tuple(entities), candidates, ranked, top_k(ranked, config.k))
+
+
 def _record(
     config: RunConfig,
     example: QaExample,
@@ -296,19 +327,14 @@ def run_example(
     truncated = False
     generation: str | None = None
 
-    if example.question_entities is not None:
-        question_entities = example.question_entities
-    else:
-        question_entities = tuple(sorted(link_entities(graph, example.question)))
-
     if config.method in TRIPLE_METHODS:
-        candidates = neighborhood(graph, question_entities, config.hops)
-        strategy = strategy_for(config, derive_seed(config.seed, example.id))
-        ranked = rank_candidates(strategy, example.question, candidates, graph)
-        retrieval = score_retrieval(answer_bearing(ranked, set(example.answer_entities)))
-        if not candidates:
+        step = retrieve_facts(
+            config, graph, example.question, example.question_entities, derive_seed(config.seed, example.id)
+        )
+        retrieval = score_retrieval(answer_bearing(step.ranked, set(example.answer_entities)))
+        if not step.candidates:
             flags.append("empty_candidates")
-        rendered = render_prompt(spec, top_k(ranked, config.k), example.question)
+        rendered = render_prompt(spec, step.top, example.question)
         prompt_text, included, truncated = rendered.text, rendered.included_triples, rendered.truncated
     elif config.method == "generated_knowledge":
         elicitation = config.generated_knowledge_template.replace("{question}", example.question)

@@ -3,20 +3,22 @@
 Three strategies: cosine similarity between question and verbalized triple
 embeddings, seeded random ordering, and relation popularity. All of them
 break ties by the candidate's position in the input list, so rankings (and
-therefore prompts) are bit-reproducible.
+therefore prompts) are bit-reproducible. Candidates are ranked as rows of
+the graph's columnar store; only the facts a caller reads from the ranking
+(normally the top k) are verbalized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .embed import EmbedderConfig, embed_batch, hashed_bow_sparse, part_buckets
-from .kg import EntityId, KnowledgeGraph, Triple, relation_frequency
-from .verbalize import VerbalizedTriple, verbalize
+from .kg import EntityId, KnowledgeGraph, RowView, Triple, relation_frequency
+from .verbalize import joined, verbalize
 
 
 class ScoredTriple(NamedTuple):
@@ -66,7 +68,10 @@ def _cosine(question: SparseVector, candidate: SparseVector) -> float:
     return math.fsum(value * candidate[bucket] for bucket, value in question.items() if bucket in candidate)
 
 
-def _hashed_scores(dimension: int, question: str, verbalized: list[VerbalizedTriple]) -> list[float]:
+Parts = tuple[str, str, str]
+
+
+def _hashed_scores(dimension: int, question: str, parts: Iterable[Parts]) -> list[float]:
     # A candidate's bucket counts are the sums of its parts' counts (see
     # ``verbalize``), so a part text is tokenized only when it is not in the
     # ``part_buckets`` cache, and ``count / norm`` is the value
@@ -76,7 +81,7 @@ def _hashed_scores(dimension: int, question: str, verbalized: list[VerbalizedTri
     # no bucket scores the 0.0 that fsum gives an empty sum.
     question_vector = hashed_bow_sparse(question, dimension)
     scores = []
-    for _, subject, relation, object_text in verbalized:
+    for subject, relation, object_text in parts:
         buckets = part_buckets(subject, dimension) + part_buckets(relation, dimension)
         buckets += part_buckets(object_text, dimension)
         distinct = set(buckets)
@@ -93,14 +98,50 @@ def _hashed_scores(dimension: int, question: str, verbalized: list[VerbalizedTri
     return scores
 
 
-def _similarity_scores(
-    config: EmbedderConfig, question: str, verbalized: list[VerbalizedTriple]
-) -> list[float]:
+def _similarity_scores(config: EmbedderConfig, question: str, parts: Iterable[Parts]) -> list[float]:
+    """The cosine of each candidate, given as its (subject, relation, object) part texts."""
     if config.kind == "hashed_bow":
-        return _hashed_scores(config.dimension, question, verbalized)
-    dense = embed_batch(config, [question] + [triple.text for triple in verbalized])
+        return _hashed_scores(config.dimension, question, parts)
+    dense = embed_batch(config, [question] + [joined(*candidate) for candidate in parts])
     question_vector = _nonzero(dense[0])
     return [_cosine(question_vector, _nonzero(vector)) for vector in dense[1:]]
+
+
+class Ranking(RowView):
+    """A ranking of graph rows that makes its ``ScoredTriple``s only when read.
+
+    ``rows`` and ``scores`` are in rank order. Reading a slice gathers its
+    rows' ``Triple``s at once and verbalizes only those.
+    """
+
+    __slots__ = ("scores",)
+
+    def __init__(self, graph: KnowledgeGraph, rows: np.ndarray, scores: np.ndarray):
+        super().__init__(graph, rows)
+        self.scores = scores
+
+    def _read(self, index: slice) -> list[ScoredTriple]:
+        triples = self.graph.triples_at(self.rows[index])
+        ranks = range(1, len(self) + 1)[index]
+        return [
+            ScoredTriple(triple, verbalize(triple, self.graph).text, score, rank)
+            for triple, score, rank in zip(triples, self.scores[index].tolist(), ranks)
+        ]
+
+    def first_hit(self, answers: set[EntityId]) -> int | None:
+        """Rank of the first row whose subject or entity object is an answer."""
+        graph = self.graph
+        subjects = graph.subjects[self.rows]
+        # A literal's entity code is -1, which no answer has.
+        objects = graph.term_entities[graph.objects[self.rows]]
+        hits = np.zeros(len(self.rows), dtype=bool)
+        for answer in answers:
+            code = graph.entity_codes.get(answer)
+            if code is not None:
+                hits |= subjects == code
+                hits |= objects == code
+        first = np.flatnonzero(hits)
+        return int(first[0]) + 1 if first.size else None
 
 
 def rank_candidates(
@@ -108,40 +149,52 @@ def rank_candidates(
     question: str,
     candidates: Sequence[Triple],
     graph: KnowledgeGraph,
-) -> list[ScoredTriple]:
+) -> Ranking:
     """Score and sort candidates descending; ties keep input order.
 
-    Returns the full ranking with 1-based ranks and non-increasing scores.
-    Each candidate is verbalized once. The hashed embedder counts its
-    buckets from the cached token buckets of its three part texts
-    (``embed.part_buckets``); the counts add up to those of the joined text
-    (see ``verbalize``), so scores equal the cosine of ``hashed_bow_sparse``
+    ``candidates`` are triples of ``graph``, best a ``Neighborhood`` of it,
+    whose rows are read as they are (see ``KnowledgeGraph.rows``). Returns
+    the full ranking with 1-based ranks and non-increasing scores, as a
+    ``Ranking`` that verbalizes a candidate only when it is read. Scoring
+    reads each candidate's part texts from ``graph.part_texts`` by code and
+    builds no ``Triple`` or text: the hashed embedder counts its buckets
+    from the cached token buckets of the three parts
+    (``embed.part_buckets``), which add up to those of the joined text (see
+    ``verbalize``), so scores equal the cosine of ``hashed_bow_sparse``
     vectors of the question and ``.verbalized`` bit for bit. A remote
-    embedder embeds the joined texts in one batch.
+    embedder embeds the joined texts in one batch; ``Popular`` scores each
+    relation code by its count in the whole graph.
     """
-    verbalized = [verbalize(triple, graph) for triple in candidates]
+    rows = graph.rows(candidates)
     if isinstance(strategy, Similarity):
-        scores = _similarity_scores(strategy.embedder, question, verbalized)
+        texts = graph.part_texts
+        parts = zip(
+            texts.entities[graph.subjects[rows]].tolist(),
+            texts.relations[graph.predicates[rows]].tolist(),
+            texts.terms[graph.objects[rows]].tolist(),
+        )
+        scores = np.array(_similarity_scores(strategy.embedder, question, parts), dtype=np.float64)
     elif isinstance(strategy, Random):
         rng = np.random.default_rng(strategy.seed & 0xFFFFFFFFFFFFFFFF)
-        scores = rng.random(len(candidates)).tolist()
+        scores = rng.random(len(rows))
     elif isinstance(strategy, Popular):
         frequency = relation_frequency(graph)
-        scores = [float(frequency.get(triple.relation, 0)) for triple in candidates]
+        by_relation = [frequency.get(relation_id, 0) for relation_id in graph.relation_ids]
+        scores = np.array(by_relation, dtype=np.float64)[graph.predicates[rows]]
     else:
         raise TypeError(f"unknown retrieval strategy: {strategy!r}")
 
-    # No score is NaN, and sorted stays stable with reverse=True, so equal
-    # scores keep input order.
-    order = sorted(range(len(candidates)), key=scores.__getitem__, reverse=True)
-    return [
-        ScoredTriple(candidates[index], verbalized[index].text, scores[index], rank)
-        for rank, index in enumerate(order, start=1)
-    ]
+    # No score is NaN, and a stable sort of the negated scores keeps equal
+    # scores in input order.
+    order = np.argsort(-scores, kind="stable")
+    return Ranking(graph, rows[order], scores[order])
 
 
 def top_k(ranked: Sequence[ScoredTriple], k: int) -> list[ScoredTriple]:
-    """First ``min(k, n)`` elements of a ranking, ranks preserved."""
+    """First ``min(k, n)`` elements of a ranking, ranks preserved.
+
+    A ``Ranking`` gathers those rows at once and verbalizes only them.
+    """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     return list(ranked[:k])
@@ -150,7 +203,12 @@ def top_k(ranked: Sequence[ScoredTriple], k: int) -> list[ScoredTriple]:
 def answer_bearing(
     ranked: Sequence[ScoredTriple], answers: set[EntityId]
 ) -> int | None:
-    """Rank of the first triple whose subject or entity-object is an answer."""
+    """Rank of the first triple whose subject or entity-object is an answer.
+
+    A ``Ranking`` finds it from entity codes, without text or ``Triple``s.
+    """
+    if isinstance(ranked, Ranking):
+        return ranked.first_hit(answers)
     for scored in ranked:
         if scored.triple.subject in answers:
             return scored.rank

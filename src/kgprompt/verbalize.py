@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from typing import NamedTuple
 
-from .kg import EntityRef, KnowledgeGraph, Triple
+from .kg import EntityRef, KnowledgeGraph, Triple, entity_text, literal_text
 
 logger = logging.getLogger(__name__)
 
@@ -19,20 +19,26 @@ class VerbalizedTriple(NamedTuple):
     object: str
 
 
+def joined(subject: str, relation: str, object_text: str) -> str:
+    """The text of a triple from its three part texts."""
+    return f"({subject}, {relation}, {object_text})"
+
+
 def _entity_text(graph: KnowledgeGraph, entity_id: str) -> str:
-    name = graph.entities[entity_id].name
-    if name is None:
+    entity = graph.entities[entity_id]
+    if entity.name is None:
         logger.warning("entity %s has no name; rendering raw id", entity_id)
-        return entity_id
-    return name
+    return entity_text(entity)
 
 
 def verbalize(triple: Triple, graph: KnowledgeGraph) -> VerbalizedTriple:
     """Render a triple as ``(<subject>, <relation>, <object>)``.
 
-    Entity references render their canonical name (raw id when unnamed);
-    plain literals render their value as-is; time and quantity literals get
-    a ``time: `` / ``quantity: `` prefix inside the object part. ``subject``,
+    The part texts are those of ``graph.part_texts``, made by the same
+    ``kg.entity_text`` and ``kg.literal_text``: entity references render
+    their canonical name (raw id when unnamed, with a warning); plain
+    literals render their value as-is; time and quantity literals get a
+    ``time: `` / ``quantity: `` prefix inside the object part. ``subject``,
     ``relation`` and ``object`` hold the three part texts. The joiners
     ``(``, ``, `` and ``)`` are token separators that are neither cased nor
     case-ignorable, so the tokens of ``text`` are the tokens of each part in
@@ -43,10 +49,5 @@ def verbalize(triple: Triple, graph: KnowledgeGraph) -> VerbalizedTriple:
     subject = _entity_text(graph, triple.subject)
     relation = graph.relations[triple.relation].name
     obj = triple.object
-    if isinstance(obj, EntityRef):
-        object_text = _entity_text(graph, obj.entity_id)
-    elif obj.datatype == "plain":
-        object_text = obj.value
-    else:
-        object_text = f"{obj.datatype}: {obj.value}"
-    return VerbalizedTriple(f"({subject}, {relation}, {object_text})", subject, relation, object_text)
+    object_text = _entity_text(graph, obj.entity_id) if isinstance(obj, EntityRef) else literal_text(obj)
+    return VerbalizedTriple(joined(subject, relation, object_text), subject, relation, object_text)

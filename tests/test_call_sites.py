@@ -8,6 +8,7 @@ break a traced benchmark run; this test makes it fail here instead.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -33,3 +34,29 @@ def test_every_call_site_resolves_to_a_callable(monkeypatch):
         if class_name:
             owner = getattr(owner, class_name)
         assert callable(getattr(owner, attribute, None)), f"{target}.{attribute} is not callable"
+
+
+def test_traced_toy_run_reports_the_retrieval_layers(monkeypatch, toy_dir, tmp_path):
+    # The span summaries read the neighborhood's length and render_prompt's
+    # ``ranked_triples``; a change of return type or parameter name would
+    # only show in a traced benchmark run.
+    spans = load_spans(monkeypatch)
+    for target, attribute, *_ in spans.CALL_SITES:
+        module_name, _, class_name = target.partition(":")
+        owner = importlib.import_module(module_name)
+        if class_name:
+            owner = getattr(owner, class_name)
+        # Undoing this setattr puts the unwrapped function back.
+        monkeypatch.setattr(owner, attribute, getattr(owner, attribute))
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+
+    from kgprompt import pipeline
+
+    config = pipeline.load_config(toy_dir / "config.json")
+    pipeline.run(dataclasses.replace(config, output_dir=str(tmp_path)))
+    metrics = spans.layer_metrics(tracer.spans, {}, {})
+    assert metrics["kg.neighborhood.candidates_mean"] > 0
+    assert 0 < metrics["verbalize.calls_per_candidate"] <= 1
+    renders = [span for span in tracer.spans if span.name == "prompts.render_prompt"]
+    assert renders and all("offered" in span.attrs for span in renders)

@@ -139,6 +139,16 @@ class TestGraphValueTypes:
             with pytest.raises(AttributeError):
                 value.extra = 1
 
+    def test_entity_and_relation_are_named_tuples(self):
+        entity = Entity("Q1", "Alpha", ("A.",))
+        assert entity == ("Q1", "Alpha", ("A.",))
+        assert Entity("Q2") == ("Q2", None, ())
+        assert Relation("P1", "knows") == ("P1", "knows")
+        assert hash(entity) == hash(Entity("Q1", "Alpha", ("A.",)))
+        for value, field in ((entity, "name"), (Relation("P1", "knows"), "name")):
+            with pytest.raises(AttributeError):
+                setattr(value, field, "changed")
+
     def test_literal_defaults_to_plain(self):
         assert Literal("x").datatype == "plain"
         assert Literal("x") == Literal("x", "plain")
@@ -796,6 +806,48 @@ class TestNoFullMaterialization:
         assert "adjacency" not in graph.__dict__
         # The check can see a view that was built.
         assert ("relation_counts" in graph.__dict__) == (method == "popular_knowledge")
+
+
+class TestNeighborhoodView:
+    def test_reads_like_the_list_of_its_triples(self, alex_graph):
+        view = neighborhood(alex_graph, {"Q304461"}, 1)
+        expected = list(view)
+        assert len(view) == len(expected) == 4
+        assert view == expected and expected == view and view == tuple(expected)
+        assert view != expected[:-1]
+        assert [view[i] for i in range(4)] == expected
+        assert view[-1] == expected[-1] and view[1:3] == expected[1:3]
+        assert list(reversed(view)) == expected[::-1]
+        assert expected[2] in view and view.index(expected[2]) == 2
+        with pytest.raises(IndexError):
+            view[4]
+
+    def test_builds_no_triples_view_and_reads_part_texts(self):
+        graph = build_graph(
+            [Entity("Q1", "Alpha"), Entity("Q2")],
+            [Relation("P1", "born")],
+            [
+                Triple("Q1", "P1", EntityRef("Q2")),
+                Triple("Q2", "P9", Literal("1999", "time")),
+                Triple("Q2", "P1", Literal("7", "quantity")),
+                Triple("Q1", "P1", Literal("x")),
+            ],
+        )
+        view = neighborhood(graph, {"Q2"}, 1)
+        assert list(view.rows) == [0, 1, 2]
+        assert "triples" not in graph.__dict__
+        texts = graph.part_texts
+        assert list(texts.entities) == ["Alpha", "Q2"]
+        assert list(texts.relations) == ["born", "P9"]
+        assert list(texts.terms[graph.objects]) == ["Q2", "time: 1999", "quantity: 7", "x"]
+        assert [verbalize(triple, graph).text for triple in view] == [
+            "(Alpha, born, Q2)",
+            "(Q2, P9, time: 1999)",
+            "(Q2, born, quantity: 7)",
+        ]
+        assert "triples" not in graph.__dict__
+        assert list(graph.rows(graph.triples[::-1])) == [3, 2, 1, 0]
+        assert graph.rows(view) is view.rows
 
 
 class TestNeighborhoodConcurrency:

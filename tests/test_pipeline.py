@@ -1,13 +1,14 @@
 import dataclasses
 import json
 import logging
+import threading
 
 import pytest
 
-from kgprompt import pipeline
+from kgprompt import pipeline, retrieve
 from kgprompt.embed import EmbedderConfig, remote_embedder
 from kgprompt.errors import ConfigError
-from kgprompt.kg import Entity, build_graph, load_graph
+from kgprompt.kg import Entity, EntityRef, Relation, Triple, build_graph, load_graph, neighborhood
 from kgprompt.llm import ProviderConfig, RemoteClient, build_client
 from kgprompt.pipeline import (
     QaExample,
@@ -20,6 +21,8 @@ from kgprompt.pipeline import (
     run,
     run_example,
 )
+from kgprompt.retrieve import Random, rank_candidates
+from kgprompt.verbalize import verbalize
 
 ALEX_QUESTION = "Where did Alex Chilton die?"
 ALEX_RESPONSE = (
@@ -474,3 +477,82 @@ class TestRun:
         config = self.alex_run_config(alex_dir, tmp_path / "out", dataset_path=str(dataset))
         result = run(config)
         assert result["report"]["overall"]["count"] == 1
+
+
+class TestRetrievalWorkBound:
+    def test_kaping_verbalizes_at_most_k_facts_per_example(self, toy_dir, tmp_path, monkeypatch):
+        loaded = []
+        calls = threading.local()
+        per_example = []
+        candidates = []
+
+        def load_and_keep(*paths):
+            loaded.append(load_graph(*paths))
+            return loaded[-1]
+
+        def counting_verbalize(triple, graph):
+            calls.count += 1
+            return verbalize(triple, graph)
+
+        def counting_run_example(*args, **kwargs):
+            calls.count = 0
+            record = run_example(*args, **kwargs)
+            per_example.append(calls.count)
+            return record
+
+        def sized_neighborhood(*args, **kwargs):
+            result = neighborhood(*args, **kwargs)
+            candidates.append(len(result))
+            return result
+
+        monkeypatch.setattr(pipeline, "load_graph", load_and_keep)
+        monkeypatch.setattr(pipeline, "run_example", counting_run_example)
+        monkeypatch.setattr(pipeline, "neighborhood", sized_neighborhood)
+        monkeypatch.setattr(retrieve, "verbalize", counting_verbalize)
+        config = dataclasses.replace(load_config(toy_dir / "config.json"), output_dir=str(tmp_path))
+        result = run(config)
+        assert len(per_example) == len(result["records"]) == 25
+        # Every example has more candidates than k, so the bound is the point.
+        assert min(candidates) > config.k
+        assert max(per_example) <= config.k
+        assert all(len(record["included_triples"]) <= config.k for record in result["records"])
+        [graph] = loaded
+        assert "triples" not in graph.__dict__
+
+    def test_unnamed_entity_warns_only_when_its_fact_is_verbalized(self, caplog):
+        graph = build_graph(
+            [Entity("Q1", "Alex Chilton"), Entity("Q2", "New Orleans"), Entity("Q9")],
+            [Relation("P20", "place of death"), Relation("P1", "sibling")],
+            [Triple("Q1", "P20", EntityRef("Q2")), Triple("Q1", "P1", EntityRef("Q9"))],
+        )
+        config = RunConfig(k=1)
+        with caplog.at_level(logging.WARNING, logger="kgprompt.verbalize"):
+            step = pipeline.retrieve_facts(config, graph, "Alex Chilton place of death", ("Q1",), 0)
+        assert [scored.verbalized for scored in step.top] == ["(Alex Chilton, place of death, New Orleans)"]
+        assert len(step.candidates) == 2
+        assert not caplog.records
+        with caplog.at_level(logging.WARNING, logger="kgprompt.verbalize"):
+            assert step.ranked[1].verbalized == "(Alex Chilton, sibling, Q9)"
+        assert [record.getMessage() for record in caplog.records] == ["entity Q9 has no name; rendering raw id"]
+
+
+class TestRetrieveFacts:
+    def test_links_when_no_entities_are_given(self, alex_graph):
+        config = base_config(k=2)
+        step = pipeline.retrieve_facts(config, alex_graph, ALEX_QUESTION, None, 0)
+        assert step.entities == ("Q304461",)
+        assert len(step.candidates) == 4
+        assert [scored.rank for scored in step.top] == [1, 2]
+        assert step.top == list(step.ranked)[:2]
+        assert step.top[0].verbalized == "(Alex Chilton, place of death, New Orleans)"
+
+    def test_gold_entities_and_seed(self, alex_graph):
+        config = base_config(method="random_knowledge", k=3)
+        step = pipeline.retrieve_facts(config, alex_graph, "unrelated words", ("Q304461",), 5)
+        assert step.entities == ("Q304461",)
+        expected = rank_candidates(Random(5), "unrelated words", neighborhood(alex_graph, ["Q304461"], 1), alex_graph)
+        assert step.top == list(expected)[:3]
+
+    def test_method_without_strategy_is_rejected(self, alex_graph):
+        with pytest.raises(ConfigError, match="no retrieval strategy"):
+            pipeline.retrieve_facts(base_config(method="no_knowledge"), alex_graph, ALEX_QUESTION, None, 0)

@@ -7,7 +7,7 @@ from oracles import oracle_cosine, oracle_rank, oracle_vector
 
 from kgprompt import embed, retrieve
 from kgprompt.embed import EmbedderConfig
-from kgprompt.kg import Entity, EntityRef, Literal, Relation, Triple, build_graph
+from kgprompt.kg import Entity, EntityRef, Literal, Relation, Triple, build_graph, neighborhood, relation_frequency
 from kgprompt.retrieve import (
     Popular,
     Random,
@@ -17,7 +17,7 @@ from kgprompt.retrieve import (
     rank_candidates,
     top_k,
 )
-from kgprompt.verbalize import VerbalizedTriple, verbalize
+from kgprompt.verbalize import verbalize
 
 # ---------------------------------------------------------------------------
 # Random fixture graphs
@@ -105,8 +105,8 @@ def random_text(rng: random.Random) -> str:
     return rng.choice([" ", ", ", "-"]).join(words)
 
 
-def verbalized_of(parts: tuple[str, str, str]) -> VerbalizedTriple:
-    return VerbalizedTriple("({}, {}, {})".format(*parts), *parts)
+def joined_text(parts: tuple[str, str, str]) -> str:
+    return "({}, {}, {})".format(*parts)
 
 
 class TestSparseCosine:
@@ -117,12 +117,9 @@ class TestSparseCosine:
         config = EmbedderConfig(dimension=dimension)
         for _ in range(80):
             question = random_text(rng)
-            verbalized = [
-                verbalized_of((random_text(rng), random_text(rng), random_text(rng)))
-                for _ in range(rng.randint(0, 20))
-            ]
-            texts = [triple.text for triple in verbalized]
-            scores = retrieve._similarity_scores(config, question, verbalized)
+            parts = [(random_text(rng), random_text(rng), random_text(rng)) for _ in range(rng.randint(0, 20))]
+            texts = [joined_text(candidate) for candidate in parts]
+            scores = retrieve._similarity_scores(config, question, parts)
             question_vector = oracle_vector(question, dimension)
             expected = [oracle_cosine(question_vector, oracle_vector(text, dimension)) for text in texts]
             assert [score.hex() for score in scores] == [score.hex() for score in expected]
@@ -133,8 +130,7 @@ class TestSparseCosine:
         """Scores of vectors[1:] against vectors[0] as a remote embedder returns them."""
         monkeypatch.setattr(retrieve, "embed_batch", lambda config, texts: [np.array(v) for v in vectors])
         config = EmbedderConfig(kind="remote", dimension=len(vectors[0]), endpoint="http://unused/embed")
-        verbalized = [verbalized_of(("s", "r", "o"))] * (len(vectors) - 1)
-        return retrieve._similarity_scores(config, "q", verbalized)
+        return retrieve._similarity_scores(config, "q", [("s", "r", "o")] * (len(vectors) - 1))
 
     @pytest.mark.parametrize("dimension", [1, 2, 7, 256])
     def test_remote_vectors_score_as_dense_fsum(self, dimension, monkeypatch):
@@ -367,3 +363,166 @@ class TestAnswerBearing:
         graph = popularity_fixture()
         ranked = rank_candidates(Popular(), "q", graph.triples, graph)
         assert answer_bearing(ranked, {"Q0"}) == 1
+
+
+# ---------------------------------------------------------------------------
+# Ranking by row codes
+# ---------------------------------------------------------------------------
+
+SHARED_NAMES = ["Harbor", "harbor", "ΟΔΟΣ", "İstanbul", "(, )", "_", "42"]
+
+
+def code_path_graph(rng: random.Random):
+    """A graph with unnamed entities, shared names, time and quantity
+    literals, self-loops, tokenless parts and the adversarial pieces."""
+    names = lambda: rng.choice(SHARED_NAMES) if rng.random() < 0.3 else adversarial_text(rng)  # noqa: E731
+    entities = [
+        Entity(f"Q{i}", None if rng.random() < 0.2 else names(), tuple(names() for _ in range(rng.randint(0, 1))))
+        for i in range(rng.randint(1, 9))
+    ]
+    relations = [Relation(f"P{i}", names()) for i in range(rng.randint(1, 4))]
+    triples = []
+    for _ in range(rng.randint(0, 40)):
+        subject = rng.choice(entities).id
+        draw = rng.random()
+        if draw < 0.15:
+            obj = EntityRef(subject)  # a self-loop
+        elif draw < 0.45:
+            obj = Literal(names() or "0", rng.choice(("plain", "time", "quantity")))
+        else:
+            obj = EntityRef(rng.choice(entities).id)
+        triples.append(Triple(subject, rng.choice(relations).id, obj))
+    question = " ".join(names() for _ in range(rng.randint(1, 4)))
+    return build_graph(entities, relations, triples), question
+
+
+def neighborhoods(rng: random.Random, graph):
+    """A few neighborhoods of ``graph``, at 1 and 2 hops."""
+    ids = list(graph.entities)
+    for _ in range(3):
+        seeds = rng.sample(ids, rng.randint(1, min(3, len(ids))))
+        for hops in (1, 2):
+            yield seeds, neighborhood(graph, seeds, hops)
+
+
+def brute_answer_bearing(ranked, answers):
+    """The first rank whose subject or entity object is an answer, by a walk."""
+    for scored in ranked:
+        if scored.triple.subject in answers or scored.triple.object_entity_id() in answers - {None}:
+            return scored.rank
+    return None
+
+
+def reference_ranking(scores, candidates, graph):
+    """The ranking before scoring read row codes: one ``ScoredTriple`` per
+    candidate, sorted by score descending with ties in input order."""
+    order = sorted(range(len(candidates)), key=scores.__getitem__, reverse=True)
+    return [
+        ScoredTriple(candidates[index], verbalize(candidates[index], graph).text, scores[index], rank)
+        for rank, index in enumerate(order, start=1)
+    ]
+
+
+class TestRankingByCodes:
+    @pytest.mark.parametrize("dimension", [1, 7, 256])
+    def test_neighborhood_ranking_matches_oracle(self, dimension):
+        rng = random.Random(900 + dimension)
+        config = EmbedderConfig(dimension=dimension)
+        checked = 0
+        for _ in range(40):
+            graph, question = code_path_graph(rng)
+            for _, candidates in neighborhoods(rng, graph):
+                ranked = rank_candidates(Similarity(config), question, candidates, graph)
+                texts = [verbalize(triple, graph).text for triple in candidates]
+                question_vector = oracle_vector(question, dimension)
+                expected = [oracle_cosine(question_vector, oracle_vector(text, dimension)) for text in texts]
+                order = oracle_rank(question, texts, dimension)
+                materialized = list(ranked)
+                assert [scored.triple for scored in materialized] == [candidates[index] for index in order]
+                assert [scored.verbalized for scored in materialized] == [texts[index] for index in order]
+                assert [scored.score.hex() for scored in materialized] == [expected[index].hex() for index in order]
+                assert [scored.rank for scored in materialized] == list(range(1, len(texts) + 1))
+                # A plain list of the same triples is ranked the same way.
+                assert rank_candidates(Similarity(config), question, list(candidates), graph) == materialized
+                checked += len(texts)
+        assert checked > 500
+
+    def test_answer_bearing_matches_a_walk_over_the_ranking(self):
+        rng = random.Random(911)
+        for _ in range(60):
+            graph, question = code_path_graph(rng)
+            ids = list(graph.entities)
+            for _, candidates in neighborhoods(rng, graph):
+                for strategy in (Similarity(), Random(rng.randint(0, 99)), Popular()):
+                    ranked = rank_candidates(strategy, question, candidates, graph)
+                    materialized = list(ranked)
+                    for answers in ({rng.choice(ids)}, set(rng.sample(ids, min(2, len(ids)))), {"missing"}, set()):
+                        assert answer_bearing(ranked, answers) == brute_answer_bearing(materialized, answers)
+                        assert answer_bearing(materialized, answers) == brute_answer_bearing(materialized, answers)
+
+    def test_answer_bearing_sides(self):
+        entities = [Entity(f"Q{i}", f"node {i}") for i in range(5)] + [Entity("L", "loop")]
+        relations = [Relation("P1", "rare"), Relation("P2", "common")]
+        triples = [
+            Triple("Q0", "P1", EntityRef("Q1")),
+            Triple("Q2", "P2", EntityRef("Q3")),
+            Triple("L", "P2", EntityRef("L")),
+            Triple("Q4", "P2", Literal("1999", "time")),
+            Triple("Q2", "P2", EntityRef("Q0")),
+        ]
+        graph = build_graph(entities, relations, triples)
+        ranked = rank_candidates(Popular(), "q", neighborhood(graph, list(graph.entities), 1), graph)
+        assert [scored.triple for scored in ranked] == [triples[index] for index in (1, 2, 3, 4, 0)]
+        assert answer_bearing(ranked, {"Q2"}) == 1  # subject side
+        assert answer_bearing(ranked, {"Q3"}) == 1  # object side
+        assert answer_bearing(ranked, {"Q0"}) == 4  # object side before its subject row
+        assert answer_bearing(ranked, {"L"}) == 2  # a self-loop
+        assert answer_bearing(ranked, {"Q1", "Q4"}) == 3
+        assert answer_bearing(ranked, {"1999", "missing"}) is None  # a literal value is no entity
+
+    def test_remote_embedder_gets_the_verbalized_texts(self, monkeypatch):
+        sent = []
+
+        def fake_embed_batch(config, texts):
+            sent.append(list(texts))
+            return [np.ones(config.dimension) for _ in texts]
+
+        monkeypatch.setattr(retrieve, "embed_batch", fake_embed_batch)
+        config = EmbedderConfig(kind="remote", dimension=4, endpoint="http://unused/embed")
+        rng = random.Random(923)
+        for _ in range(30):
+            graph, question = code_path_graph(rng)
+            for _, candidates in neighborhoods(rng, graph):
+                sent.clear()
+                rank_candidates(Similarity(config), question, candidates, graph)
+                assert sent == [[question] + [verbalize(triple, graph).text for triple in candidates]]
+
+    def test_random_and_popular_rankings_are_unchanged(self):
+        rng = random.Random(931)
+        for _ in range(60):
+            graph, question = code_path_graph(rng)
+            frequency = relation_frequency(graph)
+            for _, candidates in neighborhoods(rng, graph):
+                seed = rng.getrandbits(64)
+                draws = np.random.default_rng(seed).random(len(candidates)).tolist()
+                popular = [float(frequency.get(triple.relation, 0)) for triple in candidates]
+                for strategy, scores in ((Random(seed), draws), (Popular(), popular)):
+                    expected = reference_ranking(scores, list(candidates), graph)
+                    assert rank_candidates(strategy, question, candidates, graph) == expected
+
+    def test_ranking_reads_like_a_list(self, alex_graph):
+        ranked = rank_candidates(Popular(), "q", neighborhood(alex_graph, {"Q304461"}, 1), alex_graph)
+        materialized = list(ranked)
+        assert len(ranked) == len(materialized) == 4
+        assert ranked[0] == materialized[0] and ranked[-1] == materialized[-1]
+        assert ranked[1:3] == materialized[1:3]
+        assert list(reversed(ranked)) == materialized[::-1]
+        assert ranked == materialized and ranked == tuple(materialized)
+        assert ranked != materialized[:-1]
+        with pytest.raises(IndexError):
+            ranked[4]
+        assert rank_candidates(Popular(), "q", [], alex_graph) == []
+
+    def test_candidates_must_be_triples_of_the_graph(self, alex_graph):
+        with pytest.raises(KeyError):
+            rank_candidates(Popular(), "q", [Triple("Q304461", "P20", Literal("nowhere"))], alex_graph)
