@@ -13,6 +13,7 @@ from .errors import ConfigError, GraphLoadError, RemoteServiceError
 from .kg import load_graph
 from .pipeline import (
     aggregate_records,
+    fact_entries,
     load_config,
     read_records,
     rescore_record,
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     retrieve_parser = commands.add_parser("retrieve", help="debug a single retrieval")
     retrieve_parser.add_argument("--config", required=True, help="JSON run configuration")
     retrieve_parser.add_argument("--question", required=True)
-    retrieve_parser.add_argument("--k", type=int, default=10)
+    retrieve_parser.add_argument("--k", type=int, help="number of facts to list (default: configured)")
     retrieve_parser.add_argument("--hops", type=int, choices=(1, 2))
     retrieve_parser.add_argument("--method", help="strategy to rank with (default: configured)")
     retrieve_parser.add_argument("--seed", type=int)
@@ -185,10 +186,7 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
                 "question": args.question,
                 "linked_entities": list(step.entities),
                 "candidates": len(step.candidates),
-                "results": [
-                    {"rank": scored.rank, "score": scored.score, "text": scored.verbalized}
-                    for scored in step.top
-                ],
+                "results": fact_entries(step.top),
             },
             ensure_ascii=False,
             indent=2,

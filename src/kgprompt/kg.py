@@ -35,9 +35,12 @@ them), so ranking reads a row's texts without any ``Triple``.
 ``graph.triples`` and ``graph.adjacency`` are derived views built on first
 access.
 
-Loading parses each distinct object token once and interns ids: every
-subject, relation and entity-valued object of a triple the graph returns is
-the very string object that keys ``graph.entities`` or ``graph.relations``.
+Ids and object terms are coded by one kind of table, ``_Codes``, in
+first-seen order. Loading parses each distinct object token once and interns
+ids as it parses; ``build_graph`` remakes a caller's entity reference around
+the interned id. So every subject, relation and entity-valued object of a
+triple the graph returns is the very string object that keys
+``graph.entities`` or ``graph.relations``.
 """
 
 from __future__ import annotations
@@ -316,57 +319,31 @@ def _objects(items: list) -> np.ndarray:
 
 
 class _Codes(dict):
-    """Maps a key to its code, numbered in first-seen order.
+    """Maps a key, compared by value, to its code, numbered in first-seen order.
 
     Looking up an unseen key gives it the next code. ``ids`` lists the
     stored key objects by code, so every use of an id shares the first
-    string seen for it.
+    string seen for it. Keys are ids or object terms.
     """
 
-    def __init__(self, keys: Iterable[str]):
-        self.ids: list[str] = list(dict.fromkeys(keys))
+    def __init__(self, keys: Iterable = ()):
+        self.ids: list = list(dict.fromkeys(keys))
         super().__init__(zip(self.ids, range(len(self.ids))))
 
-    def __missing__(self, key: str) -> int:
+    def __missing__(self, key) -> int:
         code = self[key] = len(self.ids)
         self.ids.append(key)
-        return code
-
-
-class _Terms(dict):
-    """Maps an object term, compared by value, to its code in first-seen order.
-
-    ``terms`` lists the terms by code, an entity reference remade around the
-    interned id unless it holds it already; ``entities`` lists each term's
-    entity code, or -1 for a literal.
-    """
-
-    def __init__(self, entity_codes: _Codes):
-        super().__init__()
-        self.entity_codes = entity_codes
-        self.terms: list[ObjectTerm] = []
-        self.entities: list[int] = []
-
-    def __missing__(self, term: ObjectTerm) -> int:
-        code = self[term] = len(self.terms)
-        if isinstance(term, EntityRef):
-            entity = self.entity_codes[term.entity_id]
-            interned = self.entity_codes.ids[entity]
-            if term.entity_id is not interned:
-                term = EntityRef(interned)
-        else:
-            entity = -1
-        self.terms.append(term)
-        self.entities.append(entity)
         return code
 
 
 class _Coder:
     """A graph's parts while it is built: ids and terms coded, one row per triple.
 
+    Entity ids, relation ids and object terms each have a ``_Codes`` table.
     ``build_graph`` and ``load_graph`` fill the three code lists, then call
-    ``assemble``. Unknown entity ids get codes past the declared ones, so
-    that ``assemble`` can name them.
+    ``assemble``, which derives each term's entity code in one pass over the
+    terms. Unknown entity ids get codes past the declared ones, so that
+    ``assemble`` can name them.
     """
 
     def __init__(self, entities: Iterable[Entity], relations: Iterable[Relation]):
@@ -374,7 +351,7 @@ class _Coder:
         self.relation_list = list(relations)
         self.entities = _Codes(entity.id for entity in self.entity_list)
         self.relations = _Codes(relation.id for relation in self.relation_list)
-        self.terms = _Terms(self.entities)
+        self.terms = _Codes()
         self.subjects: list[int] = []
         self.predicates: list[int] = []
         self.objects: list[int] = []
@@ -396,7 +373,18 @@ class _Coder:
         subjects = np.fromiter(self.subjects, np.int32, count)
         predicates = np.fromiter(self.predicates, np.int32, count)
         objects = np.fromiter(self.objects, np.int32, count)
-        term_entities = np.array(self.terms.entities, dtype=np.int32)
+        # Each term's entity code, or -1 for a literal, in one pass; a
+        # caller-made entity reference is remade around the interned id.
+        entity_codes, entity_ids, terms = self.entities, self.entities.ids, self.terms.ids
+        codes = []
+        for index, term in enumerate(terms):
+            code = -1
+            if isinstance(term, EntityRef):
+                code = entity_codes[term.entity_id]
+                if term.entity_id is not entity_ids[code]:
+                    terms[index] = EntityRef(entity_ids[code])
+            codes.append(code)
+        term_entities = np.array(codes, dtype=np.int32)
         # Exact duplicates, first occurrence kept. A row's key codes its
         # (relation, object) pair densely first, so that it fits in 63 bits.
         pair_keys = predicates.astype(np.int64) * len(term_entities) + objects
@@ -436,7 +424,7 @@ class _Coder:
             entity_ids=_objects(self.entities.ids),
             relation_ids=_objects(self.relations.ids),
             entity_codes=dict(self.entities),
-            terms=_objects(self.terms.terms),
+            terms=_objects(terms),
             term_entities=term_entities,
             subjects=subjects,
             predicates=predicates,

@@ -87,11 +87,6 @@ class RemoteClient:
         self.config = config
         self.transport = Transport(config.endpoint, config.timeout, config.max_concurrency, post_json, sleep)
 
-    @property
-    def max_in_flight(self) -> int:
-        """Peak number of simultaneously outstanding requests."""
-        return self.transport.peak_in_flight
-
     def generate(self, request: CompletionRequest) -> str:
         payload = {
             "model": self.config.model_name,

@@ -35,7 +35,7 @@ from .metrics import (
     score_retrieval,
 )
 from .prompts import PromptSpec, render_prompt, render_prompt_from_lines
-from .retrieve import Popular, Random, ScoredTriple, Similarity, answer_bearing, rank_candidates, top_k
+from .retrieve import Popular, Random, Ranking, ScoredTriple, Similarity, answer_bearing, rank_candidates, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -244,7 +244,7 @@ class Retrieval(NamedTuple):
 
     entities: tuple[EntityId, ...]
     candidates: Sequence[Triple]
-    ranked: Sequence[ScoredTriple]
+    ranked: Ranking
     top: list[ScoredTriple]
 
 
@@ -266,6 +266,11 @@ def retrieve_facts(
     candidates = neighborhood(graph, entities, config.hops)
     ranked = rank_candidates(strategy_for(config, seed), question, candidates, graph)
     return Retrieval(tuple(entities), candidates, ranked, top_k(ranked, config.k))
+
+
+def fact_entries(facts: Sequence[ScoredTriple]) -> list[dict]:
+    """The ``{"rank", "score", "text"}`` of each fact, as records and ``kgprompt retrieve`` list them."""
+    return [{"rank": scored.rank, "score": scored.score, "text": scored.verbalized} for scored in facts]
 
 
 def _record(
@@ -290,10 +295,7 @@ def _record(
         "method": config.method,
         "flags": sorted(flags),
         "prompt": prompt,
-        "included_triples": [
-            {"rank": scored.rank, "score": scored.score, "text": scored.verbalized}
-            for scored in included
-        ],
+        "included_triples": fact_entries(included),
         "knowledge_lines": list(knowledge_lines),
         "truncated": truncated,
         "generation": generation,
@@ -461,10 +463,13 @@ def run(config: RunConfig) -> dict:
             logger.exception("example %s failed", example.id)
             return _failure_record(config, example, graph)
 
+    # A remote embedder's transport serves every run of the process, so the
+    # log counts this run's requests and retries from where they started.
+    started = [(t.requests, t.retries) for t in transports]
     with ThreadPoolExecutor(max_workers=workers) as executor:
         records = list(executor.map(process, kept))
-    for t in transports:
-        counts = (t.requests, t.retries, t.peak_in_flight)
+    for t, (requests, retries) in zip(transports, started):
+        counts = (t.requests - requests, t.retries - retries, t.peak_in_flight)
         logger.info("%s: %d requests, %d retries, peak %d in flight", t.endpoint, *counts)
 
     output_dir = Path(config.output_dir)

@@ -11,6 +11,7 @@ the graph's columnar store; only the facts a caller reads from the ranking
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -50,24 +51,6 @@ class Popular:
 RetrievalStrategy = Union[Similarity, Random, Popular]
 
 
-SparseVector = dict[int, float]
-
-
-def _nonzero(vector: np.ndarray) -> SparseVector:
-    return {index: value for index, value in enumerate(vector.tolist()) if value}
-
-
-def _cosine(question: SparseVector, candidate: SparseVector) -> float:
-    # Vectors are unit-norm or all-zero, so the dot product is the cosine
-    # and a zero vector on either side yields 0. fsum gives the exactly
-    # rounded sum of the products, so the score does not depend on
-    # accumulation order and stays bit-reproducible. Summing only the
-    # buckets nonzero on both sides is exact too: every other product is
-    # +-0.0, which leaves the exact sum unchanged, and fsum never returns
-    # -0.0.
-    return math.fsum(value * candidate[bucket] for bucket, value in question.items() if bucket in candidate)
-
-
 Parts = tuple[str, str, str]
 
 
@@ -102,9 +85,13 @@ def _similarity_scores(config: EmbedderConfig, question: str, parts: Iterable[Pa
     """The cosine of each candidate, given as its (subject, relation, object) part texts."""
     if config.kind == "hashed_bow":
         return _hashed_scores(config.dimension, question, parts)
+    # Vectors are unit-norm or all-zero, so the dot product is the cosine
+    # and a zero vector on either side yields 0. fsum gives the exactly
+    # rounded sum of the products, so the score does not depend on
+    # accumulation order, and it never returns -0.0.
     dense = embed_batch(config, [question] + [joined(*candidate) for candidate in parts])
-    question_vector = _nonzero(dense[0])
-    return [_cosine(question_vector, _nonzero(vector)) for vector in dense[1:]]
+    question_vector = dense[0].tolist()
+    return [math.fsum(map(operator.mul, question_vector, vector.tolist())) for vector in dense[1:]]
 
 
 class Ranking(RowView):
@@ -127,21 +114,6 @@ class Ranking(RowView):
             ScoredTriple(triple, verbalize(triple, self.graph).text, score, rank)
             for triple, score, rank in zip(triples, self.scores[index].tolist(), ranks)
         ]
-
-    def first_hit(self, answers: set[EntityId]) -> int | None:
-        """Rank of the first row whose subject or entity object is an answer."""
-        graph = self.graph
-        subjects = graph.subjects[self.rows]
-        # A literal's entity code is -1, which no answer has.
-        objects = graph.term_entities[graph.objects[self.rows]]
-        hits = np.zeros(len(self.rows), dtype=bool)
-        for answer in answers:
-            code = graph.entity_codes.get(answer)
-            if code is not None:
-                hits |= subjects == code
-                hits |= objects == code
-        first = np.flatnonzero(hits)
-        return int(first[0]) + 1 if first.size else None
 
 
 def rank_candidates(
@@ -200,19 +172,20 @@ def top_k(ranked: Sequence[ScoredTriple], k: int) -> list[ScoredTriple]:
     return list(ranked[:k])
 
 
-def answer_bearing(
-    ranked: Sequence[ScoredTriple], answers: set[EntityId]
-) -> int | None:
-    """Rank of the first triple whose subject or entity-object is an answer.
+def answer_bearing(ranked: Ranking, answers: set[EntityId]) -> int | None:
+    """Rank of the first row whose subject or entity object is an answer.
 
-    A ``Ranking`` finds it from entity codes, without text or ``Triple``s.
+    It is found from entity codes, without text or ``Triple``s.
     """
-    if isinstance(ranked, Ranking):
-        return ranked.first_hit(answers)
-    for scored in ranked:
-        if scored.triple.subject in answers:
-            return scored.rank
-        object_id = scored.triple.object_entity_id()
-        if object_id is not None and object_id in answers:
-            return scored.rank
-    return None
+    graph = ranked.graph
+    subjects = graph.subjects[ranked.rows]
+    # A literal's entity code is -1, which no answer has.
+    objects = graph.term_entities[graph.objects[ranked.rows]]
+    hits = np.zeros(len(ranked.rows), dtype=bool)
+    for answer in answers:
+        code = graph.entity_codes.get(answer)
+        if code is not None:
+            hits |= subjects == code
+            hits |= objects == code
+    first = np.flatnonzero(hits)
+    return int(first[0]) + 1 if first.size else None

@@ -159,6 +159,20 @@ class TestRetrieveCommand:
         assert "Harbor City" in payload["results"][0]["text"]
         assert len(payload["results"]) == 3
 
+    def test_lists_the_facts_run_injects(self, toy_config_path, tmp_path, capsys):
+        # Without --k, retrieve lists the configured k facts (k=2 in the toy config).
+        assert run_cli(capsys, "run", "--config", toy_config_path, "--out", str(tmp_path))[0] == 0
+        records = [json.loads(line) for line in (tmp_path / "predictions.jsonl").read_text().splitlines()]
+        record = next(record for record in records if record["id"] == "toy-001")
+        code, out, _ = run_cli(
+            capsys, "retrieve", "--config", toy_config_path, "--question", record["question"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["linked_entities"] == ["Q101"]
+        assert len(record["included_triples"]) == 2
+        assert payload["results"] == record["included_triples"]
+
     @pytest.fixture()
     def remote_config(self, toy_dir, tmp_path):
         """Write the toy config with a remote embedder at the given endpoint."""

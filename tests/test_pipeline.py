@@ -438,6 +438,22 @@ class TestRun:
         assert http_service.state.max_paths_active == 2
         assert outputs[0] == outputs[1]
 
+    def test_each_run_logs_its_own_remote_requests(self, toy_dir, tmp_path, http_service, caplog):
+        # The embedder's client is shared by every run of the process with
+        # the same config; the log still counts one run's requests.
+        http_service.state.embed_dimension = 8
+        caplog.set_level(logging.INFO, logger="kgprompt.pipeline")
+        embedder = EmbedderConfig(kind="remote", dimension=8, endpoint=f"{http_service.url}/embed")
+        provider = ProviderConfig(kind="remote", endpoint=f"{http_service.url}/complete")
+        base = dataclasses.replace(load_config(toy_dir / "config.json"), embedder=embedder, provider=provider)
+        for name in ("a", "b"):
+            caplog.clear()
+            run(dataclasses.replace(base, output_dir=str(tmp_path / name)))
+            logged = [message for message in caplog.messages if " requests, " in message]
+            assert len(logged) == 2
+            assert all(": 25 requests, 0 retries, peak " in message for message in logged)
+        assert remote_embedder(embedder).transport.requests == 50
+
     def test_prompt_shape_invariants(self, toy_dir, tmp_path):
         base = load_config(toy_dir / "config.json")
         for method, out in (("kaping", "a"), ("no_knowledge", "b")):

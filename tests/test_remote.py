@@ -40,5 +40,3 @@ class TestTransport:
         assert (transport.requests, transport.retries, transport.peak_in_flight) == (10, 0, 3)
         assert transport._in_flight == 0
         assert http_service.state.max_active <= 3
-        if isinstance(client, RemoteClient):
-            assert client.max_in_flight == 3

@@ -458,7 +458,6 @@ class TestRankingByCodes:
                     materialized = list(ranked)
                     for answers in ({rng.choice(ids)}, set(rng.sample(ids, min(2, len(ids)))), {"missing"}, set()):
                         assert answer_bearing(ranked, answers) == brute_answer_bearing(materialized, answers)
-                        assert answer_bearing(materialized, answers) == brute_answer_bearing(materialized, answers)
 
     def test_answer_bearing_sides(self):
         entities = [Entity(f"Q{i}", f"node {i}") for i in range(5)] + [Entity("L", "loop")]
