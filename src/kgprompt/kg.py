@@ -32,8 +32,7 @@ entity's incident rows in ascending order. ``neighborhood`` returns a
 only when an element is read; ``part_texts`` holds the text of every part by
 code (from ``entity_text`` and ``literal_text``, as ``verbalize`` renders
 them), so ranking reads a row's texts without any ``Triple``.
-``graph.triples`` and ``graph.adjacency`` are derived views built on first
-access.
+``graph.triples`` is a derived view built on first access.
 
 Ids and object terms are coded by one kind of table, ``_Codes``, in
 first-seen order. Loading parses each distinct object token once and interns
@@ -155,8 +154,7 @@ class KnowledgeGraph:
     a self-loop is listed once. Build graphs with ``build_graph`` or
     ``load_graph``.
 
-    ``triples`` (a ``Triple`` per row), ``adjacency`` (entity id to its
-    incident rows, for entities that have any), ``part_texts``,
+    ``triples`` (a ``Triple`` per row), ``part_texts``,
     ``surface_index`` and ``relation_counts`` are derived views, each built
     once on first access; the pipeline reads only the last three. They
     assume the graph is not mutated after it is built, and changing a view
@@ -209,22 +207,9 @@ class KnowledgeGraph:
     def _row_index(self) -> dict[Triple, int]:
         return {triple: row for row, triple in enumerate(self.triples)}
 
-    def entity_name(self, entity_id: EntityId) -> str | None:
-        entity = self.entities.get(entity_id)
-        return entity.name if entity is not None else None
-
     @cached_property
     def triples(self) -> list[Triple]:
         return self.triples_at(slice(None))
-
-    @cached_property
-    def adjacency(self) -> dict[EntityId, list[int]]:
-        offsets, incident = self.offsets.tolist(), self.incident.tolist()
-        return {
-            entity_id: incident[offsets[code] : offsets[code + 1]]
-            for code, entity_id in enumerate(self.entity_ids)
-            if offsets[code] < offsets[code + 1]
-        }
 
     @cached_property
     def part_texts(self) -> PartTexts:

@@ -203,10 +203,10 @@ def load_dataset(path: str | Path) -> list[QaExample]:
 
 
 def filter_unnamed(examples: list[QaExample], graph: KnowledgeGraph) -> list[QaExample]:
-    """Drop examples whose answer entities are all unnamed, keeping order."""
+    """Drop examples that ``answer_set_for`` finds no named answer for, keeping order."""
     kept = []
     for example in examples:
-        if any(graph.entity_name(entity_id) for entity_id in example.answer_entities):
+        if answer_set_for(example, graph).entities:
             kept.append(example)
         else:
             logger.info("filtering example %s: no named answer entity", example.id)

@@ -4,16 +4,17 @@ A prompt is built from up to three parts, joined by single newlines with no
 trailing newline: optional few-shot demonstration lines, an optional
 knowledge block (instruction line followed by one fact per line), and the
 rendered question. When the whole text exceeds the input token budget, the
-lowest-scored facts are dropped until it fits: the longest prefix of the
-ranking that fits is found by binary search over its length, which assumes
-a token counter that never drops when a line is added. Demonstrations are
-caller-fixed context and are never dropped.
+lowest-scored facts are dropped until it fits. Every budget is counted by
+``whitespace_token_count``, whose count of lines joined by newlines is the
+sum of their counts, so the longest fitting prefix of the ranking is found
+in one pass over the facts in rank order and the prompt is rendered once.
+Demonstrations are caller-fixed context and are never dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,9 +32,6 @@ INSTRUCTION_TEXTS = {
         " to answer the question."
     ),
 }
-
-TokenCounter = Callable[[str], int]
-
 
 @dataclass(frozen=True)
 class PromptSpec:
@@ -119,15 +117,14 @@ def render_knowledge_block(
 ) -> str:
     """Instruction line plus one verbalized fact per line; "" when empty.
 
-    ``instruction`` is either a key into INSTRUCTION_TEXTS or literal
-    instruction text to use verbatim.
+    ``instruction`` is the instruction text, used verbatim
+    (``PromptSpec.instruction_text()`` resolves a spec's).
     """
     if not triples:
         return ""
     if ordering not in ORDERINGS:
         raise ConfigError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-    text = INSTRUCTION_TEXTS.get(instruction, instruction)
-    lines = [text] + [scored.verbalized for scored in _display_order(triples, ordering, shuffle_seed)]
+    lines = [instruction] + [scored.verbalized for scored in _display_order(triples, ordering, shuffle_seed)]
     return "\n".join(lines)
 
 
@@ -139,48 +136,35 @@ def _assemble(spec: PromptSpec, knowledge_block: str, question: str) -> str:
     return "\n".join(lines)
 
 
-def _fit(
-    budget: int,
-    count: int,
-    render: Callable[[int], str],
-    token_counter: TokenCounter,
-) -> tuple[int, str]:
-    """Longest knowledge prefix that fits the budget: (length, prompt text).
+def _fit(spec: PromptSpec, question: str, instruction: str, lines: Iterable[str]) -> int:
+    """How many leading knowledge lines fit the budget.
 
-    ``render(n)`` is the prompt with the first ``n`` knowledge lines. The
-    full prefix is tried first; if it is over budget, the longest fitting
-    prefix is found by binary search over ``0..count - 1``, which needs
-    O(log count) renders and is exact as long as the token count never drops
-    when a line is added. Raises PromptTooLongError when even ``n = 0`` is
-    over budget.
+    Counts the prompt with no knowledge, then the instruction line, then
+    each of ``lines`` in turn, and stops at the first line that goes over
+    budget. Exact because the prompt's lines are joined by newlines, so its
+    token count is the sum of theirs. Raises PromptTooLongError when even
+    the prompt with no knowledge is over budget.
     """
-    text = render(count)
-    tokens = token_counter(text)
-    if tokens <= budget:
-        return count, text
-    best = None
-    low, high = 0, count - 1
-    while low <= high:
-        middle = (low + high) // 2
-        text = render(middle)
-        tokens = token_counter(text)
-        if tokens <= budget:
-            best, low = (middle, text), middle + 1
-        else:
-            high = middle - 1
-    if best is None:
-        # Every probe failed, so the last one rendered no knowledge at all.
+    budget = spec.max_input_tokens
+    tokens = whitespace_token_count(_assemble(spec, "", question))
+    if tokens > budget:
         raise PromptTooLongError(
             f"prompt is {tokens} tokens with no knowledge left to drop; budget is {budget}"
         )
-    return best
+    tokens += whitespace_token_count(instruction)
+    kept = 0
+    for line in lines:
+        tokens += whitespace_token_count(line)
+        if tokens > budget:
+            break
+        kept += 1
+    return kept
 
 
 def render_prompt(
     spec: PromptSpec,
     ranked_triples: Sequence[ScoredTriple],
     question: str,
-    token_counter: TokenCounter = whitespace_token_count,
 ) -> RenderedPrompt:
     """Render the full prompt, dropping lowest-scored facts to fit the budget.
 
@@ -190,22 +174,17 @@ def render_prompt(
     over budget with no facts left to drop.
     """
     ranked = tuple(ranked_triples)
-
-    def render(count: int) -> str:
-        block = render_knowledge_block(
-            spec.instruction_text(), ranked[:count], spec.ordering, spec.shuffle_seed
-        )
-        return _assemble(spec, block, question)
-
-    count, text = _fit(spec.max_input_tokens, len(ranked), render, token_counter)
-    return RenderedPrompt(text, ranked[:count], count < len(ranked))
+    instruction = spec.instruction_text()
+    count = _fit(spec, question, instruction, (scored.verbalized for scored in ranked))
+    kept = ranked[:count]
+    block = render_knowledge_block(instruction, kept, spec.ordering, spec.shuffle_seed)
+    return RenderedPrompt(_assemble(spec, block, question), kept, count < len(ranked))
 
 
 def render_prompt_from_lines(
     spec: PromptSpec,
     knowledge_lines: Sequence[str],
     question: str,
-    token_counter: TokenCounter = whitespace_token_count,
 ) -> tuple[str, list[str], bool]:
     """Like render_prompt, but for caller-supplied knowledge lines.
 
@@ -214,10 +193,7 @@ def render_prompt_from_lines(
     truncated flag).
     """
     lines = [line for line in knowledge_lines if line]
-
-    def render(count: int) -> str:
-        block = "\n".join([spec.instruction_text()] + lines[:count]) if count else ""
-        return _assemble(spec, block, question)
-
-    count, text = _fit(spec.max_input_tokens, len(lines), render, token_counter)
-    return text, lines[:count], count < len(lines)
+    instruction = spec.instruction_text()
+    kept = lines[: _fit(spec, question, instruction, lines)]
+    block = "\n".join([instruction, *kept]) if kept else ""
+    return _assemble(spec, block, question), kept, len(kept) < len(lines)

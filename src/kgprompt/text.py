@@ -20,5 +20,10 @@ def normalize_text(text: str) -> str:
 
 
 def whitespace_token_count(text: str) -> int:
-    """Default desk-scale token counter: whitespace-delimited word count."""
+    """Whitespace-delimited word count; every prompt budget is counted by it.
+
+    The count is additive over newline joins: the count of
+    ``"\n".join(lines)`` is the sum of the counts of ``lines``, because a
+    whitespace separator never joins two tokens.
+    """
     return len(text.split())

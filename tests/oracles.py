@@ -46,17 +46,17 @@ def oracle_rank(question: str, texts: list[str], dimension: int) -> list[int]:
     return sorted(range(len(texts)), key=lambda index: (-scores[index], index))
 
 
-def oracle_truncate(render, count: int, budget: int, token_counter=lambda text: len(text.split())):
+def oracle_truncate(render, count: int, budget: int):
     """Drop-one truncation: try every prefix length from ``count`` down.
 
-    ``render(n)`` is the prompt holding the first ``n`` knowledge lines.
-    Returns ``(n, text)`` for the longest prefix within ``budget`` tokens, or
-    ``(None, tokens)`` with the token count of the knowledge-free prompt when
-    even that is over budget.
+    ``render(n)`` is the prompt holding the first ``n`` knowledge lines,
+    counted in whitespace-delimited words. Returns ``(n, text)`` for the
+    longest prefix within ``budget`` tokens, or ``(None, tokens)`` with the
+    token count of the knowledge-free prompt when even that is over budget.
     """
     for length in range(count, -1, -1):
         text = render(length)
-        tokens = token_counter(text)
+        tokens = len(text.split())
         if tokens <= budget:
             return length, text
     return None, tokens
@@ -169,6 +169,19 @@ def oracle_load(triples_path, entities_path, relations_path=None):
         for entity_id in sorted({subject, obj[1]} if obj[0] == "E" else {subject}):
             adjacency.setdefault(entity_id, []).append(len(triples) - 1)
     return triples, adjacency, entities, relations
+
+
+def csr_adjacency(graph) -> dict:
+    """Entity id -> ascending incident rows, read from a graph's CSR.
+
+    Lists only the entities that have rows, as ``oracle_load``'s adjacency does.
+    """
+    offsets, incident = graph.offsets.tolist(), graph.incident.tolist()
+    return {
+        entity_id: incident[offsets[code] : offsets[code + 1]]
+        for code, entity_id in enumerate(graph.entity_ids.tolist())
+        if offsets[code] < offsets[code + 1]
+    }
 
 
 def oracle_neighborhood(triples, seeds, hops):

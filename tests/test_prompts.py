@@ -1,11 +1,11 @@
 import dataclasses
-import math
 import random
 
 import pytest
 
 from oracles import oracle_truncate
 
+from kgprompt import prompts
 from kgprompt.embed import EmbedderConfig
 from kgprompt.errors import ConfigError, PromptTooLongError
 from kgprompt.kg import Literal, Triple
@@ -59,24 +59,25 @@ class TestKnowledgeBlock:
             alex_graph.triples,
             alex_graph,
         )
-        block = render_knowledge_block("meaningful", ranked, "relevant_last")
+        block = render_knowledge_block(INSTRUCTION_TEXTS["meaningful"], ranked, "relevant_last")
         lines = block.split("\n")
         assert lines[0] == INSTRUCTION_TEXTS["meaningful"]
         assert lines[-1] == "(Alex Chilton, place of death, New Orleans)"
 
     def test_empty_triples_renders_empty_string(self):
-        assert render_knowledge_block("meaningful", [], "relevant_last") == ""
+        assert render_knowledge_block(INSTRUCTION_TEXTS["meaningful"], [], "relevant_last") == ""
 
     def test_relevant_first_is_exact_reverse(self):
         ranked = make_scored([("t-best", 3), ("t-mid", 2), ("t-worst", 1)])
-        first = render_knowledge_block("meaningful", ranked, "relevant_first").split("\n")[1:]
-        last = render_knowledge_block("meaningful", ranked, "relevant_last").split("\n")[1:]
+        instruction = INSTRUCTION_TEXTS["meaningful"]
+        first = render_knowledge_block(instruction, ranked, "relevant_first").split("\n")[1:]
+        last = render_knowledge_block(instruction, ranked, "relevant_last").split("\n")[1:]
         assert first == list(reversed(last))
         assert first == ["t-best", "t-mid", "t-worst"]
 
     def test_might_be_instruction_text(self):
         ranked = make_scored([("t", 1)])
-        block = render_knowledge_block("might_be", ranked, "relevant_first")
+        block = render_knowledge_block(INSTRUCTION_TEXTS["might_be"], ranked, "relevant_first")
         assert block.split("\n")[0] == (
             "Below are facts in the form of the triple that might be meaningful"
             " to answer the question."
@@ -89,9 +90,10 @@ class TestKnowledgeBlock:
 
     def test_shuffled_is_seed_deterministic(self):
         ranked = make_scored([(f"t{i}", 10 - i) for i in range(8)])
-        one = render_knowledge_block("meaningful", ranked, "shuffled", shuffle_seed=5)
-        two = render_knowledge_block("meaningful", ranked, "shuffled", shuffle_seed=5)
-        other = render_knowledge_block("meaningful", ranked, "shuffled", shuffle_seed=6)
+        instruction = INSTRUCTION_TEXTS["meaningful"]
+        one = render_knowledge_block(instruction, ranked, "shuffled", shuffle_seed=5)
+        two = render_knowledge_block(instruction, ranked, "shuffled", shuffle_seed=5)
+        other = render_knowledge_block(instruction, ranked, "shuffled", shuffle_seed=6)
         assert one == two
         assert sorted(one.split("\n")) == sorted(other.split("\n"))
 
@@ -170,6 +172,29 @@ class TestRenderPrompt:
         for scored in rendered.included_triples:
             assert rendered.text.count(scored.verbalized) == 1
 
+    def test_custom_instruction_spelling_a_key_renders_as_written(self):
+        spec = PromptSpec(knowledge_instruction="custom", custom_instruction="might_be")
+        rendered = render_prompt(spec, make_scored([("(s, r, o)", 1)]), "q")
+        text, _, _ = render_prompt_from_lines(spec, ["(s, r, o)"], "q")
+        assert rendered.text == text == "might_be\n(s, r, o)\nQuestion: q Answer:"
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 100, 1000])
+    def test_one_knowledge_block_render_per_prompt(self, count, monkeypatch):
+        ranked = make_scored([(f"(s{i}, r, o{i})", count - i) for i in range(count)])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return render_knowledge_block(*args, **kwargs)
+
+        monkeypatch.setattr(prompts, "render_knowledge_block", counted)
+        rng = random.Random(count)
+        for _ in range(20):
+            budget = rng.randint(17, 17 + 3 * count)
+            rendered = render_prompt(PromptSpec(max_input_tokens=budget), ranked, "q")
+            assert len(calls) == 1
+            assert calls.pop()[1] == rendered.included_triples
+
 
 class TestRenderPromptFromLines:
     def test_lines_path_matches_layout(self):
@@ -203,10 +228,6 @@ UNLIMITED = 10**9
 WORDS = ["alex", "chilton", "died", "in", "new", "orleans", "born", "memphis", "(x,", "y)"]
 
 
-def char_count(text: str) -> int:
-    return len(text)
-
-
 def random_case(rng: random.Random):
     """A spec with a random budget, ordering and demos, lines, and a question."""
     spec = PromptSpec(
@@ -223,78 +244,74 @@ def random_case(rng: random.Random):
 
 
 class TestBinarySearchTruncation:
-    """The longest fitting prefix equals the drop-one reference's."""
+    """The one-pass fit keeps the drop-one reference's longest fitting prefix."""
 
-    @pytest.mark.parametrize("token_counter", [whitespace_token_count, char_count])
+    @pytest.mark.parametrize("token_counter", [whitespace_token_count])
     def test_render_prompt_matches_drop_one(self, token_counter):
         rng = random.Random(97)
         for _ in range(400):
             spec, lines, question = random_case(rng)
-            if token_counter is char_count:
-                spec = dataclasses.replace(spec, max_input_tokens=spec.max_input_tokens * 8)
             ranked = make_scored([(line, len(lines) - i) for i, line in enumerate(lines)])
             unlimited = dataclasses.replace(spec, max_input_tokens=UNLIMITED)
 
             def render(count):
-                return render_prompt(unlimited, ranked[:count], question, token_counter).text
+                return render_prompt(unlimited, ranked[:count], question).text
 
-            count, expected = oracle_truncate(render, len(ranked), spec.max_input_tokens, token_counter)
+            count, expected = oracle_truncate(render, len(ranked), spec.max_input_tokens)
             if count is None:
                 with pytest.raises(PromptTooLongError) as error:
-                    render_prompt(spec, ranked, question, token_counter)
+                    render_prompt(spec, ranked, question)
                 assert str(error.value) == (
                     f"prompt is {expected} tokens with no knowledge left to drop;"
                     f" budget is {spec.max_input_tokens}"
                 )
                 continue
-            rendered = render_prompt(spec, ranked, question, token_counter)
+            rendered = render_prompt(spec, ranked, question)
             assert rendered.text == expected
+            assert token_counter(rendered.text) <= spec.max_input_tokens
             assert rendered.included_triples == tuple(ranked[:count])
             assert rendered.truncated is (count < len(ranked))
 
-    @pytest.mark.parametrize("token_counter", [whitespace_token_count, char_count])
+    @pytest.mark.parametrize("token_counter", [whitespace_token_count])
     def test_render_prompt_from_lines_matches_drop_one(self, token_counter):
         rng = random.Random(98)
         for _ in range(400):
             spec, lines, question = random_case(rng)
-            if token_counter is char_count:
-                spec = dataclasses.replace(spec, max_input_tokens=spec.max_input_tokens * 8)
             offered = [line if rng.random() < 0.8 else "" for line in lines]
             kept_lines = [line for line in offered if line]
             unlimited = dataclasses.replace(spec, max_input_tokens=UNLIMITED)
 
             def render(count):
-                return render_prompt_from_lines(unlimited, kept_lines[:count], question, token_counter)[0]
+                return render_prompt_from_lines(unlimited, kept_lines[:count], question)[0]
 
-            count, expected = oracle_truncate(render, len(kept_lines), spec.max_input_tokens, token_counter)
+            count, expected = oracle_truncate(render, len(kept_lines), spec.max_input_tokens)
             if count is None:
                 with pytest.raises(PromptTooLongError) as error:
-                    render_prompt_from_lines(spec, offered, question, token_counter)
+                    render_prompt_from_lines(spec, offered, question)
                 assert str(error.value) == (
                     f"prompt is {expected} tokens with no knowledge left to drop;"
                     f" budget is {spec.max_input_tokens}"
                 )
                 continue
-            text, kept, truncated = render_prompt_from_lines(spec, offered, question, token_counter)
+            text, kept, truncated = render_prompt_from_lines(spec, offered, question)
             assert text == expected
+            assert token_counter(text) <= spec.max_input_tokens
             assert kept == kept_lines[:count]
             assert truncated is (count < len(kept_lines))
 
-    @pytest.mark.parametrize("count", [1, 2, 7, 100, 1000])
-    def test_logarithmic_number_of_renders(self, count):
-        ranked = make_scored([(f"(s{i}, r, o{i})", count - i) for i in range(count)])
-        rng = random.Random(count)
-        for _ in range(20):
-            calls = []
 
-            def counter(text):
-                calls.append(text)
-                return whitespace_token_count(text)
+class TestWhitespaceTokenCount:
+    PIECES = ["", " ", "\t", "\u00a0", "\u3000", "\r", "word", "(x,", "y)", "\u00a0word\u3000"]
 
-            budget = rng.randint(17, 17 + 3 * count)
-            render_prompt(PromptSpec(max_input_tokens=budget), ranked, "q", counter)
-            # the full prefix, then a binary search over 0..count-1
-            assert len(calls) <= 1 + math.ceil(math.log2(count + 1))
+    def test_count_is_additive_over_newline_joins(self):
+        rng = random.Random(1011)
+        cases = [["", "   ", "\t\t", "\u00a0", "\u3000", "a\u00a0b", "c\u3000d\te"]]
+        cases += [
+            ["".join(rng.choices(self.PIECES, k=rng.randint(0, 6))) for _ in range(rng.randint(0, 8))]
+            for _ in range(2000)
+        ]
+        for lines in cases:
+            assert whitespace_token_count("\n".join(lines)) == sum(map(whitespace_token_count, lines))
 
 
 class TestPromptSpecValidation:
