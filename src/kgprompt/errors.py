@@ -1,10 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types, and the check of JSON pair lists, shared across the package."""
 
 from __future__ import annotations
 
 
 class ConfigError(ValueError):
     """A configuration value is missing, malformed, or inconsistent."""
+
+
+def string_pairs(value, name: str) -> tuple[tuple[str, str], ...]:
+    """A JSON list of two-item lists as a tuple of string pairs; else a ConfigError naming ``name``."""
+    pairs = isinstance(value, (list, tuple)) and all(
+        isinstance(item, (list, tuple)) and len(item) == 2 for item in value
+    )
+    if not pairs:
+        raise ConfigError(f"{name} must be a list of pairs, got {value!r}")
+    return tuple((str(first), str(second)) for first, second in value)
 
 
 class GraphLoadError(ValueError):

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError, RemoteServiceError
+from .errors import ConfigError, RemoteServiceError, string_pairs
 from .remote import Transport, post_json
 
 PROVIDER_KINDS = ("scripted", "remote")
@@ -55,12 +55,8 @@ class ProviderConfig:
         if not (number and 0 < timeout < math.inf):
             raise ConfigError(f"provider timeout must be a finite number above 0, got {timeout!r}")
         # Accept a JSON-style mapping and keep its insertion order.
-        script = self.script
-        if isinstance(script, dict):
-            script = tuple(script.items())
-        object.__setattr__(
-            self, "script", tuple((str(key), str(value)) for key, value in script)
-        )
+        script = tuple(self.script.items()) if isinstance(self.script, dict) else self.script
+        object.__setattr__(self, "script", string_pairs(script, "provider field 'script'"))
 
 
 class ScriptedClient:

@@ -30,6 +30,7 @@ from .metrics import (
     AnswerSet,
     GenScores,
     RetrievalScores,
+    TOP_K_LEVELS,
     aggregate,
     score_generation,
     score_retrieval,
@@ -97,16 +98,46 @@ class RunConfig:
             )
 
 
-def _build_section(cls, data, context: str):
-    if isinstance(data, cls):
-        return data
+# What an outside value must be, by the type of the field it fills: a config
+# field's default or a record field's type. A bool is never a number; tuple
+# config fields are checked by their class's own coercion.
+_TAKES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    type(None): ((str, type(None)), "a string or null"),
+    list: (list, "a list"),
+}
+
+
+def _checked(value, kind: type, name: str):
+    """``value`` when it fits a field of type ``kind``; else a ConfigError naming ``name``."""
+    kinds, expected = _TAKES[kind]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {expected}, got {value!r}")
+    return value
+
+
+def update_config(config, data: dict, context: str = "config"):
+    """``config`` with the fields named in the nested ``data`` replaced, section by section.
+
+    An unknown name, a section that is not an object or a value that
+    ``_TAKES`` rejects raises ConfigError naming the section and the field.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"config section {context!r} must be an object")
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
+    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    unknown = sorted(set(data) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown {context} field(s): {', '.join(unknown)}")
-    return cls(**data)
+    changes = {}
+    for name, value in data.items():
+        if dataclasses.is_dataclass(getattr(config, name)):
+            value = update_config(getattr(config, name), value, name)
+        elif type(defaults[name]) in _TAKES:
+            _checked(value, type(defaults[name]), f"{context} field {name!r}")
+        changes[name] = value
+    return dataclasses.replace(config, **changes)
 
 
 def config_from_dict(data: dict, base_dir: str | Path | None = None) -> RunConfig:
@@ -117,11 +148,7 @@ def config_from_dict(data: dict, base_dir: str | Path | None = None) -> RunConfi
     """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    data = dict(data)
-    for section, cls in (("prompt", PromptSpec), ("embedder", EmbedderConfig), ("provider", ProviderConfig)):
-        if section in data:
-            data[section] = _build_section(cls, data[section], section)
-    config = _build_section(RunConfig, data, "config")
+    config = update_config(RunConfig(), data)
     if base_dir is not None:
         base = Path(base_dir)
         resolved = {}
@@ -308,7 +335,8 @@ def _record(
         else {
             "first_hit_rank": retrieval.first_hit_rank,
             "mrr": retrieval.mrr,
-            "top_k_hits": dict(retrieval.top_k_hits),
+            # string keys, so a record equals its JSON round-trip
+            "top_k_hits": {str(k): hit for k, hit in retrieval.top_k_hits.items()},
         },
     }
 
@@ -376,23 +404,40 @@ def run_example(
     )
 
 
+# Record flags that mark an example as failed (``run_example``, ``_failure_record``).
+FAILURE_FLAGS = frozenset({"example_failed", "generation_failed"})
+
+
 def _failure_record(config: RunConfig, example: QaExample, graph: KnowledgeGraph) -> dict:
     return _record(config, example, answer_set_for(example, graph), flags=["example_failed"])
 
 
+def _field(record: dict, path: str, kind: type):
+    """The value at the dotted ``path`` of ``record``, when it fits a field of type ``kind``."""
+    value = record
+    for name in path.split("."):
+        if not isinstance(value, dict) or name not in value:
+            raise ConfigError(f"missing field {path!r}")
+        value = value[name]
+    return _checked(value, kind, f"field {path!r}")
+
+
+def _is_answer(entry) -> bool:
+    aliases = entry.get("aliases") if isinstance(entry, dict) else None
+    texts = [entry.get("name"), *aliases] if isinstance(aliases, list) else [None]
+    return all(isinstance(text, str) for text in texts)
+
+
 def scores_from_record(record: dict) -> tuple[GenScores, RetrievalScores | None, str | None]:
-    """Rebuild the aggregation inputs from a per-example JSONL record."""
-    scores = record["scores"]
-    gen = GenScores(int(scores["accuracy"]), int(scores["em"]), float(scores["f1"]))
+    """Rebuild the aggregation inputs from a per-example JSONL record, checking their fields."""
+    gen = GenScores(*(_field(record, f"scores.{name}", float) for name in ("accuracy", "em", "f1")))
     retrieval = record.get("retrieval")
-    retrieval_scores = None
     if retrieval is not None:
-        retrieval_scores = RetrievalScores(
-            float(retrieval["mrr"]),
-            {int(k): int(v) for k, v in retrieval["top_k_hits"].items()},
-            retrieval.get("first_hit_rank"),
+        retrieval = RetrievalScores(
+            _field(record, "retrieval.mrr", float),
+            {k: _field(record, f"retrieval.top_k_hits.{k}", float) for k in TOP_K_LEVELS},
         )
-    return gen, retrieval_scores, record.get("category")
+    return gen, retrieval, _checked(record.get("category"), type(None), "field 'category'")
 
 
 def aggregate_records(records: list[dict]) -> dict:
@@ -400,31 +445,53 @@ def aggregate_records(records: list[dict]) -> dict:
 
 
 def rescore_record(record: dict) -> dict:
-    """Recompute generation scores from the stored generation and answers."""
-    answers = AnswerSet(
-        tuple(
-            AnswerEntity(entry["name"], tuple(entry.get("aliases", ())))
-            for entry in record.get("answers", [])
-        )
-    )
-    generation = record.get("generation")
+    """Recompute generation scores from the stored generation and answers.
+
+    Checks the fields it reads, and those that the report of its result reads.
+    """
+    entries = _field(record, "answers", list)
+    if not all(map(_is_answer, entries)):
+        raise ConfigError("field 'answers' must be a list of {name, aliases} objects")
+    answers = AnswerSet(tuple(AnswerEntity(entry["name"], tuple(entry["aliases"])) for entry in entries))
+    generation = _field(record, "generation", type(None))
     gen = score_generation(generation, answers) if generation is not None else GenScores(0, 0, 0.0)
-    updated = dict(record)
-    updated["scores"] = {"accuracy": gen.accuracy, "em": gen.em, "f1": gen.f1}
+    updated = dict(record, scores={"accuracy": gen.accuracy, "em": gen.em, "f1": gen.f1})
+    scores_from_record(updated)
     return updated
 
 
-def read_records(path: str | Path) -> list[dict]:
+def read_records(path: str | Path, parse=None) -> list:
+    """The JSON object on each non-blank line of a JSONL file, mapped by ``parse`` when given.
+
+    A line that is not an object, or a ConfigError from ``parse``, names its ``path:line``.
+    """
     records = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise ConfigError("expected a JSON object")
+                records.append(record if parse is None else parse(record))
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}:{number}: invalid JSON: {exc}") from exc
+            except ConfigError as exc:
+                raise ConfigError(f"{path}:{number}: {exc}") from exc
     return records
+
+
+def write_records(path: str | Path, records: Sequence[dict]) -> None:
+    """Write ``records`` as JSONL, one sorted-key object per line."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for record in records:
+            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def report_text(report: dict) -> str:
+    """The JSON text of a report, as ``report.json`` holds it and the CLI prints it."""
+    return json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)
 
 
 def run(config: RunConfig) -> dict:
@@ -475,16 +542,10 @@ def run(config: RunConfig) -> dict:
     output_dir = Path(config.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     predictions_path = output_dir / PREDICTIONS_FILENAME
-    with predictions_path.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-
+    write_records(predictions_path, records)
     report = aggregate_records(records)
     report_path = output_dir / REPORT_FILENAME
-    report_path.write_text(
-        json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    report_path.write_text(report_text(report) + "\n", encoding="utf-8")
     return {
         "records": records,
         "report": report,

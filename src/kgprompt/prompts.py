@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, PromptTooLongError
+from .errors import ConfigError, PromptTooLongError, string_pairs
 from .retrieve import ScoredTriple
 from .text import whitespace_token_count
 
@@ -66,11 +66,8 @@ class PromptSpec:
         if self.max_output_tokens < 1:
             raise ConfigError(f"max_output_tokens must be >= 1, got {self.max_output_tokens}")
         # Coerce JSON-decoded lists into the hashable tuple-of-pairs form.
-        object.__setattr__(
-            self,
-            "fewshot_demos",
-            tuple((str(q), str(a)) for q, a in self.fewshot_demos),
-        )
+        demos = string_pairs(self.fewshot_demos, "prompt field 'fewshot_demos'")
+        object.__setattr__(self, "fewshot_demos", demos)
 
     def instruction_text(self) -> str:
         if self.knowledge_instruction == "custom":
