@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RemoteServiceError
+from .errors import ConfigError, RemoteServiceError, http_url
 from .remote import Transport, post_json
 from .text import normalize_tokens
 
@@ -40,8 +40,8 @@ class EmbedderConfig:
             raise ConfigError(f"embedder kind must be one of {EMBEDDER_KINDS}, got {self.kind!r}")
         if self.dimension < 1:
             raise ConfigError(f"embedder dimension must be >= 1, got {self.dimension}")
-        if self.kind == "remote" and not self.endpoint:
-            raise ConfigError("remote embedder requires an endpoint")
+        if self.kind == "remote":
+            http_url(self.endpoint, "embedder field 'endpoint'")
         if self.max_concurrency < 1:
             raise ConfigError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
 

@@ -1,6 +1,8 @@
-"""Exception types, and the check of JSON pair lists, shared across the package."""
+"""Exception types, and the checks of config values, shared across the package."""
 
 from __future__ import annotations
+
+import urllib.parse
 
 
 class ConfigError(ValueError):
@@ -15,6 +17,19 @@ def string_pairs(value, name: str) -> tuple[tuple[str, str], ...]:
     if not pairs:
         raise ConfigError(f"{name} must be a list of pairs, got {value!r}")
     return tuple((str(first), str(second)) for first, second in value)
+
+
+def http_url(value, name: str) -> str:
+    """``value`` if it is an absolute http or https URL with a host; else a ConfigError naming ``name``."""
+    if isinstance(value, str):
+        try:
+            parts = urllib.parse.urlsplit(value)
+            parts.port  # raises ValueError for a port that is not a number in 0-65535
+        except ValueError:  # or for a malformed IPv6 host
+            parts = None
+        if parts and parts.scheme in ("http", "https") and parts.hostname:
+            return value
+    raise ConfigError(f"{name} must be an absolute http or https URL, got {value!r}")
 
 
 class GraphLoadError(ValueError):

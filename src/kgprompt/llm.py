@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError, RemoteServiceError, string_pairs
+from .errors import ConfigError, RemoteServiceError, http_url, string_pairs
 from .remote import Transport, post_json
 
 PROVIDER_KINDS = ("scripted", "remote")
@@ -45,11 +45,11 @@ class ProviderConfig:
     def __post_init__(self):
         if self.kind not in PROVIDER_KINDS:
             raise ConfigError(f"provider kind must be one of {PROVIDER_KINDS}, got {self.kind!r}")
-        if self.kind == "remote" and not self.endpoint:
-            raise ConfigError("remote provider requires an endpoint")
+        if self.kind == "remote":
+            http_url(self.endpoint, "provider field 'endpoint'")
         if self.max_concurrency < 1:
             raise ConfigError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
-        # requests would reject a bad timeout only at call time, with a bare ValueError.
+        # The socket layer would reject a bad timeout only at call time.
         timeout = self.timeout
         number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
         if not (number and 0 < timeout < math.inf):

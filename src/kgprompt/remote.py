@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import http.client
 import itertools
+import json
 import logging
 import os
 import threading
 import time
-
-import requests
+import urllib.error
+import urllib.request
 
 from .errors import RemoteServiceError
 
@@ -21,35 +23,53 @@ API_TOKEN_ENV = "KGPROMPT_API_TOKEN"
 MAX_RETRIES = 3
 BACKOFF_INITIAL_SECONDS = 1.0
 
+# One opener for every request. Its handlers take the http and https proxies
+# from the environment (read once, at import), speak HTTP and HTTPS, and turn a
+# non-2xx reply into HTTPError; any other scheme fails as a URLError. urllib's
+# default opener would also serve file:, ftp: and data: URLs, and follow
+# redirects, turning a POST answered with 301, 302 or 303 into a bodiless GET.
+_OPENER = urllib.request.OpenerDirector()
+for _handler in (
+    urllib.request.ProxyHandler(
+        {scheme: url for scheme, url in urllib.request.getproxies().items() if scheme in ("http", "https")}
+    ),
+    urllib.request.HTTPHandler(),
+    urllib.request.HTTPSHandler(),
+    urllib.request.HTTPDefaultErrorHandler(),
+    urllib.request.HTTPErrorProcessor(),
+    urllib.request.UnknownHandler(),
+):
+    _OPENER.add_handler(_handler)
+
 
 def post_json(url: str, payload: dict, timeout: float) -> dict:
     """POST a JSON payload and return the parsed JSON response.
 
     Raises RemoteServiceError on transport failures (status None), non-2xx
-    responses, or bodies that are not JSON objects.
+    responses (a redirect included: none is followed), or bodies that are
+    not JSON objects.
     """
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     token = os.environ.get(API_TOKEN_ENV)
     if token:
         headers["Authorization"] = f"Bearer {token}"
+    request = urllib.request.Request(url, json.dumps(payload).encode("utf-8"), headers, method="POST")
     try:
-        response = requests.post(url, json=payload, timeout=timeout, headers=headers)
-    except requests.RequestException as exc:
+        with _OPENER.open(request, timeout=timeout) as response:
+            status, raw = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise RemoteServiceError(f"{url} returned HTTP {exc.code}", status=exc.code) from exc
+    except (OSError, http.client.HTTPException) as exc:
         raise RemoteServiceError(f"request to {url} failed: {exc}", status=None) from exc
-    if not 200 <= response.status_code < 300:
-        raise RemoteServiceError(
-            f"{url} returned HTTP {response.status_code}", status=response.status_code
-        )
     try:
-        body = response.json()
+        body = json.loads(raw)
     except ValueError as exc:
-        raise RemoteServiceError(
-            f"{url} returned a non-JSON body", status=response.status_code
-        ) from exc
+        raise RemoteServiceError(f"{url} returned a non-JSON body", status=status) from exc
     if not isinstance(body, dict):
         raise RemoteServiceError(
             f"{url} returned JSON of type {type(body).__name__}, expected object",
-            status=response.status_code,
+            status=status,
         )
     return body
 

@@ -68,6 +68,7 @@ class ServiceState:
         self.active_by_path = Counter()
         self.max_paths_active = 0
         self.last_authorization = None
+        self.last_content_type = None
         self.requests = 0
 
 
@@ -76,7 +77,7 @@ def _make_handler(state: ServiceState):
         def log_message(self, *args):
             pass
 
-        def _reply(self, status: int, payload, raw: bytes | None = None):
+        def _reply(self, status: int, payload, raw: bytes | None = None, location: str | None = None):
             body = raw if raw is not None else json.dumps(payload).encode("utf-8")
             # Leave active_by_path before the reply is written: once the
             # client has read it, it may send its next request, and that
@@ -86,6 +87,8 @@ def _make_handler(state: ServiceState):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if location is not None:
+                self.send_header("Location", location)
             self.end_headers()
             self.wfile.write(body)
 
@@ -105,6 +108,7 @@ def _make_handler(state: ServiceState):
             with state.lock:
                 state.requests += 1
                 state.last_authorization = self.headers.get("Authorization")
+                state.last_content_type = self.headers.get("Content-Type")
                 state.active += 1
                 state.max_active = max(state.max_active, state.active)
                 state.active_by_path[self.path] += 1
@@ -140,6 +144,9 @@ def _make_handler(state: ServiceState):
                         self._reply(state.flaky_status, {"error": "try again"})
                     else:
                         self._reply(200, {"text": "recovered"})
+                elif self.path in ("/redirect_302", "/redirect_307"):
+                    # A client that follows either would POST again to /complete.
+                    self._reply(int(self.path[-3:]), {"error": "moved"}, location="/complete")
                 elif self.path == "/always_500":
                     self._reply(500, {"error": "boom"})
                 elif self.path == "/not_json":

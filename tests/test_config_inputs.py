@@ -195,6 +195,22 @@ class TestIllTypedConfigValues:
         assert config.provider.timeout == 5
 
 
+class TestEndpoints:
+    @pytest.mark.parametrize("section", ["embedder", "provider"])
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["localhost:9/complete", "ftp://x/complete", "file:///etc/hosts", "http:///complete", "http://x:port/complete"],
+    )
+    def test_run_exits_1_before_loading_the_graph(self, section, endpoint, toy_dir, tmp_path, monkeypatch, capsys):
+        loads = []
+        monkeypatch.setattr(pipeline, "load_graph", lambda *paths: loads.append(paths))
+        argv = ["run", "--config", str(toy_dir / "config.json"), "--out", str(tmp_path)]
+        argv += [f"--{section}-kind", "remote", f"--{section}-endpoint", endpoint]
+        fragment = f"{section} field 'endpoint' must be an absolute http or https URL, got {endpoint!r}"
+        assert_error_exit(capsys, argv, fragment)
+        assert loads == []
+
+
 class TestMalformedRecords:
     @pytest.mark.parametrize(
         "command, line, fragment",
