@@ -40,11 +40,26 @@ ids as it parses; ``build_graph`` remakes a caller's entity reference around
 the interned id. So every subject, relation and entity-valued object of a
 triple the graph returns is the very string object that keys
 ``graph.entities`` or ``graph.relations``.
+
+``load_graph`` keeps what it parsed in a snapshot beside the triples file
+(``snapshot_path``): a pickle-free ``.npz`` of the code columns, the CSR
+pair and the ids, names, aliases and literals as UTF-8 text, stored under
+the SHA-256 of the source files' bytes. A load whose files hash to a
+snapshot's key decodes it instead of parsing, after checking its
+structure; the decoded graph has the same dict orders, codes, term order
+and interned ids as a parsed one. A snapshot that is missing, stale,
+damaged or cannot be written costs only a parse.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import logging
+import os
+import shutil
+import tempfile
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -440,13 +455,14 @@ def build_graph(
     return coder.assemble()
 
 
-def _data_lines(path: Path):
-    """Yield (line_number, line) for each data line, skipping blanks and # comments.
+def _data_lines(path: Path, data: bytes):
+    """Yield (line_number, line) for each data line of ``path``'s bytes ``data``.
 
-    ``line`` is the raw line, line ending included: the callers strip every
-    column they keep, and the ending never changes a line's column count.
+    Blanks and # comments are skipped. ``line`` is the raw line, line ending
+    included: the callers strip every column they keep, and the ending never
+    changes a line's column count. Lines end as text mode reads them.
     """
-    with path.open("r", encoding="utf-8") as handle:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as handle:
         for number, raw in enumerate(handle, 1):
             stripped = raw.strip()
             if not stripped or stripped[0] == "#":
@@ -480,9 +496,9 @@ def _parse_object(token: str, path: Path, line_number: int, entity_codes: _Codes
     )
 
 
-def _load_entities(path: Path) -> list[Entity]:
+def _load_entities(path: Path, data: bytes) -> list[Entity]:
     entities = []
-    for number, line in _data_lines(path):
+    for number, line in _data_lines(path, data):
         columns = line.split("\t")
         if len(columns) not in (2, 3):
             raise GraphLoadError(
@@ -502,9 +518,9 @@ def _load_entities(path: Path) -> list[Entity]:
     return entities
 
 
-def _load_relations(path: Path) -> list[Relation]:
+def _load_relations(path: Path, data: bytes) -> list[Relation]:
     relations = []
-    for number, line in _data_lines(path):
+    for number, line in _data_lines(path, data):
         columns = line.split("\t")
         if len(columns) != 2:
             raise GraphLoadError(
@@ -517,8 +533,8 @@ def _load_relations(path: Path) -> list[Relation]:
     return relations
 
 
-def _load_triples(path: Path, coder: _Coder) -> None:
-    """Parse a triples file straight into ``coder``'s code lists."""
+def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
+    """Parse a triples file's bytes straight into ``coder``'s code lists."""
     entity_codes, relation_codes, terms = coder.entities, coder.relations, coder.terms
     add_subject = coder.subjects.append
     add_predicate = coder.predicates.append
@@ -526,7 +542,7 @@ def _load_triples(path: Path, coder: _Coder) -> None:
     # Raw object token -> its term code, so each distinct token is parsed
     # once; its first occurrence is the line errors name.
     token_codes: dict[str, int] = {}
-    for number, line in _data_lines(path):
+    for number, line in _data_lines(path, data):
         columns = line.split("\t")
         if len(columns) != 3:
             raise GraphLoadError(
@@ -547,27 +563,222 @@ def _load_triples(path: Path, coder: _Coder) -> None:
         add_object(code)
 
 
+# The snapshot's format tag, hashed into its key: a change to the layout
+# below changes the tag, so an older file is never read as a newer one.
+_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 1"
+# Every member of a snapshot and its dtype. Strings are stored as UTF-8,
+# each preceded by a newline, which no TSV field holds; an entity's aliases
+# are joined by "|", which no alias holds, and an unnamed entity's name is
+# empty. Relation names cover every relation, an undeclared one's being its id.
+_SNAPSHOT_MEMBERS = {
+    "key": np.uint8,
+    "entity_ids": np.uint8,
+    "entity_names": np.uint8,
+    "entity_aliases": np.uint8,
+    "relation_ids": np.uint8,
+    "relation_names": np.uint8,
+    "literal_values": np.uint8,
+    "literal_datatypes": np.uint8,
+    "term_entities": np.int32,
+    "subjects": np.int32,
+    "predicates": np.int32,
+    "objects": np.int32,
+    "offsets": np.int64,
+    "incident": np.int32,
+}
+# What reading a damaged or foreign file can raise.
+_SNAPSHOT_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
+
+
+class _BadSnapshot(ValueError):
+    """A snapshot file whose structure does not hold together."""
+
+
+def _require(condition: bool, what: str) -> None:
+    if not condition:
+        raise _BadSnapshot(what)
+
+
+def snapshot_path(triples_path: str | Path) -> Path:
+    """Where ``load_graph`` keeps the snapshot of a graph: beside its triples file."""
+    triples_path = Path(triples_path)
+    return triples_path.with_name(f".{triples_path.name}.kgprompt.npz")
+
+
+def _source_key(sources: Sequence[bytes | None]) -> bytes:
+    """SHA-256 over the format tag and each source's length and bytes (None: absent)."""
+    digest = hashlib.sha256(_SNAPSHOT_FORMAT)
+    for data in sources:
+        if data is None:
+            digest.update(b"\0")
+        else:
+            digest.update(b"\1" + len(data).to_bytes(8, "little"))
+            digest.update(data)
+    return digest.digest()
+
+
+def _blob(strings: Iterable[str]) -> np.ndarray:
+    return np.frombuffer("\n".join(["", *strings]).encode("utf-8"), dtype=np.uint8)
+
+
+def _strings(blob: np.ndarray) -> list[str]:
+    return blob.tobytes().decode("utf-8").split("\n")[1:]
+
+
+def _within(codes: np.ndarray, low: int, high: int, what: str) -> None:
+    _require(not codes.size or (low <= codes.min() and codes.max() < high), f"{what} out of range")
+
+
+def _write_snapshot(path: Path, key: bytes, graph: KnowledgeGraph, mode_of: Path) -> None:
+    """Write ``graph``'s snapshot to ``path`` atomically, with ``mode_of``'s permission bits.
+
+    A failure (a read-only directory, a full disk) costs only the snapshot:
+    it is logged at debug level, and no partial file is left at ``path``.
+    """
+    literals = graph.terms[graph.term_entities < 0].tolist()
+    arrays = {
+        "key": np.frombuffer(key, dtype=np.uint8),
+        "entity_ids": _blob(graph.entity_ids.tolist()),
+        "entity_names": _blob(entity.name or "" for entity in graph.entities.values()),
+        "entity_aliases": _blob("|".join(entity.aliases) for entity in graph.entities.values()),
+        "relation_ids": _blob(graph.relation_ids.tolist()),
+        "relation_names": _blob(relation.name for relation in graph.relations.values()),
+        "literal_values": _blob(literal.value for literal in literals),
+        "literal_datatypes": np.array(
+            [LITERAL_DATATYPES.index(literal.datatype) for literal in literals], dtype=np.uint8
+        ),
+        **{
+            name: getattr(graph, name)
+            for name in ("term_entities", "subjects", "predicates", "objects", "offsets", "incident")
+        },
+    }
+    temporary = None
+    try:
+        handle, temporary = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
+        with os.fdopen(handle, "wb") as file:
+            np.savez(file, **arrays)
+        shutil.copymode(mode_of, temporary)
+        os.replace(temporary, path)
+    except OSError as exc:
+        logger.debug("cannot write graph snapshot %s: %s", path, exc)
+        if temporary is not None:
+            Path(temporary).unlink(missing_ok=True)
+
+
+def _read_snapshot(path: Path, key: bytes) -> KnowledgeGraph | None:
+    """The graph stored at ``path`` under ``key``, or None when there is none to use.
+
+    A missing file or one stored under another key is a plain miss; a file
+    that cannot be read or whose structure does not hold is logged as a
+    warning. Either way the caller parses the TSV files and rewrites it.
+    """
+    try:
+        with path.open("rb") as file:
+            snapshot = np.load(file, allow_pickle=False)
+            _require(isinstance(snapshot, np.lib.npyio.NpzFile), "not an .npz archive")
+            members = {name: snapshot[name] for name in _SNAPSHOT_MEMBERS}
+        if members["key"].tobytes() != key:
+            logger.debug("graph snapshot %s holds other sources; re-parsing", path)
+            return None
+        return _decode_snapshot(members)
+    except FileNotFoundError:
+        return None
+    except _SNAPSHOT_ERRORS as exc:
+        logger.warning("graph snapshot %s is unusable (%s); re-parsing the TSV files", path, exc)
+        return None
+
+
+def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
+    """The graph of a snapshot's members; _BadSnapshot when they do not fit together."""
+    for name, dtype in _SNAPSHOT_MEMBERS.items():
+        array = members[name]
+        _require(array.dtype == dtype and array.ndim == 1, f"{name} is not a 1-d {np.dtype(dtype)} array")
+    ids = _strings(members["entity_ids"])
+    names = [name or None for name in _strings(members["entity_names"])]
+    aliases = [tuple(alias.split("|")) if alias else () for alias in _strings(members["entity_aliases"])]
+    relation_ids = _strings(members["relation_ids"])
+    relation_names = _strings(members["relation_names"])
+    values = _strings(members["literal_values"])
+    datatypes = members["literal_datatypes"]
+    term_entities, offsets, incident = members["term_entities"], members["offsets"], members["incident"]
+    subjects, predicates, objects = members["subjects"], members["predicates"], members["objects"]
+
+    entity_codes = dict(zip(ids, range(len(ids))))
+    relations = {
+        # An undeclared relation is named by the very id object, as assemble names it.
+        relation_id: Relation(relation_id, relation_id if name == relation_id else name)
+        for relation_id, name in zip(relation_ids, relation_names)
+    }
+    literal = term_entities < 0
+    count = len(subjects)
+    _require(len(entity_codes) == len(ids) == len(names) == len(aliases) == len(offsets) - 1, "entity counts")
+    _require(len(relations) == len(relation_ids) == len(relation_names), "relation counts")
+    _require(np.count_nonzero(literal) == len(values) == len(datatypes), "literal counts")
+    _require(len(predicates) == len(objects) == count, "row counts")
+    _require(offsets[0] == 0 and offsets[-1] == len(incident) and (np.diff(offsets) >= 0).all(), "offsets")
+    _within(term_entities, -1, len(ids), "term entity codes")
+    _within(datatypes, 0, len(LITERAL_DATATYPES), "literal datatypes")
+    _within(subjects, 0, len(ids), "subject codes")
+    _within(predicates, 0, len(relations), "relation codes")
+    _within(objects, 0, len(term_entities), "term codes")
+    _within(incident, 0, count, "incident rows")
+
+    entity_ids = _objects(ids)
+    terms = np.empty(len(term_entities), dtype=object)
+    terms[~literal] = _objects(list(map(EntityRef._make, zip(entity_ids[term_entities[~literal]].tolist()))))
+    literal_datatypes = map(LITERAL_DATATYPES.__getitem__, datatypes.tolist())
+    terms[literal] = _objects(list(map(Literal._make, zip(values, literal_datatypes))))
+    return KnowledgeGraph(
+        entities=dict(zip(ids, map(Entity._make, zip(ids, names, aliases)))),
+        relations=relations,
+        entity_ids=entity_ids,
+        relation_ids=_objects(relation_ids),
+        entity_codes=entity_codes,
+        terms=terms,
+        term_entities=term_entities,
+        subjects=subjects,
+        predicates=predicates,
+        objects=objects,
+        offsets=offsets,
+        incident=incident,
+    )
+
+
 def load_graph(
     triples_path: str | Path,
     entities_path: str | Path,
     relations_path: str | Path | None = None,
 ) -> KnowledgeGraph:
-    """Load and validate a knowledge graph from TSV files.
+    """Load and validate a knowledge graph from TSV files, through a snapshot.
 
     When ``relations_path`` is not given, a ``relations.tsv`` sitting next to
     the entities file is used if present; relation ids without a declared
     name fall back to the id itself. Errors naming a triple (an unknown
     entity) or a duplicate id are raised after the whole file has parsed.
+
+    The graph parsed from a set of files is kept in a snapshot beside the
+    triples file (``snapshot_path``), keyed by the SHA-256 of the files'
+    bytes, and a later load of the same bytes decodes it instead of parsing.
+    A snapshot that cannot be written or read costs only the time to parse.
     """
     triples_path = Path(triples_path)
     entities_path = Path(entities_path)
     if relations_path is None:
         candidate = entities_path.parent / "relations.tsv"
         relations_path = candidate if candidate.is_file() else None
-    relations = _load_relations(Path(relations_path)) if relations_path else []
-    coder = _Coder(_load_entities(entities_path), relations)
-    _load_triples(triples_path, coder)
-    return coder.assemble()
+    relations_path = Path(relations_path) if relations_path else None
+    triples_data, entities_data = triples_path.read_bytes(), entities_path.read_bytes()
+    relations_data = relations_path.read_bytes() if relations_path else None
+    key = _source_key((triples_data, entities_data, relations_data))
+    snapshot = snapshot_path(triples_path)
+    graph = _read_snapshot(snapshot, key)
+    if graph is None:
+        relations = _load_relations(relations_path, relations_data) if relations_path else []
+        coder = _Coder(_load_entities(entities_path, entities_data), relations)
+        _load_triples(triples_path, triples_data, coder)
+        graph = coder.assemble()
+        _write_snapshot(snapshot, key, graph, triples_path)
+    return graph
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

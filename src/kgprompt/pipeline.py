@@ -12,6 +12,7 @@ answers with those lines injected.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -172,6 +173,33 @@ def load_config(path: str | Path) -> RunConfig:
     return config_from_dict(data, base_dir=path.parent)
 
 
+def _example(record: dict) -> QaExample:
+    """The example of one dataset record; ConfigError naming the field that is wrong."""
+    for required in ("id", "question", "answer_entities"):
+        if required not in record:
+            raise ConfigError(f"missing field {required!r}")
+    if not isinstance(record["question"], str):
+        raise ConfigError("field 'question' must be a string")
+    question_entities = record.get("question_entities")
+    for name, ids in (
+        ("question_entities", [] if question_entities is None else question_entities),
+        ("answer_entities", record["answer_entities"]),
+    ):
+        # A bare string would otherwise be split into one-character ids.
+        if not isinstance(ids, list) or not all(isinstance(item, str) for item in ids):
+            raise ConfigError(f"field {name!r} must be a list of strings")
+    # A number would break the per-category report's sort after the whole run.
+    if not isinstance(record.get("category"), (str, type(None))):
+        raise ConfigError("field 'category' must be a string or null")
+    return QaExample(
+        id=str(record["id"]),
+        question=record["question"],
+        question_entities=None if question_entities is None else tuple(question_entities),
+        answer_entities=tuple(record["answer_entities"]),
+        category=record.get("category"),
+    )
+
+
 def load_dataset(path: str | Path) -> list[QaExample]:
     """Read QA examples from JSONL, one object per line.
 
@@ -183,49 +211,12 @@ def load_dataset(path: str | Path) -> list[QaExample]:
     path = Path(path)
     examples = []
     id_lines: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{number}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ConfigError(f"{path}:{number}: expected a JSON object")
-            for required in ("id", "question", "answer_entities"):
-                if required not in record:
-                    raise ConfigError(f"{path}:{number}: missing field {required!r}")
-            if not isinstance(record["question"], str):
-                raise ConfigError(f"{path}:{number}: field 'question' must be a string")
-            question_entities = record.get("question_entities")
-            for name, ids in (
-                ("question_entities", [] if question_entities is None else question_entities),
-                ("answer_entities", record["answer_entities"]),
-            ):
-                # A bare string would otherwise be split into one-character ids.
-                if not isinstance(ids, list) or not all(isinstance(item, str) for item in ids):
-                    raise ConfigError(f"{path}:{number}: field {name!r} must be a list of strings")
-            # A number would break the per-category report's sort after the whole run.
-            if not isinstance(record.get("category"), (str, type(None))):
-                raise ConfigError(f"{path}:{number}: field 'category' must be a string or null")
-            example_id = str(record["id"])
-            earlier = id_lines.setdefault(example_id, number)
+    with contextlib.closing(_numbered_records(path, _example)) as numbered:
+        for number, example in numbered:
+            earlier = id_lines.setdefault(example.id, number)
             if earlier != number:
-                raise ConfigError(
-                    f"{path}:{number}: field 'id' repeats {example_id!r} from line {earlier}"
-                )
-            examples.append(
-                QaExample(
-                    id=example_id,
-                    question=record["question"],
-                    question_entities=None
-                    if question_entities is None
-                    else tuple(question_entities),
-                    answer_entities=tuple(record["answer_entities"]),
-                    category=record.get("category"),
-                )
-            )
+                raise ConfigError(f"{path}:{number}: field 'id' repeats {example.id!r} from line {earlier}")
+            examples.append(example)
     return examples
 
 
@@ -460,12 +451,13 @@ def rescore_record(record: dict) -> dict:
     return updated
 
 
-def read_records(path: str | Path, parse=None) -> list:
-    """The JSON object on each non-blank line of a JSONL file, mapped by ``parse`` when given.
+def _numbered_records(path: str | Path, parse=None):
+    """Yield (line number, record) for each non-blank line of a JSONL file.
 
-    A line that is not an object, or a ConfigError from ``parse``, names its ``path:line``.
+    The record is the line's JSON object, mapped by ``parse`` when given. A
+    line that is not an object, or a ConfigError from ``parse``, names its
+    ``path:line``.
     """
-    records = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
@@ -474,12 +466,21 @@ def read_records(path: str | Path, parse=None) -> list:
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ConfigError("expected a JSON object")
-                records.append(record if parse is None else parse(record))
+                if parse is not None:
+                    record = parse(record)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}:{number}: invalid JSON: {exc}") from exc
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{number}: {exc}") from exc
-    return records
+            yield number, record
+
+
+def read_records(path: str | Path, parse=None) -> list:
+    """The JSON object on each non-blank line of a JSONL file, mapped by ``parse`` when given.
+
+    A line that is not an object, or a ConfigError from ``parse``, names its ``path:line``.
+    """
+    return [record for _number, record in _numbered_records(path, parse)]
 
 
 def write_records(path: str | Path, records: Sequence[dict]) -> None:

@@ -59,6 +59,11 @@ class PromptSpec:
             )
         if self.knowledge_instruction == "custom" and not self.custom_instruction:
             raise ConfigError("custom knowledge_instruction requires custom_instruction text")
+        if self.knowledge_instruction != "custom" and self.custom_instruction is not None:
+            raise ConfigError(
+                f"prompt.custom_instruction would be ignored: knowledge_instruction is"
+                f" {self.knowledge_instruction!r}, not 'custom'"
+            )
         if self.ordering not in ORDERINGS:
             raise ConfigError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
         if self.max_input_tokens < 1:

@@ -7,6 +7,7 @@ import itertools
 import json
 import logging
 import os
+import ssl
 import threading
 import time
 import urllib.error
@@ -23,6 +24,30 @@ API_TOKEN_ENV = "KGPROMPT_API_TOKEN"
 MAX_RETRIES = 3
 BACKOFF_INITIAL_SECONDS = 1.0
 
+_TLS_LOCK = threading.Lock()
+_tls_context: ssl.SSLContext | None = None
+
+
+def _shared_tls_context() -> ssl.SSLContext:
+    """The process's one default TLS context, built at the first https request.
+
+    Building one loads the CA certificates (tens of milliseconds), so it is
+    done once, and not at import; it reads SSL_CERT_FILE and SSL_CERT_DIR then.
+    """
+    global _tls_context
+    with _TLS_LOCK:
+        if _tls_context is None:
+            _tls_context = ssl.create_default_context()
+        return _tls_context
+
+
+class _HTTPSHandler(urllib.request.HTTPSHandler):
+    """urllib's HTTPS handler, with the shared TLS context instead of a new one per connection."""
+
+    def https_open(self, request):
+        return self.do_open(http.client.HTTPSConnection, request, context=_shared_tls_context())
+
+
 # One opener for every request. Its handlers take the http and https proxies
 # from the environment (read once, at import), speak HTTP and HTTPS, and turn a
 # non-2xx reply into HTTPError; any other scheme fails as a URLError. urllib's
@@ -34,7 +59,7 @@ for _handler in (
         {scheme: url for scheme, url in urllib.request.getproxies().items() if scheme in ("http", "https")}
     ),
     urllib.request.HTTPHandler(),
-    urllib.request.HTTPSHandler(),
+    _HTTPSHandler(),
     urllib.request.HTTPDefaultErrorHandler(),
     urllib.request.HTTPErrorProcessor(),
     urllib.request.UnknownHandler(),

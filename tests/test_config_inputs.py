@@ -61,6 +61,13 @@ BASE_CONFIG = {
     "output_dir": "out",
 }
 
+# BASE_CONFIG with the custom instruction chosen, the one instruction that
+# takes custom_instruction text.
+CUSTOM_BASE_CONFIG = {
+    **BASE_CONFIG,
+    "prompt": {"knowledge_instruction": "custom", "custom_instruction": "Base facts."},
+}
+
 RUN_FLAGS = [(flag, path) for flag, path, _options in cli.OVERRIDES]
 RETRIEVE_FLAGS = [(flag, path) for flag, path in RUN_FLAGS if flag in cli.RETRIEVE_OVERRIDES]
 
@@ -130,7 +137,8 @@ class TestOverrideTable:
 
     @pytest.mark.parametrize("flag, path", RUN_FLAGS)
     def test_run_flag_sets_exactly_its_field(self, flag, path, tmp_path, monkeypatch, capsys):
-        config_path = write_json(tmp_path / "config.json", BASE_CONFIG)
+        base_config = CUSTOM_BASE_CONFIG if path == "prompt.custom_instruction" else BASE_CONFIG
+        config_path = write_json(tmp_path / "config.json", base_config)
         base = load_config(config_path)
         argument, value = SAMPLES[path]
         config = parsed_config(monkeypatch, capsys, "run", config_path, flag, argument)
@@ -150,9 +158,11 @@ class TestOverrideTable:
         assert parsed_config(monkeypatch, capsys, "run", config_path) == load_config(config_path)
 
     def test_json_config_and_equivalent_flags_give_equal_configs(self, tmp_path, monkeypatch, capsys):
-        merged = json.loads(json.dumps(BASE_CONFIG))
+        merged = json.loads(json.dumps(CUSTOM_BASE_CONFIG))
         flags = []
         for flag, path in RUN_FLAGS:
+            if path == "prompt.knowledge_instruction":
+                continue  # it stays custom, so that custom_instruction may be set
             argument, value = SAMPLES[path]
             flags += [flag, argument]
             for key, entry in nested(path, value).items():
@@ -161,7 +171,7 @@ class TestOverrideTable:
                 else:
                     merged[key] = entry
         from_json = load_config(write_json(tmp_path / "full.json", merged))
-        config_path = write_json(tmp_path / "config.json", BASE_CONFIG)
+        config_path = write_json(tmp_path / "config.json", CUSTOM_BASE_CONFIG)
         assert parsed_config(monkeypatch, capsys, "run", config_path, *flags) == from_json
 
 
@@ -183,6 +193,7 @@ class TestIllTypedConfigValues:
             ({"provider": {"script": [["a"]]}}, "provider field 'script'"),
             ({"prompt": 3}, "config section 'prompt' must be an object"),
             ({"prompt": {"flavour": "x"}}, "unknown prompt field(s): flavour"),
+            ({"prompt": {"custom_instruction": "x"}}, "prompt.custom_instruction would be ignored"),
         ],
     )
     def test_run_exits_1_naming_the_field(self, data, fragment, tmp_path, capsys):
@@ -209,6 +220,23 @@ class TestEndpoints:
         fragment = f"{section} field 'endpoint' must be an absolute http or https URL, got {endpoint!r}"
         assert_error_exit(capsys, argv, fragment)
         assert loads == []
+
+
+class TestIgnoredCustomInstruction:
+    def test_run_exits_1_before_loading_the_graph(self, toy_dir, tmp_path, monkeypatch, capsys):
+        loads = []
+        monkeypatch.setattr(pipeline, "load_graph", lambda *paths: loads.append(paths))
+        argv = ["run", "--config", str(toy_dir / "config.json"), "--out", str(tmp_path)]
+        argv += ["--custom-instruction", "ZZZ facts"]
+        fragment = "prompt.custom_instruction would be ignored: knowledge_instruction is 'meaningful'"
+        assert_error_exit(capsys, argv, fragment)
+        assert loads == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_custom_instruction_with_custom_is_taken(self, toy_dir, monkeypatch, capsys):
+        flags = ["--instruction", "custom", "--custom-instruction", "ZZZ facts"]
+        config = parsed_config(monkeypatch, capsys, "run", str(toy_dir / "config.json"), *flags)
+        assert config.prompt.instruction_text() == "ZZZ facts"
 
 
 class TestMalformedRecords:

@@ -1,16 +1,20 @@
 import dataclasses
+import os
 import random
 import sys
+import tempfile
 import threading
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from kgprompt import pipeline
+from kgprompt import kg, pipeline
 from kgprompt.errors import GraphLoadError
 from kgprompt.kg import (
     Entity,
     EntityRef,
+    KnowledgeGraph,
     Literal,
     Relation,
     Triple,
@@ -19,6 +23,7 @@ from kgprompt.kg import (
     load_graph,
     neighborhood,
     relation_frequency,
+    snapshot_path,
 )
 from kgprompt.verbalize import verbalize
 
@@ -527,6 +532,32 @@ def assert_graph_matches_oracle(graph, expected):
     assert [(r.id, r.name) for r in graph.relations.values()] == list(relations.items())
 
 
+def load_decoded(monkeypatch, *paths) -> KnowledgeGraph:
+    """``load_graph(*paths)``, failing if it parses the triples file instead of decoding its snapshot."""
+
+    def parse_forbidden(*args):
+        raise AssertionError("parsed the triples file; expected a snapshot hit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kg, "_load_triples", parse_forbidden)
+        return load_graph(*paths)
+
+
+def typed(values: list) -> list:
+    return [(type(value), value) for value in values]
+
+
+def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
+    """Every field equal: dicts in the same order, arrays in value, dtype and element type."""
+    for field in dataclasses.fields(KnowledgeGraph):
+        expected, actual = getattr(parsed, field.name), getattr(decoded, field.name)
+        if isinstance(expected, dict):
+            assert typed(list(actual.items())) == typed(list(expected.items())), field.name
+        else:
+            assert actual.dtype == expected.dtype, field.name
+            assert typed(actual.tolist()) == typed(expected.tolist()), field.name
+
+
 def load_failure(*paths) -> str:
     with pytest.raises(GraphLoadError) as excinfo:
         load_graph(*paths)
@@ -540,13 +571,18 @@ def oracle_failure(*paths) -> str:
 
 
 class TestLoaderMatchesOracle:
-    def test_random_graph_files(self, tmp_path):
+    def test_random_graph_files(self, tmp_path, monkeypatch):
         rng = random.Random(20261018)
         self_loops = undeclared = unnamed = duplicates = 0
         for _ in range(25):
             paths = random_graph_files(rng, tmp_path)
-            graph = load_graph(*paths)
-            assert_graph_matches_oracle(graph, oracle_load(*paths))
+            expected = oracle_load(*paths)
+            snapshot_path(paths[0]).unlink(missing_ok=True)
+            graph = load_graph(*paths)  # a miss: parsed, and the snapshot written
+            decoded = load_decoded(monkeypatch, *paths)
+            assert_graph_matches_oracle(graph, expected)
+            assert_graph_matches_oracle(decoded, expected)
+            assert_same_store(graph, decoded)
             self_loops += sum(t.subject == t.object_entity_id() for t in graph.triples)
             undeclared += sum(r.id == r.name for r in graph.relations.values())
             unnamed += sum(e.name is None for e in graph.entities.values())
@@ -602,23 +638,38 @@ def key_objects(mapping: dict) -> dict:
     return {key: key for key in mapping}
 
 
+def assert_ids_interned(graph: KnowledgeGraph) -> int:
+    """Check that every id a graph holds is the very object keying its dict; the triples checked."""
+    entity_keys = key_objects(graph.entities)
+    relation_keys = key_objects(graph.relations)
+    for triple in graph.triples:
+        assert triple.subject is entity_keys[triple.subject]
+        assert triple.relation is relation_keys[triple.relation]
+        if isinstance(triple.object, EntityRef):
+            assert triple.object.entity_id is entity_keys[triple.object.entity_id]
+    for entity_id in csr_adjacency(graph):
+        assert entity_id is entity_keys[entity_id]
+    for entity_id, entity in graph.entities.items():
+        assert entity.id is entity_id and entity_id is entity_keys[entity_id]
+    for relation_id, relation in graph.relations.items():
+        assert relation.id is relation_id
+        if relation.name == relation_id:  # undeclared: named by the id itself
+            assert relation.name is relation_id
+    assert all(entity_id is entity_keys[entity_id] for entity_id in graph.entity_codes)
+    assert all(entity_id is entity_keys[entity_id] for entity_id in graph.entity_ids.tolist())
+    return len(graph.triples)
+
+
 class TestInternedIds:
-    def test_triple_ids_are_the_graphs_keys(self, tmp_path):
+    def test_triple_ids_are_the_graphs_keys(self, tmp_path, monkeypatch):
         rng = random.Random(20261018)
         checked = 0
         for _ in range(25):
-            graph = load_graph(*random_graph_files(rng, tmp_path))
-            entity_keys = key_objects(graph.entities)
-            relation_keys = key_objects(graph.relations)
-            for triple in graph.triples:
-                assert triple.subject is entity_keys[triple.subject]
-                assert triple.relation is relation_keys[triple.relation]
-                if isinstance(triple.object, EntityRef):
-                    assert triple.object.entity_id is entity_keys[triple.object.entity_id]
-                checked += 1
-            for entity_id in csr_adjacency(graph):
-                assert entity_id is entity_keys[entity_id]
-        assert checked > 1000
+            paths = random_graph_files(rng, tmp_path)
+            snapshot_path(paths[0]).unlink(missing_ok=True)
+            checked += assert_ids_interned(load_graph(*paths))
+            checked += assert_ids_interned(load_decoded(monkeypatch, *paths))
+        assert checked > 2000
 
     def test_undeclared_relation_is_one_shared_object(self, tmp_path):
         triples, entities = write_graph_files(
@@ -659,6 +710,194 @@ class TestInternedIds:
             assert built == loaded
             seeds = sorted(loaded.entities)[:3]
             assert neighborhood(built, seeds, 2) == neighborhood(loaded, seeds, 2)
+
+
+def rewrite_snapshot(path, change) -> None:
+    """Apply ``change`` to the members of the snapshot at ``path`` and write them back."""
+    with np.load(path, allow_pickle=False) as snapshot:
+        members = {name: snapshot[name] for name in snapshot.files}
+    change(members)
+    with path.open("wb") as file:
+        np.savez(file, **members)
+
+
+def flip_middle_third(path) -> None:
+    data = path.read_bytes()
+    third = len(data) // 3
+    path.write_bytes(data[:third] + bytes(byte ^ 0xFF for byte in data[third : 2 * third]) + data[2 * third :])
+
+
+def flip_a_literal_digit(path) -> None:
+    """Turn the stored literal "1999" into "0999": still well formed, so only the CRC tells."""
+    data = bytearray(path.read_bytes())
+    data[data.index(b"1999")] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def save_bare_array(path) -> None:
+    with path.open("wb") as file:
+        np.save(file, np.arange(3))
+
+
+# Ways a snapshot can be unusable although its file is there: each is logged
+# as a warning, and the load parses the TSV files and rewrites the snapshot.
+DAMAGED_SNAPSHOTS = {
+    "flipped bytes": flip_middle_third,
+    "flipped data byte": flip_a_literal_digit,
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]),
+    "empty": lambda path: path.write_bytes(b""),
+    "not an archive": lambda path: path.write_bytes(b"not a snapshot\n"),
+    "a bare array": save_bare_array,
+    "missing member": lambda path: rewrite_snapshot(path, lambda members: members.pop("incident")),
+    "pickled member": lambda path: rewrite_snapshot(
+        path, lambda members: members.update(subjects=members["subjects"].astype(object))
+    ),
+    "wrong dtype": lambda path: rewrite_snapshot(
+        path, lambda members: members.update(offsets=members["offsets"].astype(np.int32))
+    ),
+    "subject out of range": lambda path: rewrite_snapshot(
+        path, lambda members: members["subjects"].__setitem__(0, 2)
+    ),
+    "literal count": lambda path: rewrite_snapshot(
+        path, lambda members: members.update(literal_datatypes=members["literal_datatypes"][:-1])
+    ),
+    "entity count": lambda path: rewrite_snapshot(
+        path, lambda members: members.update(entity_names=members["entity_names"][:-5])
+    ),
+    "offsets": lambda path: rewrite_snapshot(path, lambda members: members["offsets"].__setitem__(-1, 99)),
+    "not utf-8": lambda path: rewrite_snapshot(
+        path, lambda members: members["entity_ids"].__setitem__(-1, 0xFF)
+    ),
+}
+SNAPSHOT_GRAPH = (
+    "Q1\tP1\tE:Q2\nQ2\tP9\tL:time:1999\nQ1\tP9\tL:plain:a:b\nQ1\tP1\tE:Q1\n",
+    "Q1\tAlpha\tA|Al\nQ2\t\n",
+    "P1\tknows\n",
+)
+SOURCE_FILES = ["entities.tsv", "relations.tsv", "triples.tsv"]
+
+
+def snapshot_files(directory) -> dict:
+    """Each snapshot or temporary snapshot file in ``directory``, with its bytes."""
+    return {path.name: path.read_bytes() for path in directory.glob(".*.kgprompt.npz*")}
+
+
+class TestSnapshot:
+    def test_sits_beside_the_triples_file_without_pickles(self, tmp_path, monkeypatch):
+        triples, entities = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+        graph = load_graph(triples, entities)
+        path = snapshot_path(triples)
+        assert path == tmp_path / ".triples.tsv.kgprompt.npz"
+        assert sorted(os.listdir(tmp_path)) == [path.name, *SOURCE_FILES]
+        with np.load(path, allow_pickle=False) as snapshot:
+            assert all(snapshot[name].dtype != object for name in snapshot.files)
+        decoded = load_decoded(monkeypatch, triples, entities)
+        assert_same_store(graph, decoded)
+        assert assert_ids_interned(decoded) == 4
+
+    def test_key_covers_each_source_and_an_absent_relations_file(self):
+        key = kg._source_key
+        assert key((b"t", b"e", None)) != key((b"t", b"e", b""))
+        assert key((b"ab", b"c", None)) != key((b"a", b"bc", None))
+        assert key((b"t", b"e", b"r")) == key((b"t", b"e", b"r"))
+
+    @pytest.mark.parametrize("damage", DAMAGED_SNAPSHOTS)
+    def test_unusable_snapshot_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, caplog, damage):
+        triples, entities = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+        parsed = load_graph(triples, entities)
+        DAMAGED_SNAPSHOTS[damage](snapshot_path(triples))
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="kgprompt.kg"):
+            assert_same_store(parsed, load_graph(triples, entities))
+        assert "graph snapshot" in caplog.text and "unusable" in caplog.text
+        assert_same_store(parsed, load_decoded(monkeypatch, triples, entities))
+
+    def test_snapshot_of_other_files_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, caplog):
+        other = tmp_path / "other"
+        other.mkdir()
+        load_graph(*write_graph_files(other, "Q1\tP1\tE:Q1\n", "Q1\tAlpha\n"))
+        triples, entities = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+        snapshot_path(triples).write_bytes(snapshot_path(other / "triples.tsv").read_bytes())
+        with caplog.at_level("DEBUG", logger="kgprompt.kg"):
+            graph = load_graph(triples, entities)
+        assert not [record for record in caplog.records if record.levelname == "WARNING"]
+        assert "holds other sources" in caplog.text
+        assert len(graph.triples) == 4
+        assert_same_store(graph, load_decoded(monkeypatch, triples, entities))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("triples.tsv", "E:Q2", "E:Q1"),
+            ("entities.tsv", "Alpha", "Alphb"),
+            ("relations.tsv", "knows", "known"),
+            ("relations.tsv", None, None),
+        ],
+    )
+    def test_edited_source_is_parsed_again_even_with_its_size_and_mtime(self, tmp_path, edit):
+        name, old, new = edit
+        paths = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+        first = load_graph(*paths)
+        source = tmp_path / name
+        if old is None:
+            source.unlink()
+        else:
+            stat = source.stat()
+            source.write_text(source.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+            os.utime(source, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            assert (source.stat().st_size, source.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        graph = load_graph(*paths)
+        relations = tmp_path / "relations.tsv"
+        assert_graph_matches_oracle(graph, oracle_load(*paths, relations if relations.exists() else None))
+        assert graph != first
+
+    def test_read_only_directory_still_loads(self, tmp_path, monkeypatch):
+        triples, entities = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+        expected = oracle_load(triples, entities, tmp_path / "relations.tsv")
+        tmp_path.chmod(0o555)
+        try:
+            if os.access(tmp_path, os.W_OK):
+                # A superuser may write anyway: fail as the directory fails for everyone else.
+                def read_only(*args, **kwargs):
+                    raise PermissionError(13, "Permission denied", str(tmp_path))
+
+                monkeypatch.setattr(tempfile, "mkstemp", read_only)
+            graphs = [load_graph(triples, entities) for _ in range(2)]
+        finally:
+            tmp_path.chmod(0o755)
+        for graph in graphs:
+            assert_graph_matches_oracle(graph, expected)
+        assert sorted(os.listdir(tmp_path)) == SOURCE_FILES
+
+    def test_failed_write_leaves_no_file_behind(self, tmp_path, monkeypatch, caplog):
+        triples, entities = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with caplog.at_level("DEBUG", logger="kgprompt.kg"):
+            graph = load_graph(triples, entities)
+        assert len(graph.triples) == 4
+        assert "cannot write graph snapshot" in caplog.text
+        assert sorted(os.listdir(tmp_path)) == SOURCE_FILES
+
+    @pytest.mark.parametrize("stale", [False, True])
+    @pytest.mark.parametrize(
+        "triples_text, entities_text",
+        [(f"Q1\tP1\t{bad}\n", "Q1\tAlpha\n") for bad in [*BAD_OBJECTS, "E:Q8"]]
+        + [("Q1\tP1\n", "Q1\tAlpha\n"), ("Q8\tP1\tE:Q1\n", "Q1\tAlpha\n"), ("", "Q1\tA\nQ1\tB\n")],
+    )
+    def test_no_snapshot_of_files_that_fail_to_load(self, tmp_path, stale, triples_text, entities_text):
+        triples, entities = write_graph_files(tmp_path, *SNAPSHOT_GRAPH[:2])
+        if stale:
+            load_graph(triples, entities)
+        before = snapshot_files(tmp_path)
+        write_graph_files(tmp_path, triples_text, entities_text)
+        with pytest.raises(GraphLoadError):
+            load_graph(triples, entities)
+        assert snapshot_files(tmp_path) == before
+        assert len(before) == stale
 
 
 class TestNeighborhoodMatchesOracle:

@@ -331,6 +331,12 @@ class TestPromptSpecValidation:
         spec = PromptSpec(knowledge_instruction="custom", custom_instruction="Facts:")
         assert spec.instruction_text() == "Facts:"
 
+    @pytest.mark.parametrize("instruction", ["meaningful", "might_be"])
+    @pytest.mark.parametrize("text", ["Facts:", ""])
+    def test_text_without_custom_would_be_ignored(self, instruction, text):
+        with pytest.raises(ConfigError, match="prompt.custom_instruction would be ignored"):
+            PromptSpec(knowledge_instruction=instruction, custom_instruction=text)
+
     def test_budget_must_be_positive(self):
         with pytest.raises(ConfigError):
             PromptSpec(max_input_tokens=0)

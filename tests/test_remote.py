@@ -1,4 +1,5 @@
 import os
+import ssl
 import subprocess
 import sys
 import threading
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kgprompt
+from kgprompt import remote
 from kgprompt.embed import EmbedderConfig, RemoteEmbedder
 from kgprompt.errors import RemoteServiceError
 from kgprompt.llm import CompletionRequest, ProviderConfig, RemoteClient
@@ -72,3 +74,45 @@ class TestPostJson:
         assert (excinfo.value.status, excinfo.value.attempts) == (status, 1)
         assert http_service.state.requests == 1
         assert delays == []
+
+
+def count_tls_contexts(monkeypatch) -> list:
+    """The class of each TLS context made from now on, by whichever path."""
+    created = []
+    new = ssl.SSLContext.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        created.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ssl.SSLContext, "__new__", counting_new)
+    return created
+
+
+class TestTlsContext:
+    def test_one_context_for_many_https_requests(self, monkeypatch):
+        monkeypatch.setattr(remote, "_tls_context", None)
+        monkeypatch.setenv("no_proxy", "127.0.0.1")
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        created = count_tls_contexts(monkeypatch)
+        for _ in range(4):
+            # Nothing listens on the discard port: each request fails to connect.
+            with pytest.raises(RemoteServiceError) as excinfo:
+                remote.post_json("https://127.0.0.1:9/", {}, timeout=5)
+            assert excinfo.value.status is None
+        assert len(created) == 1
+        assert remote._tls_context is not None
+
+    def test_importing_the_package_makes_no_context(self):
+        src = str(Path(kgprompt.__file__).parents[1])
+        code = (
+            "import ssl\n"
+            "created, new = [], ssl.SSLContext.__new__\n"
+            "ssl.SSLContext.__new__ = lambda cls, *args, **kwargs: created.append(cls) or new(cls, *args, **kwargs)\n"
+            "import kgprompt, kgprompt.cli\n"
+            "print(len(created), kgprompt.remote._tls_context)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout) == (0, "0 None\n"), result.stderr
