@@ -102,13 +102,18 @@ def hashed_bow_vector(text: str, dimension: int) -> np.ndarray:
     return vector
 
 
+# The types a JSON number or null parses to; a bool is not a number here.
+_COMPONENT_TYPES = frozenset({int, float, type(None)})
+
+
 class RemoteEmbedder:
     """Client for the remote embedding protocol over one ``remote.Transport``.
 
     The transport bounds concurrency and retries what may succeed later;
-    vectors with null, NaN or infinite components are rejected at once, and
-    the rest re-normalized client-side so the unit-norm invariant holds
-    regardless of what the server returns.
+    a vector that is not a list of JSON numbers (one with a string or a
+    boolean component), or that has a null, NaN or infinite component, is
+    rejected at once, and the rest re-normalized client-side so the unit-norm
+    invariant holds regardless of what the server returns.
     """
 
     def __init__(self, config: EmbedderConfig, timeout: float = 30.0, sleep=time.sleep):
@@ -125,13 +130,19 @@ class RemoteEmbedder:
             )
         out = []
         for raw in vectors:
-            vector = np.asarray(raw, dtype=np.float64)
-            if vector.shape != (self.config.dimension,):
+            if not isinstance(raw, list) or not _COMPONENT_TYPES.issuperset(map(type, raw)):
+                raise RemoteServiceError("embedding endpoint returned a vector that is not a list of numbers")
+            if len(raw) != self.config.dimension:
                 raise ConfigError(
-                    f"embedding endpoint returned dimension {vector.shape}, "
+                    f"embedding endpoint returned dimension {len(raw)}, "
                     f"configured dimension is {self.config.dimension}"
                 )
-            if not np.isfinite(vector).all():
+            try:
+                vector = np.asarray(raw, dtype=np.float64)
+                finite = np.isfinite(vector).all()
+            except OverflowError:  # an int past the largest float
+                finite = False
+            if not finite:
                 raise RemoteServiceError("embedding endpoint returned a null or non-finite component")
             norm = float(np.linalg.norm(vector))
             if norm > 0.0:

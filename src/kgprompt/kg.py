@@ -35,20 +35,22 @@ them), so ranking reads a row's texts without any ``Triple``.
 ``graph.triples`` is a derived view built on first access.
 
 Ids and object terms are coded by one kind of table, ``_Codes``, in
-first-seen order. Loading parses each distinct object token once and interns
-ids as it parses; ``build_graph`` remakes a caller's entity reference around
-the interned id. So every subject, relation and entity-valued object of a
-triple the graph returns is the very string object that keys
-``graph.entities`` or ``graph.relations``.
+first-seen order; loading parses each distinct object token once. Every
+graph, parsed, built by ``build_graph`` or decoded, is made in one place,
+``_graph``, from the same parts: entity ids, names and aliases, relation ids
+and names, the literal terms and the code arrays. It makes each entity
+reference around the entity's id, so every subject, relation and
+entity-valued object of a triple the graph returns is the very string
+object that keys ``graph.entities`` or ``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
 (``snapshot_path``): a pickle-free ``.npz`` of the code columns, the CSR
 pair and the ids, names, aliases and literals as UTF-8 text, stored under
 the SHA-256 of the source files' bytes. A load whose files hash to a
 snapshot's key decodes it instead of parsing, after checking its
-structure; the decoded graph has the same dict orders, codes, term order
-and interned ids as a parsed one. A snapshot that is missing, stale,
-damaged or cannot be written costs only a parse.
+structure, and hands its parts to ``_graph``, so it has the same dict
+orders, codes, term order and interned ids as a parsed one. A snapshot that
+is missing, stale, damaged or cannot be written costs only a parse.
 """
 
 from __future__ import annotations
@@ -342,8 +344,8 @@ class _Coder:
     Entity ids, relation ids and object terms each have a ``_Codes`` table.
     ``build_graph`` and ``load_graph`` fill the three code lists, then call
     ``assemble``, which derives each term's entity code in one pass over the
-    terms. Unknown entity ids get codes past the declared ones, so that
-    ``assemble`` can name them.
+    terms and hands the checked parts to ``_graph``. Unknown entity ids get
+    codes past the declared ones, so that ``assemble`` can name them.
     """
 
     def __init__(self, entities: Iterable[Entity], relations: Iterable[Relation]):
@@ -358,32 +360,26 @@ class _Coder:
 
     def assemble(self) -> KnowledgeGraph:
         """Validate and dedupe the rows and index them into a graph."""
-        entities: dict[EntityId, Entity] = {}
-        for entity in self.entity_list:
-            if entity.id in entities:
-                raise GraphLoadError(f"duplicate entity id: {entity.id}")
-            entities[entity.id] = entity
-        relations: dict[RelationId, Relation] = {}
-        for relation in self.relation_list:
-            if relation.id in relations:
-                raise GraphLoadError(f"duplicate relation id: {relation.id}")
-            relations[relation.id] = relation
+        # A scan of the declared ids: the code tables also hold unknown ones.
+        for kind, declared in (("entity", self.entity_list), ("relation", self.relation_list)):
+            seen: set[str] = set()
+            for item in declared:
+                if item.id in seen:
+                    raise GraphLoadError(f"duplicate {kind} id: {item.id}")
+                seen.add(item.id)
 
         count = len(self.subjects)
         subjects = np.fromiter(self.subjects, np.int32, count)
         predicates = np.fromiter(self.predicates, np.int32, count)
         objects = np.fromiter(self.objects, np.int32, count)
-        # Each term's entity code, or -1 for a literal, in one pass; a
-        # caller-made entity reference is remade around the interned id.
-        entity_codes, entity_ids, terms = self.entities, self.entities.ids, self.terms.ids
-        codes = []
-        for index, term in enumerate(terms):
-            code = -1
+        # Each term's entity code, or -1 for a literal, in one pass.
+        codes, literals = [], []
+        for term in self.terms.ids:
             if isinstance(term, EntityRef):
-                code = entity_codes[term.entity_id]
-                if term.entity_id is not entity_ids[code]:
-                    terms[index] = EntityRef(entity_ids[code])
-            codes.append(code)
+                codes.append(self.entities[term.entity_id])
+            else:
+                codes.append(-1)
+                literals.append(term)
         term_entities = np.array(codes, dtype=np.int32)
         # Exact duplicates, first occurrence kept. A row's key codes its
         # (relation, object) pair densely first, so that it fits in 63 bits.
@@ -396,7 +392,7 @@ class _Coder:
             subjects, predicates, objects = subjects[keep], predicates[keep], objects[keep]
             count = len(keep)
 
-        known = len(entities)
+        known = len(self.entity_list)
         object_entities = term_entities[objects]
         unknown = np.flatnonzero((subjects >= known) | (object_entities >= known))
         if unknown.size:
@@ -406,8 +402,6 @@ class _Coder:
                 raise GraphLoadError(f"triple references unknown subject entity: {entity_id}")
             entity_id = self.entities.ids[object_entities[row]]
             raise GraphLoadError(f"triple references unknown object entity: {entity_id}")
-        for relation_id in self.relations.ids[len(relations) :]:
-            relations[relation_id] = Relation(relation_id, relation_id)
 
         # A row is incident to its subject, and to its entity object unless
         # that is a literal or the subject again. Sorting (entity, row) keys
@@ -418,20 +412,50 @@ class _Coder:
         incidence = np.sort(owners * count + np.concatenate((rows, rows[on_object])))
         offsets = np.zeros(known + 1, dtype=np.int64)
         np.cumsum(np.bincount(owners, minlength=known), out=offsets[1:])
-        return KnowledgeGraph(
-            entities=entities,
-            relations=relations,
-            entity_ids=_objects(self.entities.ids),
-            relation_ids=_objects(self.relations.ids),
-            entity_codes=dict(self.entities),
-            terms=_objects(terms),
-            term_entities=term_entities,
-            subjects=subjects,
-            predicates=predicates,
-            objects=objects,
-            offsets=offsets,
-            incident=(incidence % max(count, 1)).astype(np.int32),
+        incident = (incidence % max(count, 1)).astype(np.int32)
+        relation_names = [relation.name for relation in self.relation_list]
+        relation_names += self.relations.ids[len(relation_names) :]  # undeclared: named by the id
+        return _graph(
+            self.entities.ids,
+            [entity.name for entity in self.entity_list],
+            [entity.aliases for entity in self.entity_list],
+            self.relations.ids,
+            relation_names,
+            literals,
+            (term_entities, subjects, predicates, objects, offsets, incident),
         )
+
+
+# A graph's code arrays, in the order ``_graph`` takes them and a snapshot names them.
+_COLUMNS = ("term_entities", "subjects", "predicates", "objects", "offsets", "incident")
+
+
+def _graph(ids, names, aliases, relation_ids, relation_names, literals, columns) -> KnowledgeGraph:
+    """The graph of its parts; every graph is made here.
+
+    Entity ``ids``, ``names`` and ``aliases`` and the relation ids and names
+    are in code order, ``literals`` in term order, ``columns`` as ``_COLUMNS``
+    names them. Each id the graph holds is the very object of ``ids`` or
+    ``relation_ids``, a relation named by its own id included.
+    """
+    entity_ids = _objects(ids)
+    term_entities = columns[0]
+    on_entity = term_entities >= 0
+    terms = np.empty(len(term_entities), dtype=object)
+    terms[on_entity] = _objects(list(map(EntityRef._make, zip(entity_ids[term_entities[on_entity]].tolist()))))
+    terms[~on_entity] = _objects(literals)
+    return KnowledgeGraph(
+        entities=dict(zip(ids, map(Entity._make, zip(ids, names, aliases)))),
+        relations={
+            relation_id: Relation(relation_id, relation_id if name == relation_id else name)
+            for relation_id, name in zip(relation_ids, relation_names)
+        },
+        entity_ids=entity_ids,
+        relation_ids=_objects(relation_ids),
+        entity_codes=dict(zip(ids, range(len(ids)))),
+        terms=terms,
+        **dict(zip(_COLUMNS, columns)),
+    )
 
 
 def build_graph(
@@ -444,7 +468,8 @@ def build_graph(
     Exact duplicate triples are dropped (first occurrence wins). Relations
     referenced by triples but not declared get their id as a display name.
     Raises GraphLoadError on duplicate entity/relation ids or on triples
-    referencing unknown entities.
+    referencing unknown entities. The graph is coded and made as a loaded
+    one is, so it holds its own interned ids and ``Entity`` objects.
     """
     coder = _Coder(entities, relations)
     entity_codes, relation_codes, terms = coder.entities, coder.relations, coder.terms
@@ -470,12 +495,12 @@ def _data_lines(path: Path, data: bytes):
             yield number, raw
 
 
-def _parse_object(token: str, path: Path, line_number: int, entity_codes: _Codes) -> ObjectTerm:
+def _parse_object(token: str, path: Path, line_number: int) -> ObjectTerm:
     if token.startswith("E:"):
         entity_id = token[2:]
         if not entity_id:
             raise GraphLoadError(f"{path}:{line_number}: empty entity id in object")
-        return EntityRef(entity_codes.ids[entity_codes[entity_id]])
+        return EntityRef(entity_id)
     if token.startswith("L:"):
         parts = token.split(":", 2)
         if len(parts) != 3:
@@ -555,9 +580,7 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
             raise GraphLoadError(f"{path}:{number}: empty subject or relation id")
         code = token_codes.get(object_token)
         if code is None:
-            code = token_codes[object_token] = terms[
-                _parse_object(object_token.strip(), path, number, entity_codes)
-            ]
+            code = token_codes[object_token] = terms[_parse_object(object_token.strip(), path, number)]
         add_subject(entity_codes[subject])
         add_predicate(relation_codes[relation])
         add_object(code)
@@ -647,10 +670,7 @@ def _write_snapshot(path: Path, key: bytes, graph: KnowledgeGraph, mode_of: Path
         "literal_datatypes": np.array(
             [LITERAL_DATATYPES.index(literal.datatype) for literal in literals], dtype=np.uint8
         ),
-        **{
-            name: getattr(graph, name)
-            for name in ("term_entities", "subjects", "predicates", "objects", "offsets", "incident")
-        },
+        **{name: getattr(graph, name) for name in _COLUMNS},
     }
     temporary = None
     try:
@@ -700,48 +720,26 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     relation_names = _strings(members["relation_names"])
     values = _strings(members["literal_values"])
     datatypes = members["literal_datatypes"]
-    term_entities, offsets, incident = members["term_entities"], members["offsets"], members["incident"]
-    subjects, predicates, objects = members["subjects"], members["predicates"], members["objects"]
+    columns = [members[name] for name in _COLUMNS]
+    term_entities, subjects, predicates, objects, offsets, incident = columns
 
-    entity_codes = dict(zip(ids, range(len(ids))))
-    relations = {
-        # An undeclared relation is named by the very id object, as assemble names it.
-        relation_id: Relation(relation_id, relation_id if name == relation_id else name)
-        for relation_id, name in zip(relation_ids, relation_names)
-    }
-    literal = term_entities < 0
     count = len(subjects)
-    _require(len(entity_codes) == len(ids) == len(names) == len(aliases) == len(offsets) - 1, "entity counts")
-    _require(len(relations) == len(relation_ids) == len(relation_names), "relation counts")
-    _require(np.count_nonzero(literal) == len(values) == len(datatypes), "literal counts")
+    _require(len(ids) == len(names) == len(aliases) == len(offsets) - 1, "entity counts")
+    _require(len(relation_ids) == len(relation_names), "relation counts")
+    _require(np.count_nonzero(term_entities < 0) == len(values) == len(datatypes), "literal counts")
     _require(len(predicates) == len(objects) == count, "row counts")
     _require(offsets[0] == 0 and offsets[-1] == len(incident) and (np.diff(offsets) >= 0).all(), "offsets")
     _within(term_entities, -1, len(ids), "term entity codes")
     _within(datatypes, 0, len(LITERAL_DATATYPES), "literal datatypes")
     _within(subjects, 0, len(ids), "subject codes")
-    _within(predicates, 0, len(relations), "relation codes")
+    _within(predicates, 0, len(relation_ids), "relation codes")
     _within(objects, 0, len(term_entities), "term codes")
     _within(incident, 0, count, "incident rows")
 
-    entity_ids = _objects(ids)
-    terms = np.empty(len(term_entities), dtype=object)
-    terms[~literal] = _objects(list(map(EntityRef._make, zip(entity_ids[term_entities[~literal]].tolist()))))
-    literal_datatypes = map(LITERAL_DATATYPES.__getitem__, datatypes.tolist())
-    terms[literal] = _objects(list(map(Literal._make, zip(values, literal_datatypes))))
-    return KnowledgeGraph(
-        entities=dict(zip(ids, map(Entity._make, zip(ids, names, aliases)))),
-        relations=relations,
-        entity_ids=entity_ids,
-        relation_ids=_objects(relation_ids),
-        entity_codes=entity_codes,
-        terms=terms,
-        term_entities=term_entities,
-        subjects=subjects,
-        predicates=predicates,
-        objects=objects,
-        offsets=offsets,
-        incident=incident,
-    )
+    literals = list(map(Literal._make, zip(values, map(LITERAL_DATATYPES.__getitem__, datatypes.tolist()))))
+    graph = _graph(ids, names, aliases, relation_ids, relation_names, literals, columns)
+    _require(len(graph.entity_codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")
+    return graph
 
 
 def load_graph(

@@ -404,13 +404,20 @@ def _failure_record(config: RunConfig, example: QaExample, graph: KnowledgeGraph
 
 
 def _field(record: dict, path: str, kind: type):
-    """The value at the dotted ``path`` of ``record``, when it fits a field of type ``kind``."""
+    """The value at the dotted ``path`` of ``record``, when it fits a field of type ``kind``.
+
+    A number field holds a score, so it must be from 0 to 1: NaN, an
+    infinity or a mean that overflows would make a report that is not JSON.
+    """
     value = record
     for name in path.split("."):
         if not isinstance(value, dict) or name not in value:
             raise ConfigError(f"missing field {path!r}")
         value = value[name]
-    return _checked(value, kind, f"field {path!r}")
+    value = _checked(value, kind, f"field {path!r}")
+    if kind is float and not 0 <= value <= 1:
+        raise ConfigError(f"field {path!r} must be a number from 0 to 1, got {value!r}")
+    return value
 
 
 def _is_answer(entry) -> bool:
@@ -487,12 +494,12 @@ def write_records(path: str | Path, records: Sequence[dict]) -> None:
     """Write ``records`` as JSONL, one sorted-key object per line."""
     with Path(path).open("w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True, allow_nan=False) + "\n")
 
 
 def report_text(report: dict) -> str:
     """The JSON text of a report, as ``report.json`` holds it and the CLI prints it."""
-    return json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)
+    return json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False)
 
 
 def run(config: RunConfig) -> dict:

@@ -219,6 +219,24 @@ class TestRetrieveCommand:
         assert out == ""
         assert err == "error: embedding endpoint returned a null or non-finite component\n"
 
+    @pytest.mark.parametrize("component", ["xy", {"a": 1}, True])
+    def test_embedding_component_that_is_not_a_number_is_error_exit(
+        self, remote_config, http_service, capsys, component
+    ):
+        http_service.state.embed_dimension = 8
+        http_service.state.nonfinite_component = component
+        code, out, err = run_cli(
+            capsys,
+            "retrieve",
+            "--config",
+            remote_config(f"{http_service.url}/embed_nonfinite", 8),
+            "--question",
+            "What is the place of birth of Mara Ellison?",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: embedding endpoint returned a vector that is not a list of numbers\n"
+
     def test_random_ranks_with_the_run_seed(self, toy_config_path, toy_dir, capsys):
         question = "What is the place of birth of Mara Ellison?"
         code, out, _ = run_cli(

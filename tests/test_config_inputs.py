@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -262,6 +263,62 @@ class TestMalformedRecords:
         path.write_text("\n" + line + "\n", encoding="utf-8")
         option = "--in" if command == "report" else "--examples"
         assert_error_exit(capsys, [command, option, str(path)], f"error: {path}:2: {fragment}")
+
+
+def record_with(path: str, value) -> dict:
+    """A record that ``report`` and ``score`` both take, with ``value`` at the dotted ``path``."""
+    record = {
+        "answers": [],
+        "generation": None,
+        "scores": {"accuracy": 1, "em": 1, "f1": 1.0},
+        "retrieval": {"mrr": 1.0, "top_k_hits": {"1": 1, "10": 1, "30": 1}},
+    }
+    *parents, name = path.split(".")
+    section = record
+    for parent in parents:
+        section = section[parent]
+    section[name] = value
+    return record
+
+
+class TestScoresOutOfRange:
+    @pytest.mark.parametrize(
+        "command, path, value, shown",
+        [
+            ("report", "scores.f1", math.nan, "nan"),
+            ("report", "scores.accuracy", math.inf, "inf"),
+            ("report", "scores.em", -math.inf, "-inf"),
+            ("report", "retrieval.mrr", math.inf, "inf"),
+            pytest.param("report", "retrieval.mrr", 10**400, "1" + "0" * 400, id="report-mrr-10**400"),
+            ("report", "retrieval.top_k_hits.10", math.nan, "nan"),
+            ("score", "retrieval.mrr", math.nan, "nan"),
+            ("score", "retrieval.top_k_hits.30", -math.inf, "-inf"),
+            ("report", "scores.f1", 1.5, "1.5"),
+            ("report", "retrieval.mrr", 1e308, "1e+308"),  # a mean of two would overflow
+            ("score", "retrieval.mrr", -0.25, "-0.25"),
+        ],
+    )
+    def test_command_exits_1_naming_line_and_field(self, command, path, value, shown, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        # json.dumps writes NaN and Infinity, as Python's json.loads reads them.
+        lines = [json.dumps(record_with("scores.f1", 0.5)), json.dumps(record_with(path, value))]
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        option = "--in" if command == "report" else "--examples"
+        fragment = f"error: {records}:2: field {path!r} must be a number from 0 to 1, got {shown}\n"
+        assert_error_exit(capsys, [command, option, str(records)], fragment)
+
+    def test_scores_at_the_bounds_are_taken(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        lines = [record_with("retrieval.mrr", 0), record_with("retrieval.mrr", 1.0)]
+        records.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        assert cli.main(["report", "--in", str(records)]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"]["mrr"] == 0.5
+
+    def test_writers_refuse_non_finite_numbers(self, tmp_path):
+        with pytest.raises(ValueError):
+            pipeline.report_text({"overall": {"f1": math.nan}})
+        with pytest.raises(ValueError):
+            pipeline.write_records(tmp_path / "records.jsonl", [{"scores": {"f1": math.inf}}])
 
 
 @pytest.mark.parametrize("name", ["linked_popular", "gold_kaping_2hop", "remote_kaping"])

@@ -149,6 +149,36 @@ class TestRemoteEmbedder:
             embed_batch(config, ["text"])
         assert http_service.state.requests == 1  # bad data is never retried
 
+    @pytest.mark.parametrize("component", ["0.6", "xy", True, False, {"a": 1}, [1.0]])
+    def test_component_that_is_not_a_number_rejected(self, http_service, component):
+        http_service.state.embed_dimension = 8
+        http_service.state.nonfinite_component = component
+        config = EmbedderConfig(
+            kind="remote", dimension=8, endpoint=f"{http_service.url}/embed_nonfinite"
+        )
+        with pytest.raises(RemoteServiceError, match="vector that is not a list of numbers"):
+            embed_batch(config, ["text"])
+        assert http_service.state.requests == 1  # bad data is never retried
+
+    def test_int_past_the_largest_float_is_non_finite(self, http_service):
+        http_service.state.embed_dimension = 8
+        http_service.state.nonfinite_component = 10**400
+        config = EmbedderConfig(
+            kind="remote", dimension=8, endpoint=f"{http_service.url}/embed_nonfinite"
+        )
+        with pytest.raises(RemoteServiceError, match="non-finite"):
+            embed_batch(config, ["text"])
+        assert http_service.state.requests == 1
+
+    def test_int_components_are_numbers(self, http_service):
+        http_service.state.embed_dimension = 8
+        http_service.state.nonfinite_component = 3
+        config = EmbedderConfig(
+            kind="remote", dimension=8, endpoint=f"{http_service.url}/embed_nonfinite"
+        )
+        vector = embed_batch(config, ["text"])[0]
+        assert vector.tolist() == pytest.approx([3 / 4] + [1 / 4] * 7)
+
     def test_http_error_carries_status(self, http_service):
         config = EmbedderConfig(
             kind="remote", dimension=8, endpoint=f"{http_service.url}/always_500"

@@ -711,6 +711,38 @@ class TestInternedIds:
             seeds = sorted(loaded.entities)[:3]
             assert neighborhood(built, seeds, 2) == neighborhood(loaded, seeds, 2)
 
+    def test_parsed_decoded_and_built_graphs_are_one_store(self, tmp_path, monkeypatch):
+        # P1 is declared with its own id as its name; P9 is undeclared.
+        triples, entities = write_graph_files(
+            tmp_path,
+            "Q1\tP1\tE:Q2\nQ2\tP9\tL:time:1999\nQ1\tP2\tE:Q1\nQ2\tP1\tE:Q1\n",
+            "Q1\tAlpha\tA|Al\nQ2\t\n",
+            "P1\tP1\nP2\tknows\n",
+        )
+        parsed = load_graph(triples, entities)
+        decoded = load_decoded(monkeypatch, triples, entities)
+        built = build_graph(
+            [
+                Entity(fresh(e.id), e.name and fresh(e.name), tuple(map(fresh, e.aliases)))
+                for e in parsed.entities.values()
+            ],
+            [Relation(fresh("P1"), fresh("P1")), Relation(fresh("P2"), fresh("knows"))],
+            [
+                Triple(
+                    fresh(t.subject),
+                    fresh(t.relation),
+                    EntityRef(fresh(t.object.entity_id)) if isinstance(t.object, EntityRef) else t.object,
+                )
+                for t in parsed.triples
+            ],
+        )
+        for graph in (parsed, decoded, built):
+            assert assert_ids_interned(graph) == 4
+            assert graph.relations["P1"] == Relation("P1", "P1")
+        assert_same_store(parsed, decoded)
+        assert_same_store(parsed, built)
+        assert_same_store(decoded, built)
+
 
 def rewrite_snapshot(path, change) -> None:
     """Apply ``change`` to the members of the snapshot at ``path`` and write them back."""
@@ -1002,6 +1034,25 @@ class TestColumnarStore:
             build_graph(entities, [], triples)
         with pytest.raises(GraphLoadError, match="duplicate entity id: Q1$"):
             build_graph(entities * 2, [], triples)
+
+    @pytest.mark.parametrize(
+        "entities_text, relations_text, message",
+        [
+            ("Q1\tAlpha\nQ1\tBeta\n", "P1\tknows\n", "duplicate entity id: Q1"),
+            ("Q1\tAlpha\n", "P1\tknows\nP1\tsees\n", "duplicate relation id: P1"),
+        ],
+    )
+    def test_duplicate_id_is_reported_before_an_unknown_entity(
+        self, tmp_path, entities_text, relations_text, message
+    ):
+        # Q8 and Q9 get entity codes too: the code table is as long as the declared ids with Q1 twice.
+        text = "Q9\tP1\tE:Q1\nQ1\tP1\tE:Q8\n"
+        triples, entities = write_graph_files(tmp_path, text, entities_text, relations_text)
+        assert load_failure(triples, entities).endswith(message)
+        declared = [Entity(*line.split("\t")) for line in entities_text.splitlines()]
+        relations = [Relation(*line.split("\t")) for line in relations_text.splitlines()]
+        with pytest.raises(GraphLoadError, match=f"{message}$"):
+            build_graph(declared, relations, [Triple("Q9", "P1", EntityRef("Q1"))])
 
     def test_undeclared_relations_follow_declared_ones_in_first_use_order(self, tmp_path):
         triples, entities = write_graph_files(
