@@ -23,34 +23,46 @@ objects. Every entity id and relation id has a code: its position in
 ``entity_ids`` or ``relation_ids``, which list the keys of
 ``graph.entities`` and ``graph.relations`` (declared ones in file order,
 then undeclared relations in order of first use). Every distinct object
-term, compared by value, has a code into ``terms``; ``term_entities`` gives
-its entity code, or -1 for a literal. The int32 columns ``subjects``,
-``predicates`` and ``objects`` hold one row per distinct triple in
-ingestion order, and the CSR pair ``offsets``/``incident`` lists each
-entity's incident rows in ascending order. ``neighborhood`` returns a
+term, compared by value, has a code; ``term_entities`` gives its entity
+code, or -1 for a literal, whose ``Literal`` is in ``term_literals``. The
+int32 columns ``subjects``, ``predicates`` and ``objects`` hold one row per
+distinct triple in ingestion order, and the CSR pair ``offsets``/``incident``
+lists each entity's incident rows in ascending order.
+
+Objects are made only when they are read. ``graph.entities`` is an
+``Entities`` mapping view over the ids, names and aliases by code, which
+makes an ``Entity`` for the id looked up. ``neighborhood`` returns a
 ``Neighborhood``, a ``RowView`` sequence over rows that makes a ``Triple``
-only when an element is read; ``part_texts`` holds the text of every part by
-code (from ``entity_text`` and ``literal_text``, as ``verbalize`` renders
-them), so ranking reads a row's texts without any ``Triple``.
-``graph.triples`` is a derived view built on first access.
+(and its ``EntityRef``) only when an element is read. ``part_texts`` holds
+the text of every part by code (by the rules of ``entity_text`` and
+``literal_text``, as ``verbalize`` renders them, read from the names and
+literals), so ranking reads a row's texts without any ``Triple`` or
+``Entity``. ``surface_index``, which linking reads, is built from
+``surface_pairs``: one (normalized key, entity code) pair per name or alias,
+in entity order. ``graph.triples`` and ``graph.terms`` are derived views
+built on first access.
 
 Ids and object terms are coded by one kind of table, ``_Codes``, in
 first-seen order; loading parses each distinct object token once. Every
 graph, parsed, built by ``build_graph`` or decoded, is made in one place,
 ``_graph``, from the same parts: entity ids, names and aliases, relation ids
-and names, the literal terms and the code arrays. It makes each entity
-reference around the entity's id, so every subject, relation and
-entity-valued object of a triple the graph returns is the very string
-object that keys ``graph.entities`` or ``graph.relations``.
+and names, the literals and the code arrays. The ids it is given are the
+ones the graph hands out, so every subject, relation and entity-valued
+object of a triple the graph returns, and every id of an ``Entity`` it
+makes, is the very string object that keys ``graph.entities`` or
+``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
-(``snapshot_path``): a pickle-free ``.npz`` of the code columns, the CSR
-pair and the ids, names, aliases and literals as UTF-8 text, stored under
-the SHA-256 of the source files' bytes. A load whose files hash to a
-snapshot's key decodes it instead of parsing, after checking its
-structure, and hands its parts to ``_graph``, so it has the same dict
-orders, codes, term order and interned ids as a parsed one. A snapshot that
-is missing, stale, damaged or cannot be written costs only a parse.
+(``snapshot_path``): a pickle-free ``.npz`` (format 2) of the code columns,
+the CSR pair, the ids, names, aliases and literals as UTF-8 text, and the
+surface pairs, stored under the SHA-256 of a format tag and the source
+files' bytes. A load whose files hash to a snapshot's key decodes it
+instead of parsing, after checking its structure, and hands its parts to
+``_graph``, so it has the same dict orders, codes, term order and interned
+ids as a parsed one. A hit makes no ``Entity``, ``EntityRef`` or index: it
+keeps the stored surface pairs as read, and the first link builds the index
+from them instead of tokenizing every name. A snapshot that is missing,
+stale, of another format, damaged or cannot be written costs only a parse.
 """
 
 from __future__ import annotations
@@ -63,15 +75,15 @@ import shutil
 import tempfile
 import zipfile
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import GraphLoadError
-from .text import normalize_tokens
+from .text import normalize_text, normalize_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -160,6 +172,40 @@ class SurfaceIndex:
     widths: tuple[int, ...]
 
 
+class Entities(Mapping):
+    """A graph's entities: each id mapped to its ``Entity``, made only when read.
+
+    ``ids``, ``names`` and ``aliases`` hold the parts by entity code, and
+    ``codes`` maps an id to its code. Iteration is in code order. Like a
+    dict, the view equals any mapping with equal items, and its repr is
+    the dict's.
+    """
+
+    __slots__ = ("codes", "ids", "names", "aliases")
+
+    def __init__(self, codes: dict[EntityId, int], ids: list, names: list, aliases: list):
+        self.codes = codes
+        self.ids = ids
+        self.names = names
+        self.aliases = aliases
+
+    def __getitem__(self, entity_id: EntityId) -> Entity:
+        code = self.codes[entity_id]
+        return Entity(self.ids[code], self.names[code], self.aliases[code])
+
+    def __contains__(self, entity_id: object) -> bool:
+        return entity_id in self.codes
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(eq=False)
 class KnowledgeGraph:
     """Immutable-after-build columnar triple store with a CSR incidence index.
@@ -171,26 +217,36 @@ class KnowledgeGraph:
     a self-loop is listed once. Build graphs with ``build_graph`` or
     ``load_graph``.
 
-    ``triples`` (a ``Triple`` per row), ``part_texts``,
-    ``surface_index`` and ``relation_counts`` are derived views, each built
-    once on first access; the pipeline reads only the last three. They
-    assume the graph is not mutated after it is built, and changing a view
-    does not change the graph. Two graphs are equal when their entities,
+    ``entities`` is an ``Entities`` mapping view, which makes an ``Entity``
+    only when one is read. Object term ``t`` is an ``EntityRef`` to entity
+    code ``term_entities[t]``, or, where that is -1, the ``Literal``
+    ``term_literals[t]`` (None elsewhere).
+
+    ``triples`` (a ``Triple`` per row), ``terms`` (each term's object),
+    ``part_texts``, ``surface_pairs``, ``surface_index`` and
+    ``relation_counts`` are derived views, each built once on first access;
+    the pipeline reads only ``part_texts``, the surface views and
+    ``relation_counts``. They assume the graph is not mutated after it is
+    built, and changing a view does not change the graph. A graph decoded
+    from a snapshot holds the snapshot's surface pairs, undivided, in
+    ``_stored_surfaces``; ``surface_pairs`` splits them instead of
+    tokenizing the names again. Two graphs are equal when their entities,
     relations and triples are.
     """
 
-    entities: dict[EntityId, Entity]
+    entities: Entities
     relations: dict[RelationId, Relation]
     entity_ids: np.ndarray
     relation_ids: np.ndarray
     entity_codes: dict[EntityId, int]
-    terms: np.ndarray
     term_entities: np.ndarray
+    term_literals: np.ndarray
     subjects: np.ndarray
     predicates: np.ndarray
     objects: np.ndarray
     offsets: np.ndarray
     incident: np.ndarray
+    _stored_surfaces: tuple[str, np.ndarray] | None = field(default=None, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeGraph):
@@ -205,8 +261,16 @@ class KnowledgeGraph:
         """The triples of ``rows`` (an index array or a slice), in that order."""
         subjects = self.entity_ids[self.subjects[rows]].tolist()
         relations = self.relation_ids[self.predicates[rows]].tolist()
-        objects = self.terms[self.objects[rows]].tolist()
+        objects = self._terms_at(self.objects[rows]).tolist()
         return list(map(Triple._make, zip(subjects, relations, objects)))
+
+    def _terms_at(self, codes: np.ndarray) -> np.ndarray:
+        """The object term of each term code of the index array ``codes``, made now."""
+        terms = self.term_literals[codes]
+        targets = self.term_entities[codes]
+        on_entity = np.flatnonzero(targets >= 0)
+        terms[on_entity] = _objects(list(map(EntityRef._make, zip(self.entity_ids[targets[on_entity]].tolist()))))
+        return terms
 
     def rows(self, triples: Sequence[Triple]) -> np.ndarray:
         """The row of each of ``triples`` in turn; KeyError for one not in the graph.
@@ -229,34 +293,33 @@ class KnowledgeGraph:
         return self.triples_at(slice(None))
 
     @cached_property
+    def terms(self) -> np.ndarray:
+        return self._terms_at(np.arange(len(self.term_entities)))
+
+    @cached_property
     def part_texts(self) -> PartTexts:
-        entities = _objects([entity_text(entity) for entity in self.entities.values()])
+        # Each entity's ``entity_text``, read by code: its name, or its id when unnamed.
+        view = self.entities
+        entities = _objects([entity_id if name is None else name for entity_id, name in zip(view.ids, view.names)])
         relations = _objects([self.relations[relation_id].name for relation_id in self.relation_ids])
         # A literal's entity code -1 picks a placeholder, replaced below.
         terms = entities[self.term_entities]
         literals = np.flatnonzero(self.term_entities < 0)
-        terms[literals] = _objects([literal_text(term) for term in self.terms[literals].tolist()])
+        terms[literals] = _objects([literal_text(term) for term in self.term_literals[literals].tolist()])
         return PartTexts(entities, relations, terms)
 
     @cached_property
+    def surface_pairs(self) -> tuple[list[str], np.ndarray]:
+        """Each surface's normalized key and entity code, in entity order (see ``_surface_pairs``)."""
+        if self._stored_surfaces is None:
+            return _surface_pairs(self.entities.names, self.entities.aliases)
+        text, codes = self._stored_surfaces
+        return text.split("\n")[1:], codes
+
+    @cached_property
     def surface_index(self) -> SurfaceIndex:
-        entries: dict[str, EntityId | tuple[EntityId, ...]] = {}
-        widths: set[int] = set()
-        for entity in self.entities.values():
-            for surface in (entity.name, *entity.aliases):
-                tokens = normalize_tokens(surface) if surface else []
-                if not tokens:
-                    continue
-                key = " ".join(tokens)
-                widths.add(len(tokens))
-                present = entries.get(key)
-                if present is None:
-                    entries[key] = entity.id
-                elif isinstance(present, tuple):
-                    entries[key] = (*present, entity.id)
-                else:
-                    entries[key] = (present, entity.id)
-        return SurfaceIndex(entries, tuple(sorted(widths, reverse=True)))
+        keys, codes = self.surface_pairs
+        return _surface_index(keys, self.entity_ids[codes].tolist())
 
     @cached_property
     def relation_counts(self) -> Counter[RelationId]:
@@ -318,6 +381,39 @@ class Neighborhood(RowView):
 def _objects(items: list) -> np.ndarray:
     """An object array holding ``items`` themselves (tuples are not unpacked)."""
     return np.fromiter(items, dtype=object, count=len(items))
+
+
+def _surface_pairs(names: list, aliases: list) -> tuple[list[str], np.ndarray]:
+    """The (normalized key, entity code) pair of each surface, in entity order.
+
+    An entity's surfaces are its name, then its aliases; a key is a
+    surface's normalized tokens joined by single spaces. A surface with no
+    tokens has no pair.
+    """
+    keys, codes = [], []
+    for code, (name, alternatives) in enumerate(zip(names, aliases)):
+        for surface in (name, *alternatives):
+            key = normalize_text(surface) if surface else ""
+            if key:
+                keys.append(key)
+                codes.append(code)
+    return keys, np.array(codes, dtype=np.int32)
+
+
+def _surface_index(keys: list[str], ids: list[EntityId]) -> SurfaceIndex:
+    """The ``SurfaceIndex`` of the surface pairs, each key with the id of its entity."""
+    entries: dict[str, EntityId | tuple[EntityId, ...]] = {}
+    for key, entity_id in zip(keys, ids):
+        present = entries.get(key)
+        if present is None:
+            entries[key] = entity_id
+        elif isinstance(present, tuple):
+            entries[key] = (*present, entity_id)
+        else:
+            entries[key] = (present, entity_id)
+    # Tokens hold no spaces, so a key's spaces count its tokens.
+    widths = {key.count(" ") + 1 for key in entries}
+    return SurfaceIndex(entries, tuple(sorted(widths, reverse=True)))
 
 
 class _Codes(dict):
@@ -430,31 +526,32 @@ class _Coder:
 _COLUMNS = ("term_entities", "subjects", "predicates", "objects", "offsets", "incident")
 
 
-def _graph(ids, names, aliases, relation_ids, relation_names, literals, columns) -> KnowledgeGraph:
+def _graph(ids, names, aliases, relation_ids, relation_names, literals, columns, surfaces=None) -> KnowledgeGraph:
     """The graph of its parts; every graph is made here.
 
     Entity ``ids``, ``names`` and ``aliases`` and the relation ids and names
     are in code order, ``literals`` in term order, ``columns`` as ``_COLUMNS``
-    names them. Each id the graph holds is the very object of ``ids`` or
-    ``relation_ids``, a relation named by its own id included.
+    names them. ``surfaces``, from a snapshot, holds the surface keys as
+    stored text and their entity codes. Each id the graph holds is the very
+    object of ``ids`` or ``relation_ids``, a relation named by its own id
+    included. No ``Entity`` or ``EntityRef`` is made here.
     """
-    entity_ids = _objects(ids)
+    codes = dict(zip(ids, range(len(ids))))
     term_entities = columns[0]
-    on_entity = term_entities >= 0
-    terms = np.empty(len(term_entities), dtype=object)
-    terms[on_entity] = _objects(list(map(EntityRef._make, zip(entity_ids[term_entities[on_entity]].tolist()))))
-    terms[~on_entity] = _objects(literals)
+    term_literals = np.empty(len(term_entities), dtype=object)  # None where the term is an entity
+    term_literals[term_entities < 0] = _objects(literals)
     return KnowledgeGraph(
-        entities=dict(zip(ids, map(Entity._make, zip(ids, names, aliases)))),
+        entities=Entities(codes, ids, names, aliases),
         relations={
             relation_id: Relation(relation_id, relation_id if name == relation_id else name)
             for relation_id, name in zip(relation_ids, relation_names)
         },
-        entity_ids=entity_ids,
+        entity_ids=_objects(ids),
         relation_ids=_objects(relation_ids),
-        entity_codes=dict(zip(ids, range(len(ids)))),
-        terms=terms,
+        entity_codes=codes,
+        term_literals=term_literals,
         **dict(zip(_COLUMNS, columns)),
+        _stored_surfaces=surfaces,
     )
 
 
@@ -588,11 +685,13 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
 
 # The snapshot's format tag, hashed into its key: a change to the layout
 # below changes the tag, so an older file is never read as a newer one.
-_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 1"
+_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 2"
 # Every member of a snapshot and its dtype. Strings are stored as UTF-8,
 # each preceded by a newline, which no TSV field holds; an entity's aliases
 # are joined by "|", which no alias holds, and an unnamed entity's name is
 # empty. Relation names cover every relation, an undeclared one's being its id.
+# The surface members hold the graph's ``surface_pairs``: the keys, and the
+# entity code of each, in entity order.
 _SNAPSHOT_MEMBERS = {
     "key": np.uint8,
     "entity_ids": np.uint8,
@@ -608,6 +707,8 @@ _SNAPSHOT_MEMBERS = {
     "objects": np.int32,
     "offsets": np.int64,
     "incident": np.int32,
+    "surface_keys": np.uint8,
+    "surface_entities": np.int32,
 }
 # What reading a damaged or foreign file can raise.
 _SNAPSHOT_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
@@ -644,26 +745,27 @@ def _blob(strings: Iterable[str]) -> np.ndarray:
     return np.frombuffer("\n".join(["", *strings]).encode("utf-8"), dtype=np.uint8)
 
 
+def _text(blob: np.ndarray) -> str:
+    return blob.tobytes().decode("utf-8")
+
+
 def _strings(blob: np.ndarray) -> list[str]:
-    return blob.tobytes().decode("utf-8").split("\n")[1:]
+    return _text(blob).split("\n")[1:]
 
 
 def _within(codes: np.ndarray, low: int, high: int, what: str) -> None:
     _require(not codes.size or (low <= codes.min() and codes.max() < high), f"{what} out of range")
 
 
-def _write_snapshot(path: Path, key: bytes, graph: KnowledgeGraph, mode_of: Path) -> None:
-    """Write ``graph``'s snapshot to ``path`` atomically, with ``mode_of``'s permission bits.
-
-    A failure (a read-only directory, a full disk) costs only the snapshot:
-    it is logged at debug level, and no partial file is left at ``path``.
-    """
-    literals = graph.terms[graph.term_entities < 0].tolist()
-    arrays = {
+def _snapshot_arrays(key: bytes, graph: KnowledgeGraph) -> dict[str, np.ndarray]:
+    """The members of ``graph``'s snapshot under ``key``, as ``_SNAPSHOT_MEMBERS`` lists them."""
+    literals = graph.term_literals[graph.term_entities < 0].tolist()
+    surface_keys, surface_entities = graph.surface_pairs
+    return {
         "key": np.frombuffer(key, dtype=np.uint8),
         "entity_ids": _blob(graph.entity_ids.tolist()),
-        "entity_names": _blob(entity.name or "" for entity in graph.entities.values()),
-        "entity_aliases": _blob("|".join(entity.aliases) for entity in graph.entities.values()),
+        "entity_names": _blob(name or "" for name in graph.entities.names),
+        "entity_aliases": _blob("|".join(aliases) for aliases in graph.entities.aliases),
         "relation_ids": _blob(graph.relation_ids.tolist()),
         "relation_names": _blob(relation.name for relation in graph.relations.values()),
         "literal_values": _blob(literal.value for literal in literals),
@@ -671,12 +773,24 @@ def _write_snapshot(path: Path, key: bytes, graph: KnowledgeGraph, mode_of: Path
             [LITERAL_DATATYPES.index(literal.datatype) for literal in literals], dtype=np.uint8
         ),
         **{name: getattr(graph, name) for name in _COLUMNS},
+        "surface_keys": _blob(surface_keys),
+        "surface_entities": surface_entities,
     }
+
+
+def _write_snapshot(path: Path, key: bytes, graph: KnowledgeGraph, mode_of: Path) -> None:
+    """Write ``graph``'s snapshot to ``path`` atomically, with ``mode_of``'s permission bits.
+
+    A failure (a read-only directory, a full disk) costs only the snapshot:
+    it is logged at debug level, and no partial file is left at ``path``.
+    The members are built once the file is made, so a directory that takes
+    no file costs no surface tokenizing.
+    """
     temporary = None
     try:
         handle, temporary = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
         with os.fdopen(handle, "wb") as file:
-            np.savez(file, **arrays)
+            np.savez(file, **_snapshot_arrays(key, graph))
         shutil.copymode(mode_of, temporary)
         os.replace(temporary, path)
     except OSError as exc:
@@ -691,15 +805,17 @@ def _read_snapshot(path: Path, key: bytes) -> KnowledgeGraph | None:
     A missing file or one stored under another key is a plain miss; a file
     that cannot be read or whose structure does not hold is logged as a
     warning. Either way the caller parses the TSV files and rewrites it.
+    The key is compared before any other member is read, so a file of
+    another format, whose key differs, is a plain miss too.
     """
     try:
         with path.open("rb") as file:
             snapshot = np.load(file, allow_pickle=False)
             _require(isinstance(snapshot, np.lib.npyio.NpzFile), "not an .npz archive")
+            if snapshot["key"].tobytes() != key:
+                logger.debug("graph snapshot %s holds other sources; re-parsing", path)
+                return None
             members = {name: snapshot[name] for name in _SNAPSHOT_MEMBERS}
-        if members["key"].tobytes() != key:
-            logger.debug("graph snapshot %s holds other sources; re-parsing", path)
-            return None
         return _decode_snapshot(members)
     except FileNotFoundError:
         return None
@@ -722,6 +838,8 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     datatypes = members["literal_datatypes"]
     columns = [members[name] for name in _COLUMNS]
     term_entities, subjects, predicates, objects, offsets, incident = columns
+    surface_text = _text(members["surface_keys"])
+    surface_entities = members["surface_entities"]
 
     count = len(subjects)
     _require(len(ids) == len(names) == len(aliases) == len(offsets) - 1, "entity counts")
@@ -735,9 +853,13 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     _within(predicates, 0, len(relation_ids), "relation codes")
     _within(objects, 0, len(term_entities), "term codes")
     _within(incident, 0, count, "incident rows")
+    _require(surface_text.count("\n") == len(surface_entities), "surface counts")
+    _within(surface_entities, 0, len(ids), "surface entity codes")
+    _require((np.diff(surface_entities) >= 0).all(), "surface entity codes decrease")
 
     literals = list(map(Literal._make, zip(values, map(LITERAL_DATATYPES.__getitem__, datatypes.tolist()))))
-    graph = _graph(ids, names, aliases, relation_ids, relation_names, literals, columns)
+    surfaces = (surface_text, surface_entities)  # split into keys when the index is first read
+    graph = _graph(ids, names, aliases, relation_ids, relation_names, literals, columns, surfaces)
     _require(len(graph.entity_codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")
     return graph
 

@@ -471,12 +471,13 @@ def _numbered_records(path: str | Path, parse=None):
                 continue
             try:
                 record = json.loads(line)
+            except ValueError as exc:  # also an integer past Python's int string limit
+                raise ConfigError(f"{path}:{number}: invalid JSON: {exc}") from exc
+            try:
                 if not isinstance(record, dict):
                     raise ConfigError("expected a JSON object")
                 if parse is not None:
                     record = parse(record)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{number}: invalid JSON: {exc}") from exc
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{number}: {exc}") from exc
             yield number, record

@@ -264,6 +264,15 @@ class TestMalformedRecords:
         option = "--in" if command == "report" else "--examples"
         assert_error_exit(capsys, [command, option, str(path)], f"error: {path}:2: {fragment}")
 
+    @pytest.mark.parametrize("command", ["report", "score"])
+    def test_integer_past_the_int_string_limit_exits_1_naming_the_line(self, command, tmp_path, capsys):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for this.
+        path = tmp_path / "records.jsonl"
+        huge = json.dumps(record_with("scores.accuracy", 1)).replace('"accuracy": 1', '"accuracy": 1' + "0" * 5000)
+        path.write_text(json.dumps(record_with("scores.f1", 0.5)) + "\n" + huge + "\n", encoding="utf-8")
+        option = "--in" if command == "report" else "--examples"
+        assert_error_exit(capsys, [command, option, str(path)], f"error: {path}:2: invalid JSON: ")
+
 
 def record_with(path: str, value) -> dict:
     """A record that ``report`` and ``score`` both take, with ``value`` at the dotted ``path``."""

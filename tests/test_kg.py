@@ -5,6 +5,7 @@ import sys
 import tempfile
 import threading
 from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -391,6 +392,22 @@ class TestLinkerMatchesOracle:
                 linked_any += bool(expected)
         assert linked_any > 300
 
+    def test_random_cases_through_a_snapshot_hit(self, tmp_path, monkeypatch):
+        rng = random.Random(20261017)
+        linked_any = 0
+        for _ in range(300):
+            entities, question = random_linking_case(rng)
+            rows = "".join(f"{e.id}\t{e.name or ''}\t{'|'.join(e.aliases)}\n" for e in entities)
+            paths = write_graph_files(tmp_path, "", rows)
+            parsed = load_graph(*paths)  # a miss: parsed, and the snapshot written
+            decoded = load_decoded(monkeypatch, *paths)
+            for asked in (question, question.upper(), "who is " + question + "?"):
+                expected = oracle_link(list(parsed.entities.values()), asked)
+                assert link_entities(decoded, asked) == expected, (rows, asked)
+                assert link_entities(parsed, asked) == expected, (rows, asked)
+                linked_any += bool(expected)
+        assert linked_any > 300
+
     def test_shared_surface_links_every_entity(self):
         entities = [Entity("Q2", "Paris"), Entity("Q1", "Other", ("PARIS!",)), Entity("Q3", "!!!")]
         graph = build_graph(entities, [], [])
@@ -544,18 +561,42 @@ def load_decoded(monkeypatch, *paths) -> KnowledgeGraph:
 
 
 def typed(values: list) -> list:
-    return [(type(value), value) for value in values]
+    """Each value with its type, and the same for the elements of a tuple or list, all the way down."""
+    return [(type(value), typed(value) if isinstance(value, (tuple, list)) else value) for value in values]
+
+
+def assert_same_array(actual: np.ndarray, expected: np.ndarray, name: str) -> None:
+    assert actual.dtype == expected.dtype, name
+    assert typed(actual.tolist()) == typed(expected.tolist()), name
 
 
 def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
-    """Every field equal: dicts in the same order, arrays in value, dtype and element type."""
+    """Every field and derived view equal.
+
+    Mappings (dicts and the entities view) compare in the same order, arrays
+    in value, dtype and element type, and both down to the type of each
+    element of an ``Entity``, term or index entry. ``_stored_surfaces`` is
+    what a decoded graph read from its snapshot, and None on any other graph,
+    so it is compared through ``surface_pairs``, which is built from it.
+    """
     for field in dataclasses.fields(KnowledgeGraph):
+        if field.name == "_stored_surfaces":
+            continue
         expected, actual = getattr(parsed, field.name), getattr(decoded, field.name)
-        if isinstance(expected, dict):
+        if isinstance(expected, Mapping):
+            assert type(actual) is type(expected), field.name
             assert typed(list(actual.items())) == typed(list(expected.items())), field.name
         else:
-            assert actual.dtype == expected.dtype, field.name
-            assert typed(actual.tolist()) == typed(expected.tolist()), field.name
+            assert_same_array(actual, expected, field.name)
+    assert_same_array(decoded.terms, parsed.terms, "terms")
+    for name, expected in parsed.part_texts._asdict().items():
+        assert_same_array(getattr(decoded.part_texts, name), expected, f"part_texts.{name}")
+    (keys, codes), (expected_keys, expected_codes) = decoded.surface_pairs, parsed.surface_pairs
+    assert typed(keys) == typed(expected_keys)
+    assert_same_array(codes, expected_codes, "surface_pairs")
+    index, expected_index = decoded.surface_index, parsed.surface_index
+    assert typed(list(index.entries.items())) == typed(list(expected_index.entries.items()))
+    assert index.widths == expected_index.widths
 
 
 def load_failure(*paths) -> str:
@@ -800,6 +841,31 @@ DAMAGED_SNAPSHOTS = {
     "not utf-8": lambda path: rewrite_snapshot(
         path, lambda members: members["entity_ids"].__setitem__(-1, 0xFF)
     ),
+    "missing surface keys": lambda path: rewrite_snapshot(path, lambda members: members.pop("surface_keys")),
+    "missing surface entities": lambda path: rewrite_snapshot(
+        path, lambda members: members.pop("surface_entities")
+    ),
+    "surface keys of wrong dtype": lambda path: rewrite_snapshot(
+        path, lambda members: members.update(surface_keys=members["surface_keys"].astype(np.int32))
+    ),
+    "surface entities of wrong dtype": lambda path: rewrite_snapshot(
+        path, lambda members: members.update(surface_entities=members["surface_entities"].astype(np.int64))
+    ),
+    "surface count": lambda path: rewrite_snapshot(
+        path, lambda members: members.update(surface_entities=members["surface_entities"][:-1])
+    ),
+    "surface entity out of range": lambda path: rewrite_snapshot(
+        path, lambda members: members["surface_entities"].__setitem__(-1, 2)
+    ),
+    "negative surface entity": lambda path: rewrite_snapshot(
+        path, lambda members: members["surface_entities"].__setitem__(0, -1)
+    ),
+    "surface entities decrease": lambda path: rewrite_snapshot(
+        path, lambda members: members["surface_entities"].__setitem__(1, 1)
+    ),
+    "surface keys not utf-8": lambda path: rewrite_snapshot(
+        path, lambda members: members["surface_keys"].__setitem__(-1, 0xFF)
+    ),
 }
 SNAPSHOT_GRAPH = (
     "Q1\tP1\tE:Q2\nQ2\tP9\tL:time:1999\nQ1\tP9\tL:plain:a:b\nQ1\tP1\tE:Q1\n",
@@ -857,6 +923,31 @@ class TestSnapshot:
         assert len(graph.triples) == 4
         assert_same_store(graph, load_decoded(monkeypatch, triples, entities))
 
+    def test_format_1_snapshot_is_parsed_again_without_a_warning(self, tmp_path, monkeypatch, caplog):
+        paths = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+        parsed = load_graph(*paths)
+        path = snapshot_path(paths[0])
+        # What the first format stored: no surface members, under that format's key.
+        with monkeypatch.context() as patch:
+            patch.setattr(kg, "_SNAPSHOT_FORMAT", b"kgprompt graph snapshot 1")
+            old_key = kg._source_key([source.read_bytes() for source in (*paths, tmp_path / "relations.tsv")])
+
+        def format_1(members):
+            del members["surface_keys"], members["surface_entities"]
+            members["key"] = np.frombuffer(old_key, dtype=np.uint8)
+
+        rewrite_snapshot(path, format_1)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="kgprompt.kg"):
+            assert_same_store(parsed, load_graph(*paths))
+        assert not [record for record in caplog.records if record.levelname == "WARNING"]
+        assert "holds other sources" in caplog.text
+        with np.load(path, allow_pickle=False) as snapshot:
+            assert {"surface_keys", "surface_entities"} <= set(snapshot.files)
+            assert snapshot["key"].tobytes() != old_key
+            assert snapshot["surface_entities"].tolist() == [0, 0, 0]
+        assert_same_store(parsed, load_decoded(monkeypatch, *paths))
+
     @pytest.mark.parametrize(
         "edit",
         [
@@ -899,6 +990,7 @@ class TestSnapshot:
             tmp_path.chmod(0o755)
         for graph in graphs:
             assert_graph_matches_oracle(graph, expected)
+            assert "surface_pairs" not in graph.__dict__  # no snapshot to write, so nothing tokenized
         assert sorted(os.listdir(tmp_path)) == SOURCE_FILES
 
     def test_failed_write_leaves_no_file_behind(self, tmp_path, monkeypatch, caplog):
@@ -1093,8 +1185,69 @@ class TestNoFullMaterialization:
         assert result["report"]["overall"]["count"] > 0
         [graph] = loaded
         assert "triples" not in graph.__dict__
+        assert "terms" not in graph.__dict__
         # The check can see a view that was built.
         assert ("relation_counts" in graph.__dict__) == (method == "popular_knowledge")
+
+
+class TestSnapshotHitBuildsOnlyWhatIsRead:
+    def count_made(self, patch, made: Counter) -> None:
+        """Count each ``Entity`` and ``EntityRef`` made, through ``__new__`` or ``_make``."""
+        for cls in (Entity, EntityRef):
+            new, make = cls.__new__, cls._make
+
+            def counted_new(klass, *args, _new=new, **kwargs):
+                made[klass.__name__] += 1
+                return _new(klass, *args, **kwargs)
+
+            def counted_make(klass, iterable, _make=make):
+                made[klass.__name__] += 1
+                return _make(iterable)
+
+            patch.setattr(cls, "__new__", counted_new)
+            patch.setattr(cls, "_make", classmethod(counted_make))
+
+    def test_load_makes_no_entity_reference_term_or_index(self, tmp_path, monkeypatch):
+        paths = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+        parsed = load_graph(*paths)
+        made = Counter()
+        with monkeypatch.context() as patch:
+            self.count_made(patch, made)
+            graph = load_decoded(monkeypatch, *paths)
+            assert made == Counter()
+            for view in ("terms", "surface_pairs", "surface_index", "part_texts", "triples"):
+                assert view not in graph.__dict__, view
+            # The index is built from the stored surface pairs, not by tokenizing the names again.
+            patch.setattr(kg, "_surface_pairs", lambda *args: pytest.fail("tokenized the surfaces on a hit"))
+            assert link_entities(graph, "Where is Al?") == {"Q1"}
+            assert graph.part_texts.entities.tolist() == ["Alpha", "Q2"]
+            assert made == Counter()  # linking and part texts read entities by code
+            assert "surface_index" in graph.__dict__ and "terms" not in graph.__dict__
+            entity = graph.entities["Q1"]
+            assert made == Counter({"Entity": 1})
+            [triple] = graph.triples_at(np.array([0]))
+            assert made == Counter({"Entity": 1, "EntityRef": 1})
+        assert entity == Entity("Q1", "Alpha", ("A", "Al")) and triple.object == EntityRef("Q2")
+        assert_same_store(parsed, graph)
+
+
+class TestEntitiesView:
+    def test_reads_like_the_dict_of_its_entities(self):
+        entities = [Entity("Q2", "Beta", ("B",)), Entity("Q1"), Entity("Q3", "Gamma")]
+        graph = build_graph(entities, [], [])
+        view = graph.entities
+        expected = {entity.id: entity for entity in entities}
+        assert view == expected and expected == view
+        assert view != {**expected, "Q4": Entity("Q4")} and view != dict(list(expected.items())[:2])
+        assert repr(view) == repr(expected)
+        assert list(view) == ["Q2", "Q1", "Q3"] and len(view) == 3
+        assert list(view.values()) == entities and list(view.items()) == list(expected.items())
+        assert view["Q1"] == Entity("Q1") and view.get("Q9") is None and view.get("Q3").name == "Gamma"
+        assert "Q2" in view and "Q9" not in view
+        with pytest.raises(KeyError):
+            view["Q9"]
+        with pytest.raises(TypeError):
+            view["Q1"] = Entity("Q1", "Alpha")
 
 
 class TestNeighborhoodView:

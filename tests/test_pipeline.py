@@ -269,6 +269,14 @@ class TestDataset:
             load_dataset(path)
         assert str(excinfo.value).startswith(f"{path}:3: {message}")
 
+    def test_integer_past_the_int_string_limit_names_the_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        good = '{"id": "e1", "question": "q?", "answer_entities": ["Q1"]}'
+        path.write_text(f'{good}\n{{"id": "e2", "question": "r?", "answer_entities": ["Q1"], "n": 1{"0" * 5000}}}\n')
+        with pytest.raises(ConfigError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value).startswith(f"{path}:2: invalid JSON: ")
+
     @pytest.mark.parametrize("category", ["5", "true", '["geo"]', '{"name": "geo"}'])
     def test_category_that_is_not_a_string_names_line_and_field(self, tmp_path, category):
         path = tmp_path / "data.jsonl"
