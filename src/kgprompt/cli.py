@@ -75,9 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--max-failure-rate",
         type=float,
+        default=0.5,
         metavar="R",
         help="exit 1 (after writing the outputs) when more than this share of"
-        " examples failed; off by default",
+        " examples failed (default 0.5; 1 turns the check off)",
     )
     _add_overrides(run_parser)
 
@@ -101,20 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     limit = args.max_failure_rate
-    if limit is not None and not 0.0 <= limit <= 1.0:
+    if not 0.0 <= limit <= 1.0:
         raise ConfigError(f"--max-failure-rate must be between 0 and 1, got {limit}")
     result = pipeline.run(_config(args))
     print(pipeline.report_text(result["report"]))
     print(f"wrote {result['predictions_path']} and {result['report_path']}", file=sys.stderr)
-    if limit is not None:
-        records = result["records"]
-        failed = sum(1 for record in records if not pipeline.FAILURE_FLAGS.isdisjoint(record["flags"]))
-        if records and failed / len(records) > limit:
-            print(
-                f"error: {failed} of {len(records)} examples failed, above --max-failure-rate {limit}",
-                file=sys.stderr,
-            )
-            return 1
+    records = result["records"]
+    failed = sum(1 for record in records if not pipeline.FAILURE_FLAGS.isdisjoint(record["flags"]))
+    if records and failed / len(records) > limit:
+        print(
+            f"error: {failed} of {len(records)} examples failed, above --max-failure-rate {limit}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -34,13 +34,17 @@ Objects are made only when they are read. ``graph.entities`` is an
 makes an ``Entity`` for the id looked up. ``neighborhood`` returns a
 ``Neighborhood``, a ``RowView`` sequence over rows that makes a ``Triple``
 (and its ``EntityRef``) only when an element is read. ``part_texts`` holds
-the text of every part by code (by the rules of ``entity_text`` and
-``literal_text``, as ``verbalize`` renders them, read from the names and
-literals), so ranking reads a row's texts without any ``Triple`` or
-``Entity``. ``surface_index``, which linking reads, is built from
-``surface_pairs``: one (normalized key, entity code) pair per name or alias,
-in entity order. ``graph.triples`` and ``graph.terms`` are derived views
-built on first access.
+the text of every part by code (an entity's name, or its id when it is
+unnamed, and a literal's ``literal_text``, as ``verbalize`` renders them),
+so remote ranking reads a row's texts without any ``Triple`` or
+``Entity``. ``part_tokens`` holds the normalized tokens of every entity
+text, relation name and literal text as codes into one vocabulary, from
+which hashed ranking scores a row's parts without tokenizing them.
+``surface_index``, which linking reads, is built from ``surface_pairs``:
+one (normalized key, entity code) pair per name or alias, in entity order.
+A graph not decoded from a snapshot derives the surface pairs and the part
+tokens together, tokenizing each name once. ``graph.triples`` and
+``graph.terms`` are derived views built on first access.
 
 Ids and object terms are coded by one kind of table, ``_Codes``, in
 first-seen order; loading parses each distinct object token once. Every
@@ -53,22 +57,25 @@ makes, is the very string object that keys ``graph.entities`` or
 ``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
-(``snapshot_path``): a pickle-free ``.npz`` (format 2) of the code columns,
-the CSR pair, the ids, names, aliases and literals as UTF-8 text, and the
-surface pairs, stored under the SHA-256 of a format tag and the source
-files' bytes. A load whose files hash to a snapshot's key decodes it
-instead of parsing, after checking its structure, and hands its parts to
-``_graph``, so it has the same dict orders, codes, term order and interned
-ids as a parsed one. A hit makes no ``Entity``, ``EntityRef`` or index: it
-keeps the stored surface pairs as read, and the first link builds the index
-from them instead of tokenizing every name. A snapshot that is missing,
-stale, of another format, damaged or cannot be written costs only a parse.
+(``snapshot_path``): a pickle-free ``.npz`` (format 3) of the code columns,
+the CSR pair, the ids, names, aliases and literals as UTF-8 text, the
+surface pairs and the part tokens, stored under the SHA-256 of a format tag
+and the source files' bytes. A load whose files hash to a snapshot's key
+decodes it instead of parsing, after checking its structure, and hands its
+parts to ``_graph``, so it has the same dict orders, codes, term order and
+interned ids as a parsed one. A hit makes no ``Entity``, ``EntityRef`` or
+index: it keeps the stored surface pairs and part tokens as read, so the
+first link builds the index from them instead of tokenizing every name,
+and the first hashed ranking splits the stored vocabulary instead of
+tokenizing every part text. A snapshot that is missing, stale, of another
+format, damaged or cannot be written costs only a parse.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import logging
 import os
 import shutil
@@ -133,11 +140,6 @@ class Triple(NamedTuple):
         return obj.entity_id if isinstance(obj, EntityRef) else None
 
 
-def entity_text(entity: Entity) -> str:
-    """An entity's text: its canonical name, or its raw id when it is unnamed."""
-    return entity.id if entity.name is None else entity.name
-
-
 def literal_text(literal: Literal) -> str:
     """A literal's object text: the value, after ``time: `` or ``quantity: ``."""
     if literal.datatype == "plain":
@@ -148,14 +150,30 @@ def literal_text(literal: Literal) -> str:
 class PartTexts(NamedTuple):
     """The text of each triple part by code, as object arrays.
 
-    ``entities`` holds each entity's ``entity_text``, ``relations`` each
-    relation's name, and ``terms`` each object term's text: its entity's
-    text, or its ``literal_text``.
+    ``entities`` holds each entity's name, or its id when it is unnamed,
+    ``relations`` each relation's name, and ``terms`` each object term's
+    text: its entity's text, or its ``literal_text``.
     """
 
     entities: np.ndarray
     relations: np.ndarray
     terms: np.ndarray
+
+
+class PartTokens(NamedTuple):
+    """The normalized tokens of every part text, coded into one vocabulary.
+
+    Parts are numbered entities first, by entity code, then relations, by
+    relation code, then literals, in term order; each part's text is the
+    one ``part_texts`` holds. Part ``p``'s tokens are ``vocabulary[c]`` for
+    each code ``c`` of ``codes[offsets[p]:offsets[p + 1]]`` (int64 offsets,
+    int32 codes), in text order. ``vocabulary`` lists each distinct token
+    once, in first-seen order.
+    """
+
+    vocabulary: list[str]
+    offsets: np.ndarray
+    codes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -223,15 +241,15 @@ class KnowledgeGraph:
     ``term_literals[t]`` (None elsewhere).
 
     ``triples`` (a ``Triple`` per row), ``terms`` (each term's object),
-    ``part_texts``, ``surface_pairs``, ``surface_index`` and
-    ``relation_counts`` are derived views, each built once on first access;
-    the pipeline reads only ``part_texts``, the surface views and
-    ``relation_counts``. They assume the graph is not mutated after it is
-    built, and changing a view does not change the graph. A graph decoded
-    from a snapshot holds the snapshot's surface pairs, undivided, in
-    ``_stored_surfaces``; ``surface_pairs`` splits them instead of
-    tokenizing the names again. Two graphs are equal when their entities,
-    relations and triples are.
+    ``part_texts``, ``part_tokens``, ``surface_pairs``, ``surface_index``,
+    ``relation_counts`` and ``bucket_tables`` are derived views, each built
+    once on first access; the pipeline reads all but ``triples`` and
+    ``terms``. They assume the graph is not mutated after it is built, and
+    changing a view does not change the graph. A graph decoded from a
+    snapshot holds the snapshot's surface pairs and part tokens, undivided,
+    in ``_stored_surfaces`` and ``_stored_tokens``; ``surface_pairs`` and
+    ``part_tokens`` split them instead of tokenizing the texts again. Two
+    graphs are equal when their entities, relations and triples are.
     """
 
     entities: Entities
@@ -247,6 +265,7 @@ class KnowledgeGraph:
     offsets: np.ndarray
     incident: np.ndarray
     _stored_surfaces: tuple[str, np.ndarray] | None = field(default=None, repr=False)
+    _stored_tokens: tuple[str, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeGraph):
@@ -298,7 +317,7 @@ class KnowledgeGraph:
 
     @cached_property
     def part_texts(self) -> PartTexts:
-        # Each entity's ``entity_text``, read by code: its name, or its id when unnamed.
+        # Each entity's text, read by code: its name, or its id when unnamed.
         view = self.entities
         entities = _objects([entity_id if name is None else name for entity_id, name in zip(view.ids, view.names)])
         relations = _objects([self.relations[relation_id].name for relation_id in self.relation_ids])
@@ -309,10 +328,55 @@ class KnowledgeGraph:
         return PartTexts(entities, relations, terms)
 
     @cached_property
+    def _tokenized(self) -> tuple[tuple[list[str], np.ndarray], PartTokens]:
+        """The surface pairs and part tokens of a graph with none stored, tokenizing each name once."""
+        view = self.entities
+        name_tokens = [normalize_tokens(name) if name else [] for name in view.names]
+        entity_tokens = (
+            normalize_tokens(entity_id) if name is None else tokens
+            for entity_id, name, tokens in zip(view.ids, view.names, name_tokens)
+        )
+        relation_tokens = (normalize_tokens(relation.name) for relation in self.relations.values())
+        literals = self.term_literals[self.term_entities < 0].tolist()
+        literal_tokens = (normalize_tokens(literal_text(literal)) for literal in literals)
+        tokens = _part_tokens([*entity_tokens, *relation_tokens, *literal_tokens])
+        return _surface_pairs(name_tokens, view.aliases), tokens
+
+    def row_tokens(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of the tokens of ``rows``' part texts, and the position in ``rows`` of each.
+
+        Codes index ``part_tokens.vocabulary``. They come subjects first,
+        then relations, then objects, each part's tokens in text order.
+        """
+        relations = len(self.entity_ids) + self.predicates[rows]
+        parts = np.concatenate((self.subjects[rows], relations, self._term_parts[self.objects[rows]]))
+        _, offsets, codes = self.part_tokens
+        starts = offsets[parts]
+        lengths = offsets[parts + 1] - starts
+        owners = np.repeat(np.tile(np.arange(len(rows)), 3), lengths)
+        return codes[_ranges(starts, lengths)], owners
+
+    @cached_property
+    def _term_parts(self) -> np.ndarray:
+        # A term's part is its entity's, or its literal's, which follow the
+        # entity and relation parts in term order.
+        literals = self.term_entities < 0
+        literal_parts = len(self.entity_ids) + len(self.relation_ids) + np.cumsum(literals) - 1
+        return np.where(literals, literal_parts, self.term_entities)
+
+    @cached_property
+    def part_tokens(self) -> PartTokens:
+        """The tokens of every part text, coded (see ``PartTokens``)."""
+        if self._stored_tokens is None:
+            return self._tokenized[1]
+        vocabulary, offsets, codes = self._stored_tokens
+        return PartTokens(vocabulary.split("\n")[1:], offsets, codes)
+
+    @cached_property
     def surface_pairs(self) -> tuple[list[str], np.ndarray]:
         """Each surface's normalized key and entity code, in entity order (see ``_surface_pairs``)."""
         if self._stored_surfaces is None:
-            return _surface_pairs(self.entities.names, self.entities.aliases)
+            return self._tokenized[0]
         text, codes = self._stored_surfaces
         return text.split("\n")[1:], codes
 
@@ -327,6 +391,11 @@ class KnowledgeGraph:
         return Counter(
             {relation_id: count for relation_id, count in zip(self.relation_ids, counts) if count}
         )
+
+    @cached_property
+    def bucket_tables(self) -> dict:
+        """Hashed ranking's bucket table for each embedding dimension, added on first use (see ``retrieve``)."""
+        return {}
 
 
 class RowView(Sequence):
@@ -383,21 +452,30 @@ def _objects(items: list) -> np.ndarray:
     return np.fromiter(items, dtype=object, count=len(items))
 
 
-def _surface_pairs(names: list, aliases: list) -> tuple[list[str], np.ndarray]:
+def _surface_pairs(name_tokens: list[list[str]], aliases: list) -> tuple[list[str], np.ndarray]:
     """The (normalized key, entity code) pair of each surface, in entity order.
 
-    An entity's surfaces are its name, then its aliases; a key is a
-    surface's normalized tokens joined by single spaces. A surface with no
-    tokens has no pair.
+    An entity's surfaces are its name, given as its tokens, then its
+    aliases; a key is a surface's normalized tokens joined by single spaces.
+    A surface with no tokens has no pair.
     """
     keys, codes = [], []
-    for code, (name, alternatives) in enumerate(zip(names, aliases)):
-        for surface in (name, *alternatives):
-            key = normalize_text(surface) if surface else ""
+    for code, (tokens, alternatives) in enumerate(zip(name_tokens, aliases)):
+        for key in (" ".join(tokens), *map(normalize_text, alternatives)):
             if key:
                 keys.append(key)
                 codes.append(code)
     return keys, np.array(codes, dtype=np.int32)
+
+
+def _part_tokens(token_lists: list[list[str]]) -> PartTokens:
+    """The ``PartTokens`` of each part's token list in turn."""
+    tokens = list(itertools.chain.from_iterable(token_lists))
+    vocabulary = list(dict.fromkeys(tokens))
+    codes = dict(zip(vocabulary, range(len(vocabulary))))
+    offsets = np.zeros(len(token_lists) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, token_lists), np.int64, len(token_lists)), out=offsets[1:])
+    return PartTokens(vocabulary, offsets, np.fromiter(map(codes.__getitem__, tokens), np.int32, len(tokens)))
 
 
 def _surface_index(keys: list[str], ids: list[EntityId]) -> SurfaceIndex:
@@ -526,15 +604,19 @@ class _Coder:
 _COLUMNS = ("term_entities", "subjects", "predicates", "objects", "offsets", "incident")
 
 
-def _graph(ids, names, aliases, relation_ids, relation_names, literals, columns, surfaces=None) -> KnowledgeGraph:
+def _graph(
+    ids, names, aliases, relation_ids, relation_names, literals, columns, surfaces=None, tokens=None
+) -> KnowledgeGraph:
     """The graph of its parts; every graph is made here.
 
     Entity ``ids``, ``names`` and ``aliases`` and the relation ids and names
     are in code order, ``literals`` in term order, ``columns`` as ``_COLUMNS``
     names them. ``surfaces``, from a snapshot, holds the surface keys as
-    stored text and their entity codes. Each id the graph holds is the very
-    object of ``ids`` or ``relation_ids``, a relation named by its own id
-    included. No ``Entity`` or ``EntityRef`` is made here.
+    stored text and their entity codes; ``tokens`` holds the part tokens'
+    vocabulary as stored text, their offsets and their codes. Each id the
+    graph holds is the very object of ``ids`` or ``relation_ids``, a
+    relation named by its own id included. No ``Entity`` or ``EntityRef``
+    is made here.
     """
     codes = dict(zip(ids, range(len(ids))))
     term_entities = columns[0]
@@ -552,6 +634,7 @@ def _graph(ids, names, aliases, relation_ids, relation_names, literals, columns,
         term_literals=term_literals,
         **dict(zip(_COLUMNS, columns)),
         _stored_surfaces=surfaces,
+        _stored_tokens=tokens,
     )
 
 
@@ -685,13 +768,14 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
 
 # The snapshot's format tag, hashed into its key: a change to the layout
 # below changes the tag, so an older file is never read as a newer one.
-_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 2"
+_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 3"
 # Every member of a snapshot and its dtype. Strings are stored as UTF-8,
 # each preceded by a newline, which no TSV field holds; an entity's aliases
 # are joined by "|", which no alias holds, and an unnamed entity's name is
 # empty. Relation names cover every relation, an undeclared one's being its id.
 # The surface members hold the graph's ``surface_pairs``: the keys, and the
-# entity code of each, in entity order.
+# entity code of each, in entity order. The part members hold its
+# ``part_tokens``: the vocabulary, the offsets and the token codes.
 _SNAPSHOT_MEMBERS = {
     "key": np.uint8,
     "entity_ids": np.uint8,
@@ -709,6 +793,9 @@ _SNAPSHOT_MEMBERS = {
     "incident": np.int32,
     "surface_keys": np.uint8,
     "surface_entities": np.int32,
+    "part_vocabulary": np.uint8,
+    "part_offsets": np.int64,
+    "part_tokens": np.int32,
 }
 # What reading a damaged or foreign file can raise.
 _SNAPSHOT_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
@@ -757,10 +844,16 @@ def _within(codes: np.ndarray, low: int, high: int, what: str) -> None:
     _require(not codes.size or (low <= codes.min() and codes.max() < high), f"{what} out of range")
 
 
+def _require_offsets(offsets: np.ndarray, total: int, what: str) -> None:
+    """CSR offsets: from 0 to ``total``, never decreasing (at least one offset, checked by the caller)."""
+    _require(offsets[0] == 0 and offsets[-1] == total and (np.diff(offsets) >= 0).all(), what)
+
+
 def _snapshot_arrays(key: bytes, graph: KnowledgeGraph) -> dict[str, np.ndarray]:
     """The members of ``graph``'s snapshot under ``key``, as ``_SNAPSHOT_MEMBERS`` lists them."""
     literals = graph.term_literals[graph.term_entities < 0].tolist()
     surface_keys, surface_entities = graph.surface_pairs
+    tokens = graph.part_tokens
     return {
         "key": np.frombuffer(key, dtype=np.uint8),
         "entity_ids": _blob(graph.entity_ids.tolist()),
@@ -775,6 +868,9 @@ def _snapshot_arrays(key: bytes, graph: KnowledgeGraph) -> dict[str, np.ndarray]
         **{name: getattr(graph, name) for name in _COLUMNS},
         "surface_keys": _blob(surface_keys),
         "surface_entities": surface_entities,
+        "part_vocabulary": _blob(tokens.vocabulary),
+        "part_offsets": tokens.offsets,
+        "part_tokens": tokens.codes,
     }
 
 
@@ -784,7 +880,7 @@ def _write_snapshot(path: Path, key: bytes, graph: KnowledgeGraph, mode_of: Path
     A failure (a read-only directory, a full disk) costs only the snapshot:
     it is logged at debug level, and no partial file is left at ``path``.
     The members are built once the file is made, so a directory that takes
-    no file costs no surface tokenizing.
+    no file costs no tokenizing.
     """
     temporary = None
     try:
@@ -840,13 +936,15 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     term_entities, subjects, predicates, objects, offsets, incident = columns
     surface_text = _text(members["surface_keys"])
     surface_entities = members["surface_entities"]
+    vocabulary = _text(members["part_vocabulary"])
+    part_offsets, part_codes = members["part_offsets"], members["part_tokens"]
 
     count = len(subjects)
     _require(len(ids) == len(names) == len(aliases) == len(offsets) - 1, "entity counts")
     _require(len(relation_ids) == len(relation_names), "relation counts")
     _require(np.count_nonzero(term_entities < 0) == len(values) == len(datatypes), "literal counts")
     _require(len(predicates) == len(objects) == count, "row counts")
-    _require(offsets[0] == 0 and offsets[-1] == len(incident) and (np.diff(offsets) >= 0).all(), "offsets")
+    _require_offsets(offsets, len(incident), "offsets")
     _within(term_entities, -1, len(ids), "term entity codes")
     _within(datatypes, 0, len(LITERAL_DATATYPES), "literal datatypes")
     _within(subjects, 0, len(ids), "subject codes")
@@ -856,10 +954,14 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     _require(surface_text.count("\n") == len(surface_entities), "surface counts")
     _within(surface_entities, 0, len(ids), "surface entity codes")
     _require((np.diff(surface_entities) >= 0).all(), "surface entity codes decrease")
+    _require(len(part_offsets) == len(ids) + len(relation_ids) + len(values) + 1, "part counts")
+    _require_offsets(part_offsets, len(part_codes), "part offsets")
+    _within(part_codes, 0, vocabulary.count("\n"), "part token codes")
 
     literals = list(map(Literal._make, zip(values, map(LITERAL_DATATYPES.__getitem__, datatypes.tolist()))))
     surfaces = (surface_text, surface_entities)  # split into keys when the index is first read
-    graph = _graph(ids, names, aliases, relation_ids, relation_names, literals, columns, surfaces)
+    tokens = (vocabulary, part_offsets, part_codes)  # split when the first hashed ranking reads them
+    graph = _graph(ids, names, aliases, relation_ids, relation_names, literals, columns, surfaces, tokens)
     _require(len(graph.entity_codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")
     return graph
 
@@ -909,13 +1011,16 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[first]
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions start, start + 1, ... of each range in turn, concatenated, in one arange."""
+    shifts = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.arange(shifts.size) + shifts
+
+
 def _incident_rows(graph: KnowledgeGraph, codes: np.ndarray) -> np.ndarray:
     """The incident rows of each entity code in turn, concatenated."""
     starts = graph.offsets[codes]
-    counts = graph.offsets[codes + 1] - starts
-    # Row positions start, start + 1, ... of each entity, in one arange.
-    shifts = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return graph.incident[np.arange(shifts.size) + shifts]
+    return graph.incident[_ranges(starts, graph.offsets[codes + 1] - starts)]
 
 
 def neighborhood(

@@ -5,7 +5,10 @@ embeddings, seeded random ordering, and relation popularity. All of them
 break ties by the candidate's position in the input list, so rankings (and
 therefore prompts) are bit-reproducible. Candidates are ranked as rows of
 the graph's columnar store; only the facts a caller reads from the ranking
-(normally the top k) are verbalized.
+(normally the top k) are verbalized. The hashed embedder scores a whole
+neighborhood at once in numpy, from the token codes of ``graph.part_tokens``
+and a bucket table kept on the graph per dimension, with the exact scores
+of the joined texts.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .embed import EmbedderConfig, embed_batch, hashed_bow_sparse, part_buckets
+from .embed import EmbedderConfig, embed_batch, fnv1a_64, hashed_bow_sparse
 from .kg import EntityId, KnowledgeGraph, RowView, Triple, relation_frequency
 from .verbalize import joined, verbalize
 
@@ -54,37 +57,73 @@ RetrievalStrategy = Union[Similarity, Random, Popular]
 Parts = tuple[str, str, str]
 
 
-def _hashed_scores(dimension: int, question: str, parts: Iterable[Parts]) -> list[float]:
-    # A candidate's bucket counts are the sums of its parts' counts (see
-    # ``verbalize``), so a part text is tokenized only when it is not in the
-    # ``part_buckets`` cache, and ``count / norm`` is the value
-    # ``hashed_bow_sparse`` gives the joined text, bit for bit: the counts
-    # and their squared sum are integers. fsum is exactly rounded, so the
-    # order of the shared buckets does not matter, and a candidate sharing
-    # no bucket scores the 0.0 that fsum gives an empty sum.
-    question_vector = hashed_bow_sparse(question, dimension)
-    scores = []
-    for subject, relation, object_text in parts:
-        buckets = part_buckets(subject, dimension) + part_buckets(relation, dimension)
-        buckets += part_buckets(object_text, dimension)
-        distinct = set(buckets)
-        shared = distinct.intersection(question_vector)
-        if not shared:
-            scores.append(0.0)
-            continue
-        if len(distinct) == len(buckets):  # every count is 1
-            norm = math.sqrt(len(buckets))
-        else:
-            norm = math.sqrt(sum(buckets.count(bucket) ** 2 for bucket in distinct))
-        products = [question_vector[bucket] * (buckets.count(bucket) / norm) for bucket in shared]
-        scores.append(math.fsum(products))
+class _BucketTable(NamedTuple):
+    """A graph's token vocabulary as hashed buckets of one dimension.
+
+    ``slots`` numbers the distinct buckets ``fnv1a_64(token) % dimension``
+    of ``graph.part_tokens.vocabulary``, ascending, and ``code_slots``
+    holds the slot of each vocabulary entry.
+    """
+
+    slots: dict[int, int]
+    code_slots: np.ndarray
+
+
+def _bucket_table(graph: KnowledgeGraph, dimension: int) -> _BucketTable:
+    """``graph``'s bucket table for ``dimension``, built on first use and kept in ``graph.bucket_tables``."""
+    table = graph.bucket_tables.get(dimension)
+    if table is None:
+        buckets = [fnv1a_64(token) % dimension for token in graph.part_tokens.vocabulary]
+        slots = {bucket: slot for slot, bucket in enumerate(sorted(set(buckets)))}
+        code_slots = np.array([slots[bucket] for bucket in buckets], dtype=np.int64)
+        table = graph.bucket_tables[dimension] = _BucketTable(slots, code_slots)
+    return table
+
+
+def _hashed_scores(graph: KnowledgeGraph, rows: np.ndarray, question: str, dimension: int) -> np.ndarray:
+    """The cosine of the ``hashed_bow_sparse`` vectors of ``question`` and each row's text, bit for bit.
+
+    A row's bucket counts are the sums of its three parts' counts (see
+    ``verbalize``), read from the tokens of ``graph.row_tokens`` through the
+    bucket table. ``count / norm`` is the value ``hashed_bow_sparse`` gives
+    the joined text: the counts and their squared sum are integers, exact in
+    float64, and ``sqrt`` is correctly rounded. The cosine is the exactly
+    rounded sum of the products over the shared buckets: ``bincount`` adds a
+    row's one or two products to 0.0 in one rounding each, which is exact,
+    and ``math.fsum`` adds three or more. A row sharing no bucket scores 0.0.
+    """
+    table = _bucket_table(graph, dimension)
+    width = len(table.slots)
+    question_values = np.zeros(width)
+    for bucket, value in hashed_bow_sparse(question, dimension).items():
+        slot = table.slots.get(bucket)
+        if slot is not None:
+            question_values[slot] = value
+
+    count = len(rows)
+    codes, owners = graph.row_tokens(rows)
+    keys, counts = np.unique(owners * width + table.code_slots[codes], return_counts=True)
+    owners, slots, counts = keys // width, keys % width, counts.astype(np.float64)
+    norms = np.sqrt(np.bincount(owners, weights=counts * counts, minlength=count))
+
+    shared = np.flatnonzero(question_values[slots])
+    owners = owners[shared]
+    products = question_values[slots[shared]] * (counts[shared] / norms[owners])
+    # Empty weights give an int64 bincount.
+    scores = np.bincount(owners, weights=products, minlength=count).astype(np.float64)
+    sharing = np.bincount(owners, minlength=count)
+    ends = np.cumsum(sharing)
+    for row in np.flatnonzero(sharing > 2).tolist():
+        scores[row] = math.fsum(products[ends[row] - sharing[row] : ends[row]].tolist())
     return scores
 
 
 def _similarity_scores(config: EmbedderConfig, question: str, parts: Iterable[Parts]) -> list[float]:
-    """The cosine of each candidate, given as its (subject, relation, object) part texts."""
-    if config.kind == "hashed_bow":
-        return _hashed_scores(config.dimension, question, parts)
+    """The cosine of the embedded question and each candidate, given as its part texts.
+
+    ``parts`` holds each candidate's (subject, relation, object) texts; the
+    joined texts are embedded with the question in one ``embed_batch``.
+    """
     # Vectors are unit-norm or all-zero, so the dot product is the cosine
     # and a zero vector on either side yields 0. fsum gives the exactly
     # rounded sum of the products, so the score does not depend on
@@ -128,17 +167,21 @@ def rank_candidates(
     whose rows are read as they are (see ``KnowledgeGraph.rows``). Returns
     the full ranking with 1-based ranks and non-increasing scores, as a
     ``Ranking`` that verbalizes a candidate only when it is read. Scoring
-    reads each candidate's part texts from ``graph.part_texts`` by code and
-    builds no ``Triple`` or text: the hashed embedder counts its buckets
-    from the cached token buckets of the three parts
-    (``embed.part_buckets``), which add up to those of the joined text (see
-    ``verbalize``), so scores equal the cosine of ``hashed_bow_sparse``
-    vectors of the question and ``.verbalized`` bit for bit. A remote
-    embedder embeds the joined texts in one batch; ``Popular`` scores each
-    relation code by its count in the whole graph.
+    reads each candidate's parts by code and builds no ``Triple`` or text.
+    The hashed embedder scores all candidates at once in numpy: it counts
+    each candidate's buckets from ``graph.part_tokens``, hashed once per
+    graph and dimension into a bucket table, and the buckets of the three
+    parts add up to those of the joined text (see ``verbalize``), so scores
+    equal the cosine of ``hashed_bow_sparse`` vectors of the question and
+    ``.verbalized`` bit for bit. A graph without a snapshot tokenizes all of
+    its part texts at its first hashed ranking. A remote embedder embeds the
+    joined texts of ``graph.part_texts`` in one batch; ``Popular`` scores
+    each relation code by its count in the whole graph.
     """
     rows = graph.rows(candidates)
-    if isinstance(strategy, Similarity):
+    if isinstance(strategy, Similarity) and strategy.embedder.kind == "hashed_bow":
+        scores = _hashed_scores(graph, rows, question, strategy.embedder.dimension)
+    elif isinstance(strategy, Similarity):
         texts = graph.part_texts
         parts = zip(
             texts.entities[graph.subjects[rows]].tolist(),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from typing import NamedTuple
 
-from .kg import EntityRef, KnowledgeGraph, Triple, entity_text, literal_text
+from .kg import EntityRef, KnowledgeGraph, Triple, literal_text
 
 logger = logging.getLogger(__name__)
 
@@ -25,18 +25,22 @@ def joined(subject: str, relation: str, object_text: str) -> str:
 
 
 def _entity_text(graph: KnowledgeGraph, entity_id: str) -> str:
-    entity = graph.entities[entity_id]
-    if entity.name is None:
+    # Read by code, as ``part_texts`` reads it, so no ``Entity`` is made.
+    code = graph.entity_codes[entity_id]
+    name = graph.entities.names[code]
+    if name is None:
         logger.warning("entity %s has no name; rendering raw id", entity_id)
-    return entity_text(entity)
+        return graph.entities.ids[code]
+    return name
 
 
 def verbalize(triple: Triple, graph: KnowledgeGraph) -> VerbalizedTriple:
     """Render a triple as ``(<subject>, <relation>, <object>)``.
 
-    The part texts are those of ``graph.part_texts``, made by the same
-    ``kg.entity_text`` and ``kg.literal_text``: entity references render
-    their canonical name (raw id when unnamed, with a warning); plain
+    The part texts are those of ``graph.part_texts``: entity references
+    render their canonical name, read by entity code (raw id when unnamed,
+    with a warning), relations their name; ``kg.literal_text`` renders a
+    literal: plain
     literals render their value as-is; time and quantity literals get a
     ``time: `` / ``quantity: `` prefix inside the object part. ``subject``,
     ``relation`` and ``object`` hold the three part texts. The joiners

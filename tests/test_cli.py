@@ -96,7 +96,7 @@ class TestRunCommand:
         # An unknown path answers 404, which fails at once: no retry, no backoff.
         failing = ["--provider-kind", "remote", "--provider-endpoint", f"{http_service.url}/missing"]
         results = {}
-        for name, gate in (("plain", []), ("gated", ["--max-failure-rate", "0.5"])):
+        for name, gate in (("plain", ["--max-failure-rate", "1"]), ("gated", ["--max-failure-rate", "0.5"])):
             out_dir = tmp_path / name
             code, out, err = run_cli(
                 capsys, "run", "--config", toy_config_path, *failing, *gate, "--out", str(out_dir)
@@ -112,6 +112,13 @@ class TestRunCommand:
         )
         assert results["gated"][2] == results["plain"][2]
         assert http_service.state.requests == 50
+
+    def test_failure_gate_is_on_by_default(self, toy_config_path, http_service, tmp_path, capsys):
+        failing = ["--provider-kind", "remote", "--provider-endpoint", f"{http_service.url}/missing"]
+        code, _out, err = run_cli(capsys, "run", "--config", toy_config_path, *failing, "--out", str(tmp_path))
+        assert code == 1
+        assert err.endswith("error: 25 of 25 examples failed, above --max-failure-rate 0.5\n")
+        assert (tmp_path / "predictions.jsonl").exists() and (tmp_path / "report.json").exists()
 
     def test_failure_gate_passes_at_its_limit(self, toy_config_path, tmp_path, capsys):
         code, _out, err = run_cli(

@@ -26,6 +26,7 @@ from kgprompt.kg import (
     relation_frequency,
     snapshot_path,
 )
+from kgprompt.retrieve import Similarity, rank_candidates
 from kgprompt.verbalize import verbalize
 
 from oracles import csr_adjacency, oracle_link, oracle_load
@@ -575,12 +576,13 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
 
     Mappings (dicts and the entities view) compare in the same order, arrays
     in value, dtype and element type, and both down to the type of each
-    element of an ``Entity``, term or index entry. ``_stored_surfaces`` is
-    what a decoded graph read from its snapshot, and None on any other graph,
-    so it is compared through ``surface_pairs``, which is built from it.
+    element of an ``Entity``, term or index entry. ``_stored_surfaces`` and
+    ``_stored_tokens`` are what a decoded graph read from its snapshot, and
+    None on any other graph, so they are compared through ``surface_pairs``
+    and ``part_tokens``, which are built from them.
     """
     for field in dataclasses.fields(KnowledgeGraph):
-        if field.name == "_stored_surfaces":
+        if field.name in ("_stored_surfaces", "_stored_tokens"):
             continue
         expected, actual = getattr(parsed, field.name), getattr(decoded, field.name)
         if isinstance(expected, Mapping):
@@ -597,6 +599,10 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
     index, expected_index = decoded.surface_index, parsed.surface_index
     assert typed(list(index.entries.items())) == typed(list(expected_index.entries.items()))
     assert index.widths == expected_index.widths
+    tokens, expected_tokens = decoded.part_tokens, parsed.part_tokens
+    assert typed(tokens.vocabulary) == typed(expected_tokens.vocabulary)
+    assert_same_array(tokens.offsets, expected_tokens.offsets, "part_tokens.offsets")
+    assert_same_array(tokens.codes, expected_tokens.codes, "part_tokens.codes")
 
 
 def load_failure(*paths) -> str:
@@ -866,6 +872,22 @@ DAMAGED_SNAPSHOTS = {
     "surface keys not utf-8": lambda path: rewrite_snapshot(
         path, lambda members: members["surface_keys"].__setitem__(-1, 0xFF)
     ),
+    "missing part tokens": lambda path: rewrite_snapshot(path, lambda members: members.pop("part_tokens")),
+    "part offsets of wrong dtype": lambda path: rewrite_snapshot(
+        path, lambda members: members.update(part_offsets=members["part_offsets"].astype(np.int32))
+    ),
+    "part count": lambda path: rewrite_snapshot(
+        path, lambda members: members.update(part_offsets=members["part_offsets"][:-1])
+    ),
+    "part offsets decrease": lambda path: rewrite_snapshot(
+        path, lambda members: members["part_offsets"].__setitem__(2, 0)
+    ),
+    "part token out of range": lambda path: rewrite_snapshot(
+        path, lambda members: members["part_tokens"].__setitem__(-1, members["part_vocabulary"].tolist().count(10))
+    ),
+    "part vocabulary not utf-8": lambda path: rewrite_snapshot(
+        path, lambda members: members["part_vocabulary"].__setitem__(-1, 0xFF)
+    ),
 }
 SNAPSHOT_GRAPH = (
     "Q1\tP1\tE:Q2\nQ2\tP9\tL:time:1999\nQ1\tP9\tL:plain:a:b\nQ1\tP1\tE:Q1\n",
@@ -923,29 +945,39 @@ class TestSnapshot:
         assert len(graph.triples) == 4
         assert_same_store(graph, load_decoded(monkeypatch, triples, entities))
 
-    def test_format_1_snapshot_is_parsed_again_without_a_warning(self, tmp_path, monkeypatch, caplog):
+    # The members each older format lacked: format 1 stored no surface pairs, format 2 no part tokens.
+    OLDER_FORMATS = {
+        1: ("surface_keys", "surface_entities", "part_vocabulary", "part_offsets", "part_tokens"),
+        2: ("part_vocabulary", "part_offsets", "part_tokens"),
+    }
+
+    @pytest.mark.parametrize("version", OLDER_FORMATS)
+    def test_older_format_snapshot_is_parsed_again_without_a_warning(self, tmp_path, monkeypatch, caplog, version):
         paths = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
         parsed = load_graph(*paths)
         path = snapshot_path(paths[0])
-        # What the first format stored: no surface members, under that format's key.
+        # What the older format stored: fewer members, under that format's key.
         with monkeypatch.context() as patch:
-            patch.setattr(kg, "_SNAPSHOT_FORMAT", b"kgprompt graph snapshot 1")
+            patch.setattr(kg, "_SNAPSHOT_FORMAT", f"kgprompt graph snapshot {version}".encode())
             old_key = kg._source_key([source.read_bytes() for source in (*paths, tmp_path / "relations.tsv")])
 
-        def format_1(members):
-            del members["surface_keys"], members["surface_entities"]
+        def older_format(members):
+            for name in self.OLDER_FORMATS[version]:
+                del members[name]
             members["key"] = np.frombuffer(old_key, dtype=np.uint8)
 
-        rewrite_snapshot(path, format_1)
+        rewrite_snapshot(path, older_format)
         caplog.clear()
         with caplog.at_level("DEBUG", logger="kgprompt.kg"):
             assert_same_store(parsed, load_graph(*paths))
         assert not [record for record in caplog.records if record.levelname == "WARNING"]
         assert "holds other sources" in caplog.text
         with np.load(path, allow_pickle=False) as snapshot:
-            assert {"surface_keys", "surface_entities"} <= set(snapshot.files)
+            assert set(self.OLDER_FORMATS[version]) <= set(snapshot.files)
             assert snapshot["key"].tobytes() != old_key
             assert snapshot["surface_entities"].tolist() == [0, 0, 0]
+            # Alpha | Q2 | knows | P9 | time: 1999 | a:b
+            assert snapshot["part_offsets"].tolist() == [0, 1, 2, 3, 4, 6, 8]
         assert_same_store(parsed, load_decoded(monkeypatch, *paths))
 
     @pytest.mark.parametrize(
@@ -990,7 +1022,8 @@ class TestSnapshot:
             tmp_path.chmod(0o755)
         for graph in graphs:
             assert_graph_matches_oracle(graph, expected)
-            assert "surface_pairs" not in graph.__dict__  # no snapshot to write, so nothing tokenized
+            # No snapshot to write, so nothing tokenized.
+            assert "surface_pairs" not in graph.__dict__ and "part_tokens" not in graph.__dict__
         assert sorted(os.listdir(tmp_path)) == SOURCE_FILES
 
     def test_failed_write_leaves_no_file_behind(self, tmp_path, monkeypatch, caplog):
@@ -1223,12 +1256,36 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
             assert graph.part_texts.entities.tolist() == ["Alpha", "Q2"]
             assert made == Counter()  # linking and part texts read entities by code
             assert "surface_index" in graph.__dict__ and "terms" not in graph.__dict__
+            # No token text is split before the first hashed ranking, which splits the stored vocabulary.
+            assert "part_tokens" not in graph.__dict__ and "bucket_tables" not in graph.__dict__
+            patch.setattr(kg, "normalize_tokens", lambda text: pytest.fail("tokenized a part text on a hit"))
+            ranked = rank_candidates(Similarity(), "alpha knows", neighborhood(graph, ["Q1"], 1), graph)
+            assert ranked.rows.tolist() == [3, 0, 2] and ranked.scores[0] > 0  # (Alpha, knows, Alpha) first
+            assert graph.part_tokens.vocabulary == ["alpha", "q2", "knows", "p9", "time", "1999", "a", "b"]
+            assert list(graph.bucket_tables) == [Similarity().embedder.dimension]
+            assert made == Counter()
             entity = graph.entities["Q1"]
             assert made == Counter({"Entity": 1})
             [triple] = graph.triples_at(np.array([0]))
             assert made == Counter({"Entity": 1, "EntityRef": 1})
         assert entity == Entity("Q1", "Alpha", ("A", "Al")) and triple.object == EntityRef("Q2")
         assert_same_store(parsed, graph)
+
+    @pytest.mark.parametrize("method", ["kaping", "popular_knowledge"])
+    def test_only_hashed_ranking_reads_the_part_tokens(self, toy_dir, tmp_path, monkeypatch, method):
+        config = pipeline.load_config(toy_dir / "config.json")
+        load_graph(config.triples_path, config.entities_path, config.relations_path)  # the snapshot is written
+        loaded = []
+
+        def load_and_keep(*paths):
+            loaded.append(load_decoded(monkeypatch, *paths))
+            return loaded[-1]
+
+        monkeypatch.setattr(pipeline, "load_graph", load_and_keep)
+        pipeline.run(dataclasses.replace(config, method=method, output_dir=str(tmp_path)))
+        [graph] = loaded
+        assert ("part_tokens" in graph.__dict__) == (method == "kaping")
+        assert ("bucket_tables" in graph.__dict__) == (method == "kaping")
 
 
 class TestEntitiesView:

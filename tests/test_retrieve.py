@@ -5,9 +5,19 @@ import pytest
 
 from oracles import oracle_cosine, oracle_rank, oracle_vector
 
-from kgprompt import embed, retrieve
+from kgprompt import kg, retrieve
 from kgprompt.embed import EmbedderConfig
-from kgprompt.kg import Entity, EntityRef, Literal, Relation, Triple, build_graph, neighborhood, relation_frequency
+from kgprompt.kg import (
+    Entity,
+    EntityRef,
+    Literal,
+    Relation,
+    Triple,
+    build_graph,
+    load_graph,
+    neighborhood,
+    relation_frequency,
+)
 from kgprompt.retrieve import (
     Popular,
     Random,
@@ -109,6 +119,21 @@ def joined_text(parts: tuple[str, str, str]) -> str:
     return "({}, {}, {})".format(*parts)
 
 
+def part_text_graph(parts: list[tuple[str, str, str]]):
+    """A graph whose row i joins the texts of ``parts[i]``: an entity, a relation and a plain literal."""
+    entities = [Entity(f"S{i}", subject) for i, (subject, _, _) in enumerate(parts)]
+    relations = [Relation(f"R{i}", relation) for i, (_, relation, _) in enumerate(parts)]
+    triples = [Triple(f"S{i}", f"R{i}", Literal(object_text)) for i, (_, _, object_text) in enumerate(parts)]
+    return build_graph(entities, relations, triples)
+
+
+def scores_by_row(ranked) -> list[float]:
+    """A ranking's scores in row order."""
+    scores = np.zeros(len(ranked))
+    scores[ranked.rows] = ranked.scores
+    return scores.tolist()
+
+
 class TestSparseCosine:
     @pytest.mark.parametrize("dimension", [1, 2, 7, 256])
     def test_hashed_scores_equal_dense_fsum_bit_for_bit(self, dimension):
@@ -119,7 +144,9 @@ class TestSparseCosine:
             question = random_text(rng)
             parts = [(random_text(rng), random_text(rng), random_text(rng)) for _ in range(rng.randint(0, 20))]
             texts = [joined_text(candidate) for candidate in parts]
-            scores = retrieve._similarity_scores(config, question, parts)
+            graph = part_text_graph(parts)
+            assert [verbalize(triple, graph).text for triple in graph.triples] == texts
+            scores = scores_by_row(rank_candidates(Similarity(config), question, graph.triples, graph))
             question_vector = oracle_vector(question, dimension)
             expected = [oracle_cosine(question_vector, oracle_vector(text, dimension)) for text in texts]
             assert [score.hex() for score in scores] == [score.hex() for score in expected]
@@ -253,7 +280,111 @@ class TestPartScoring:
             assert_oracle_ranking(ranked, question, graph, config.dimension)
             orders.append([scored.triple for scored in ranked])
         assert orders == [triples, triples[::-1], triples]
-        assert embed.part_buckets.cache_info().maxsize == 1 << 16
+        # Each graph keeps its own bucket table, one per dimension.
+        assert list(first.bucket_tables) == list(second.bucket_tables) == [config.dimension]
+        assert first.bucket_tables[config.dimension] is not second.bucket_tables[config.dimension]
+
+
+EDGE_GRAPH = (
+    "Q1\tP1\tE:Q5\nQ1\tP2\tL:time:1999\nQ2\tP1\tE:Q3\nQ4\tP2\tL:quantity:42\n"
+    "Q5\tP1\tL:plain:static\nQ3\tP2\tE:Q2\n",
+    "Q1\tAmber Harbor\nQ2\t\nQ3\tΟΔΟΣ\nQ4\tnight Night NIGHT\nQ5\tSilver city\nQ6\tlonely\n",
+    "P1\tborn in\nP2\tlocated in\n",
+)
+ALL = ["Q1", "Q2", "Q3", "Q4", "Q5"]
+
+
+def most_shared(shared, texts):
+    return max(shared, default=0)
+
+
+# (name, question, seeds, hops, dimension, what the case must show, from each
+# candidate's count of buckets shared with the question and its text)
+EDGE_CASES = [
+    ("no shared bucket", "zebra", ALL, 1, 256, lambda shared, texts: texts and most_shared(shared, texts) == 0),
+    ("tokenless question", "(, )!", ALL, 2, 256, lambda shared, texts: texts and most_shared(shared, texts) == 0),
+    ("empty question", "", ALL, 1, 7, lambda shared, texts: texts and most_shared(shared, texts) == 0),
+    ("empty neighborhood", "amber harbor", ["Q6"], 2, 256, lambda shared, texts: not texts),
+    ("no seeds", "amber harbor", [], 1, 256, lambda shared, texts: not texts),
+    ("dimension 1", "born city", ALL, 1, 1, lambda shared, texts: set(shared) == {1}),
+    ("two shared buckets", "amber time", ["Q1"], 1, 256, lambda shared, texts: most_shared(shared, texts) == 2),
+    ("three or more", "amber harbor born silver", ["Q1"], 1, 256, lambda shared, texts: most_shared(shared, texts) > 2),
+    (
+        "repeated token",
+        "night",
+        ["Q4"],
+        1,
+        256,
+        lambda shared, texts: texts == ["(night Night NIGHT, located in, quantity: 42)"] and shared == [1],
+    ),
+    (
+        "time and quantity literals",
+        "time quantity",
+        ["Q1", "Q4"],
+        1,
+        256,
+        lambda shared, texts: sum(1 for count, text in zip(shared, texts) if count and ": " in text) == 2,
+    ),
+    (
+        "unnamed entity",
+        "where is q2",
+        ["Q2"],
+        1,
+        256,
+        lambda shared, texts: all(count and "Q2" in text for count, text in zip(shared, texts)),
+    ),
+    (
+        "final sigma",
+        "οδος",
+        ["Q3"],
+        1,
+        256,
+        lambda shared, texts: all(count and "ΟΔΟΣ" in text for count, text in zip(shared, texts)),
+    ),
+]
+
+
+@pytest.fixture
+def edge_graphs(tmp_path, monkeypatch):
+    """The edge-case graph parsed, decoded from its snapshot, and built from the parsed one's parts."""
+    for name, text in zip(("triples.tsv", "entities.tsv", "relations.tsv"), EDGE_GRAPH):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = (tmp_path / "triples.tsv", tmp_path / "entities.tsv")
+    parsed = load_graph(*paths)
+    with monkeypatch.context() as patch:
+        patch.setattr(kg, "_load_triples", lambda *args: pytest.fail("parsed the triples file again"))
+        decoded = load_graph(*paths)
+    built = build_graph(parsed.entities.values(), parsed.relations.values(), parsed.triples)
+    return {"parsed": parsed, "decoded": decoded, "built": built}
+
+
+class TestScorerEdgeCases:
+    @pytest.mark.parametrize("case", EDGE_CASES, ids=[case[0] for case in EDGE_CASES])
+    @pytest.mark.parametrize("kind", ["parsed", "decoded", "built"])
+    def test_scores_equal_the_oracle_bit_for_bit(self, edge_graphs, kind, case):
+        _, question, seeds, hops, dimension, shows = case
+        graph = edge_graphs[kind]
+        candidates = neighborhood(graph, seeds, hops)
+        ranked = rank_candidates(Similarity(EmbedderConfig(dimension=dimension)), question, candidates, graph)
+        assert ranked.scores.dtype == np.float64
+        texts = [verbalize(triple, graph).text for triple in candidates]
+        question_vector = oracle_vector(question, dimension)
+        vectors = [oracle_vector(text, dimension) for text in texts]
+        shared = [sum(1 for left, right in zip(question_vector, vector) if left and right) for vector in vectors]
+        assert shows(shared, texts)
+        expected = [oracle_cosine(question_vector, vector) for vector in vectors]
+        order = oracle_rank(question, texts, dimension)
+        materialized = list(ranked)
+        assert [scored.triple for scored in materialized] == [candidates[index] for index in order]
+        assert [scored.verbalized for scored in materialized] == [texts[index] for index in order]
+        assert [scored.score.hex() for scored in materialized] == [expected[index].hex() for index in order]
+        assert all(type(scored.score) is float for scored in materialized)
+
+    def test_graph_without_tokens_scores_zero(self):
+        graph = build_graph([Entity("Q1", "!!")], [Relation("P1", "--")], [Triple("Q1", "P1", Literal("(, )"))])
+        assert graph.part_tokens.vocabulary == []
+        ranked = rank_candidates(Similarity(), "amber harbor", graph.triples, graph)
+        assert ranked.scores.dtype == np.float64 and ranked.scores.tolist() == [0.0]
 
 
 class TestRandomStrategy:
