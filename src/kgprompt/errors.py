@@ -1,7 +1,8 @@
-"""Exception types, and the checks of config values, shared across the package."""
+"""Exception types, and the checks of config values and input text, shared across the package."""
 
 from __future__ import annotations
 
+import re
 import urllib.parse
 
 
@@ -30,6 +31,35 @@ def http_url(value, name: str) -> str:
         if parts and parts.scheme in ("http", "https") and parts.hostname:
             return value
     raise ConfigError(f"{name} must be an absolute http or https URL, got {value!r}")
+
+
+def check_utf8(text: str, path, line: int = 1, error: type[Exception] = ConfigError) -> None:
+    """``error`` naming ``path`` and the line when ``text``, from line ``line``, holds a surrogate.
+
+    No UTF-8 file can hold a surrogate, and text read with ``surrogateescape``
+    holds one for each byte that is not UTF-8.
+    """
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line += text.count("\n", 0, exc.start)
+        raise error(f"{path}:{line}: not valid UTF-8") from None
+
+
+# A JSON escape, tried in this order: a surrogate pair, which ``json`` joins
+# into one character; a lone surrogate (group 1); any other escape.
+_JSON_ESCAPE = re.compile(
+    r"\\(?:u[dD][89abAB][0-9a-fA-F]{2}\\u[dD][c-fC-F][0-9a-fA-F]{2}|(u[dD][89a-fA-F][0-9a-fA-F]{2})|.)", re.DOTALL
+)
+
+
+def check_json_text(text: str, path, line: int = 1) -> None:
+    """``check_utf8`` for JSON ``text``, which also must not escape a lone surrogate."""
+    check_utf8(text, path, line)
+    lone = next((match.start() for match in _JSON_ESCAPE.finditer(text) if match[1]), None)
+    if lone is not None:
+        line += text.count("\n", 0, lone)
+        raise ConfigError(f"{path}:{line}: a \\u escape makes a lone surrogate, which is not Unicode text")
 
 
 class GraphLoadError(ValueError):

@@ -33,42 +33,43 @@ Objects are made only when they are read. ``graph.entities`` is an
 ``Entities`` mapping view over the ids, names and aliases by code, which
 makes an ``Entity`` for the id looked up. ``neighborhood`` returns a
 ``Neighborhood``, a ``RowView`` sequence over rows that makes a ``Triple``
-(and its ``EntityRef``) only when an element is read. ``part_texts`` holds
-the text of every part by code (an entity's name, or its id when it is
-unnamed, and a literal's ``literal_text``, as ``verbalize`` renders them),
-so remote ranking reads a row's texts without any ``Triple`` or
-``Entity``. ``part_tokens`` holds the normalized tokens of every entity
-text, relation name and literal text as codes into one vocabulary, from
-which hashed ranking scores a row's parts without tokenizing them.
-``surface_index``, which linking reads, is built from ``surface_pairs``:
-one (normalized key, entity code) pair per name or alias, in entity order.
-A graph not decoded from a snapshot derives the surface pairs and the part
-tokens together, tokenizing each name once. ``graph.triples`` and
-``graph.terms`` are derived views built on first access.
+(and its ``EntityRef``) only when an element is read.
 
-Ids and object terms are coded by one kind of table, ``_Codes``, in
-first-seen order; loading parses each distinct object token once. Every
-graph, parsed, built by ``build_graph`` or decoded, is made in one place,
-``_graph``, from the same parts: entity ids, names and aliases, relation ids
-and names, the literals and the code arrays. The ids it is given are the
-ones the graph hands out, so every subject, relation and entity-valued
-object of a triple the graph returns, and every id of an ``Entity`` it
-makes, is the very string object that keys ``graph.entities`` or
-``graph.relations``.
+Each part of a triple has one number: entities by code, then relations by
+code, then literals in term order. ``part_texts`` holds each part's text,
+as ``verbalize`` renders it, and ``row_parts`` gives the parts of rows, so
+remote ranking reads a row's texts without any ``Triple`` or ``Entity``.
+One text index per graph, in the form the snapshot stores it, holds the
+surface pairs (a normalized key and entity code per name or alias, from
+which ``surface_index`` and so linking are built) and the part tokens (each
+part's normalized tokens as codes into one vocabulary, from which hashed
+ranking scores rows). A graph not decoded from a snapshot builds it by
+tokenizing each part text once. ``graph.triples`` and ``graph.terms`` are
+derived views built on first access.
+
+Ids, object terms and part tokens are coded by one kind of table,
+``_Codes``, in first-seen order; loading parses each distinct object token
+once. Every graph, parsed, built by ``build_graph`` or decoded, is made in
+one place, ``_graph``, from the same parts: entity ids, names and aliases,
+relation ids and names, the literals and the code arrays. The ids it is
+given are the ones the graph hands out, so every subject, relation and
+entity-valued object of a triple the graph returns, and every id of an
+``Entity`` it makes, is the very string object that keys
+``graph.entities`` or ``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
 (``snapshot_path``): a pickle-free ``.npz`` (format 3) of the code columns,
-the CSR pair, the ids, names, aliases and literals as UTF-8 text, the
-surface pairs and the part tokens, stored under the SHA-256 of a format tag
-and the source files' bytes. A load whose files hash to a snapshot's key
-decodes it instead of parsing, after checking its structure, and hands its
-parts to ``_graph``, so it has the same dict orders, codes, term order and
-interned ids as a parsed one. A hit makes no ``Entity``, ``EntityRef`` or
-index: it keeps the stored surface pairs and part tokens as read, so the
-first link builds the index from them instead of tokenizing every name,
-and the first hashed ranking splits the stored vocabulary instead of
-tokenizing every part text. A snapshot that is missing, stale, of another
-format, damaged or cannot be written costs only a parse.
+the CSR pair, the ids, names, aliases and literals as UTF-8 text, and the
+text index, stored under the SHA-256 of a format tag and the source files'
+bytes. A load whose files hash to a snapshot's key decodes it instead of
+parsing, after checking its structure, and hands its parts to ``_graph``,
+so it has the same dict orders, codes, term order and interned ids as a
+parsed one. A hit makes no ``Entity``, ``EntityRef`` or linking index: it
+keeps the stored text index as read, so the first link splits the stored
+surface keys instead of tokenizing every name, and the first hashed
+ranking splits the stored vocabulary instead of tokenizing every part
+text. A snapshot that is missing, stale, of another format, damaged or
+cannot be written costs only a parse.
 """
 
 from __future__ import annotations
@@ -82,14 +83,14 @@ import shutil
 import tempfile
 import zipfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import GraphLoadError
+from .errors import GraphLoadError, check_utf8
 from .text import normalize_text, normalize_tokens
 
 logger = logging.getLogger(__name__)
@@ -147,33 +148,35 @@ def literal_text(literal: Literal) -> str:
     return f"{literal.datatype}: {literal.value}"
 
 
-class PartTexts(NamedTuple):
-    """The text of each triple part by code, as object arrays.
-
-    ``entities`` holds each entity's name, or its id when it is unnamed,
-    ``relations`` each relation's name, and ``terms`` each object term's
-    text: its entity's text, or its ``literal_text``.
-    """
-
-    entities: np.ndarray
-    relations: np.ndarray
-    terms: np.ndarray
-
-
 class PartTokens(NamedTuple):
     """The normalized tokens of every part text, coded into one vocabulary.
 
-    Parts are numbered entities first, by entity code, then relations, by
-    relation code, then literals, in term order; each part's text is the
-    one ``part_texts`` holds. Part ``p``'s tokens are ``vocabulary[c]`` for
-    each code ``c`` of ``codes[offsets[p]:offsets[p + 1]]`` (int64 offsets,
-    int32 codes), in text order. ``vocabulary`` lists each distinct token
-    once, in first-seen order.
+    Parts are numbered as ``part_texts`` lists them. Part ``p``'s tokens
+    are ``vocabulary[c]`` for each code ``c`` of
+    ``codes[offsets[p]:offsets[p + 1]]`` (int64 offsets, int32 codes), in
+    text order. ``vocabulary`` lists each distinct token once, in
+    first-seen order.
     """
 
     vocabulary: list[str]
     offsets: np.ndarray
     codes: np.ndarray
+
+
+class _TextIndex(NamedTuple):
+    """A graph's surface pairs and part tokens, as the snapshot members of these names store them.
+
+    ``surface_keys`` and ``part_vocabulary`` are texts holding each key or
+    token preceded by a newline; ``surface_entities`` holds each key's
+    entity code, ``part_offsets`` and ``part_tokens`` the offsets and codes
+    of ``PartTokens``.
+    """
+
+    surface_keys: str
+    surface_entities: np.ndarray
+    part_vocabulary: str
+    part_offsets: np.ndarray
+    part_tokens: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -245,11 +248,8 @@ class KnowledgeGraph:
     ``relation_counts`` and ``bucket_tables`` are derived views, each built
     once on first access; the pipeline reads all but ``triples`` and
     ``terms``. They assume the graph is not mutated after it is built, and
-    changing a view does not change the graph. A graph decoded from a
-    snapshot holds the snapshot's surface pairs and part tokens, undivided,
-    in ``_stored_surfaces`` and ``_stored_tokens``; ``surface_pairs`` and
-    ``part_tokens`` split them instead of tokenizing the texts again. Two
-    graphs are equal when their entities, relations and triples are.
+    changing a view does not change the graph. Two graphs are equal when
+    their entities, relations and triples are.
     """
 
     entities: Entities
@@ -264,8 +264,6 @@ class KnowledgeGraph:
     objects: np.ndarray
     offsets: np.ndarray
     incident: np.ndarray
-    _stored_surfaces: tuple[str, np.ndarray] | None = field(default=None, repr=False)
-    _stored_tokens: tuple[str, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeGraph):
@@ -316,40 +314,26 @@ class KnowledgeGraph:
         return self._terms_at(np.arange(len(self.term_entities)))
 
     @cached_property
-    def part_texts(self) -> PartTexts:
-        # Each entity's text, read by code: its name, or its id when unnamed.
+    def part_texts(self) -> np.ndarray:
+        """The text of every part, as ``verbalize`` renders it, in part order (an object array)."""
         view = self.entities
-        entities = _objects([entity_id if name is None else name for entity_id, name in zip(view.ids, view.names)])
-        relations = _objects([self.relations[relation_id].name for relation_id in self.relation_ids])
-        # A literal's entity code -1 picks a placeholder, replaced below.
-        terms = entities[self.term_entities]
-        literals = np.flatnonzero(self.term_entities < 0)
-        terms[literals] = _objects([literal_text(term) for term in self.term_literals[literals].tolist()])
-        return PartTexts(entities, relations, terms)
+        texts = [entity_id if name is None else name for entity_id, name in zip(view.ids, view.names)]
+        texts += [relation.name for relation in self.relations.values()]
+        texts += map(literal_text, self.term_literals[self.term_entities < 0].tolist())
+        return _objects(texts)
 
-    @cached_property
-    def _tokenized(self) -> tuple[tuple[list[str], np.ndarray], PartTokens]:
-        """The surface pairs and part tokens of a graph with none stored, tokenizing each name once."""
-        view = self.entities
-        name_tokens = [normalize_tokens(name) if name else [] for name in view.names]
-        entity_tokens = (
-            normalize_tokens(entity_id) if name is None else tokens
-            for entity_id, name, tokens in zip(view.ids, view.names, name_tokens)
-        )
-        relation_tokens = (normalize_tokens(relation.name) for relation in self.relations.values())
-        literals = self.term_literals[self.term_entities < 0].tolist()
-        literal_tokens = (normalize_tokens(literal_text(literal)) for literal in literals)
-        tokens = _part_tokens([*entity_tokens, *relation_tokens, *literal_tokens])
-        return _surface_pairs(name_tokens, view.aliases), tokens
+    def row_parts(self, rows: np.ndarray) -> np.ndarray:
+        """The part numbers of ``rows``' subjects, then of their relations, then of their objects."""
+        relations = len(self.entity_ids) + self.predicates[rows]
+        return np.concatenate((self.subjects[rows], relations, self._term_parts[self.objects[rows]]))
 
     def row_tokens(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The codes of the tokens of ``rows``' part texts, and the position in ``rows`` of each.
 
-        Codes index ``part_tokens.vocabulary``. They come subjects first,
-        then relations, then objects, each part's tokens in text order.
+        Codes index ``part_tokens.vocabulary``. They come in ``row_parts``
+        order, each part's tokens in text order.
         """
-        relations = len(self.entity_ids) + self.predicates[rows]
-        parts = np.concatenate((self.subjects[rows], relations, self._term_parts[self.objects[rows]]))
+        parts = self.row_parts(rows)
         _, offsets, codes = self.part_tokens
         starts = offsets[parts]
         lengths = offsets[parts + 1] - starts
@@ -365,25 +349,60 @@ class KnowledgeGraph:
         return np.where(literals, literal_parts, self.term_entities)
 
     @cached_property
+    def _text_index(self) -> _TextIndex:
+        """The surface pairs and part tokens, tokenizing each part text once (a decoded graph is given them).
+
+        An entity's surfaces are its name, then its aliases; a surface's key
+        is its normalized tokens joined by single spaces, so a named entity's
+        key is its part tokens joined. A surface with no tokens has no pair.
+        """
+        token_lists = list(map(normalize_tokens, self.part_texts.tolist()))
+        view = self.entities
+        keys, codes = [], []
+        for code, (name, aliases, tokens) in enumerate(zip(view.names, view.aliases, token_lists)):
+            for key in (" ".join(tokens) if name else "", *map(normalize_text, aliases)):
+                if key:
+                    keys.append(key)
+                    codes.append(code)
+        all_tokens = list(itertools.chain.from_iterable(token_lists))
+        vocabulary = _Codes()
+        token_codes = np.fromiter(map(vocabulary.__getitem__, all_tokens), np.int32, len(all_tokens))
+        return _TextIndex(
+            _joined_lines(keys),
+            np.array(codes, dtype=np.int32),
+            _joined_lines(vocabulary.ids),
+            np.cumsum([0, *map(len, token_lists)], dtype=np.int64),
+            token_codes,
+        )
+
+    @cached_property
     def part_tokens(self) -> PartTokens:
         """The tokens of every part text, coded (see ``PartTokens``)."""
-        if self._stored_tokens is None:
-            return self._tokenized[1]
-        vocabulary, offsets, codes = self._stored_tokens
-        return PartTokens(vocabulary.split("\n")[1:], offsets, codes)
+        index = self._text_index
+        return PartTokens(_split_lines(index.part_vocabulary), index.part_offsets, index.part_tokens)
 
     @cached_property
     def surface_pairs(self) -> tuple[list[str], np.ndarray]:
-        """Each surface's normalized key and entity code, in entity order (see ``_surface_pairs``)."""
-        if self._stored_surfaces is None:
-            return self._tokenized[0]
-        text, codes = self._stored_surfaces
-        return text.split("\n")[1:], codes
+        """Each surface's normalized key and entity code, in entity order (see ``_text_index``)."""
+        index = self._text_index
+        return _split_lines(index.surface_keys), index.surface_entities
 
     @cached_property
     def surface_index(self) -> SurfaceIndex:
+        """The ``SurfaceIndex`` of the surface pairs, each key with the id of its entity."""
         keys, codes = self.surface_pairs
-        return _surface_index(keys, self.entity_ids[codes].tolist())
+        entries: dict[str, EntityId | tuple[EntityId, ...]] = {}
+        for key, entity_id in zip(keys, self.entity_ids[codes].tolist()):
+            present = entries.get(key)
+            if present is None:
+                entries[key] = entity_id
+            elif isinstance(present, tuple):
+                entries[key] = (*present, entity_id)
+            else:
+                entries[key] = (present, entity_id)
+        # Tokens hold no spaces, so a key's spaces count its tokens.
+        widths = {key.count(" ") + 1 for key in entries}
+        return SurfaceIndex(entries, tuple(sorted(widths, reverse=True)))
 
     @cached_property
     def relation_counts(self) -> Counter[RelationId]:
@@ -452,54 +471,12 @@ def _objects(items: list) -> np.ndarray:
     return np.fromiter(items, dtype=object, count=len(items))
 
 
-def _surface_pairs(name_tokens: list[list[str]], aliases: list) -> tuple[list[str], np.ndarray]:
-    """The (normalized key, entity code) pair of each surface, in entity order.
-
-    An entity's surfaces are its name, given as its tokens, then its
-    aliases; a key is a surface's normalized tokens joined by single spaces.
-    A surface with no tokens has no pair.
-    """
-    keys, codes = [], []
-    for code, (tokens, alternatives) in enumerate(zip(name_tokens, aliases)):
-        for key in (" ".join(tokens), *map(normalize_text, alternatives)):
-            if key:
-                keys.append(key)
-                codes.append(code)
-    return keys, np.array(codes, dtype=np.int32)
-
-
-def _part_tokens(token_lists: list[list[str]]) -> PartTokens:
-    """The ``PartTokens`` of each part's token list in turn."""
-    tokens = list(itertools.chain.from_iterable(token_lists))
-    vocabulary = list(dict.fromkeys(tokens))
-    codes = dict(zip(vocabulary, range(len(vocabulary))))
-    offsets = np.zeros(len(token_lists) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, token_lists), np.int64, len(token_lists)), out=offsets[1:])
-    return PartTokens(vocabulary, offsets, np.fromiter(map(codes.__getitem__, tokens), np.int32, len(tokens)))
-
-
-def _surface_index(keys: list[str], ids: list[EntityId]) -> SurfaceIndex:
-    """The ``SurfaceIndex`` of the surface pairs, each key with the id of its entity."""
-    entries: dict[str, EntityId | tuple[EntityId, ...]] = {}
-    for key, entity_id in zip(keys, ids):
-        present = entries.get(key)
-        if present is None:
-            entries[key] = entity_id
-        elif isinstance(present, tuple):
-            entries[key] = (*present, entity_id)
-        else:
-            entries[key] = (present, entity_id)
-    # Tokens hold no spaces, so a key's spaces count its tokens.
-    widths = {key.count(" ") + 1 for key in entries}
-    return SurfaceIndex(entries, tuple(sorted(widths, reverse=True)))
-
-
 class _Codes(dict):
     """Maps a key, compared by value, to its code, numbered in first-seen order.
 
     Looking up an unseen key gives it the next code. ``ids`` lists the
     stored key objects by code, so every use of an id shares the first
-    string seen for it. Keys are ids or object terms.
+    string seen for it. Keys are ids, object terms or tokens.
     """
 
     def __init__(self, keys: Iterable = ()):
@@ -604,19 +581,14 @@ class _Coder:
 _COLUMNS = ("term_entities", "subjects", "predicates", "objects", "offsets", "incident")
 
 
-def _graph(
-    ids, names, aliases, relation_ids, relation_names, literals, columns, surfaces=None, tokens=None
-) -> KnowledgeGraph:
+def _graph(ids, names, aliases, relation_ids, relation_names, literals, columns) -> KnowledgeGraph:
     """The graph of its parts; every graph is made here.
 
     Entity ``ids``, ``names`` and ``aliases`` and the relation ids and names
     are in code order, ``literals`` in term order, ``columns`` as ``_COLUMNS``
-    names them. ``surfaces``, from a snapshot, holds the surface keys as
-    stored text and their entity codes; ``tokens`` holds the part tokens'
-    vocabulary as stored text, their offsets and their codes. Each id the
-    graph holds is the very object of ``ids`` or ``relation_ids``, a
-    relation named by its own id included. No ``Entity`` or ``EntityRef``
-    is made here.
+    names them. Each id the graph holds is the very object of ``ids`` or
+    ``relation_ids``, a relation named by its own id included. No ``Entity``
+    or ``EntityRef`` is made here.
     """
     codes = dict(zip(ids, range(len(ids))))
     term_entities = columns[0]
@@ -633,8 +605,6 @@ def _graph(
         entity_codes=codes,
         term_literals=term_literals,
         **dict(zip(_COLUMNS, columns)),
-        _stored_surfaces=surfaces,
-        _stored_tokens=tokens,
     )
 
 
@@ -665,10 +635,13 @@ def _data_lines(path: Path, data: bytes):
 
     Blanks and # comments are skipped. ``line`` is the raw line, line ending
     included: the callers strip every column they keep, and the ending never
-    changes a line's column count. Lines end as text mode reads them.
+    changes a line's column count. Lines end as text mode reads them. Bytes
+    that are not valid UTF-8 raise GraphLoadError naming their line.
     """
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as handle:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape") as handle:
         for number, raw in enumerate(handle, 1):
+            if not raw.isascii():  # an ASCII line, as most are, holds no surrogate
+                check_utf8(raw, path, number, GraphLoadError)
             stripped = raw.strip()
             if not stripped or stripped[0] == "#":
                 continue
@@ -773,9 +746,7 @@ _SNAPSHOT_FORMAT = b"kgprompt graph snapshot 3"
 # each preceded by a newline, which no TSV field holds; an entity's aliases
 # are joined by "|", which no alias holds, and an unnamed entity's name is
 # empty. Relation names cover every relation, an undeclared one's being its id.
-# The surface members hold the graph's ``surface_pairs``: the keys, and the
-# entity code of each, in entity order. The part members hold its
-# ``part_tokens``: the vocabulary, the offsets and the token codes.
+# The surface and part members are the graph's ``_TextIndex``.
 _SNAPSHOT_MEMBERS = {
     "key": np.uint8,
     "entity_ids": np.uint8,
@@ -828,8 +799,22 @@ def _source_key(sources: Sequence[bytes | None]) -> bytes:
     return digest.digest()
 
 
+def _joined_lines(strings: Iterable[str]) -> str:
+    """One text of ``strings``, each preceded by a newline."""
+    return "\n".join(["", *strings])
+
+
+def _split_lines(text: str) -> list[str]:
+    """The strings of a ``_joined_lines`` text."""
+    return text.split("\n")[1:]
+
+
+def _utf8(text: str) -> np.ndarray:
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
 def _blob(strings: Iterable[str]) -> np.ndarray:
-    return np.frombuffer("\n".join(["", *strings]).encode("utf-8"), dtype=np.uint8)
+    return _utf8(_joined_lines(strings))
 
 
 def _text(blob: np.ndarray) -> str:
@@ -837,7 +822,7 @@ def _text(blob: np.ndarray) -> str:
 
 
 def _strings(blob: np.ndarray) -> list[str]:
-    return _text(blob).split("\n")[1:]
+    return _split_lines(_text(blob))
 
 
 def _within(codes: np.ndarray, low: int, high: int, what: str) -> None:
@@ -852,8 +837,7 @@ def _require_offsets(offsets: np.ndarray, total: int, what: str) -> None:
 def _snapshot_arrays(key: bytes, graph: KnowledgeGraph) -> dict[str, np.ndarray]:
     """The members of ``graph``'s snapshot under ``key``, as ``_SNAPSHOT_MEMBERS`` lists them."""
     literals = graph.term_literals[graph.term_entities < 0].tolist()
-    surface_keys, surface_entities = graph.surface_pairs
-    tokens = graph.part_tokens
+    index = graph._text_index._asdict()
     return {
         "key": np.frombuffer(key, dtype=np.uint8),
         "entity_ids": _blob(graph.entity_ids.tolist()),
@@ -866,11 +850,7 @@ def _snapshot_arrays(key: bytes, graph: KnowledgeGraph) -> dict[str, np.ndarray]
             [LITERAL_DATATYPES.index(literal.datatype) for literal in literals], dtype=np.uint8
         ),
         **{name: getattr(graph, name) for name in _COLUMNS},
-        "surface_keys": _blob(surface_keys),
-        "surface_entities": surface_entities,
-        "part_vocabulary": _blob(tokens.vocabulary),
-        "part_offsets": tokens.offsets,
-        "part_tokens": tokens.codes,
+        **{name: _utf8(value) if isinstance(value, str) else value for name, value in index.items()},
     }
 
 
@@ -934,10 +914,10 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     datatypes = members["literal_datatypes"]
     columns = [members[name] for name in _COLUMNS]
     term_entities, subjects, predicates, objects, offsets, incident = columns
-    surface_text = _text(members["surface_keys"])
-    surface_entities = members["surface_entities"]
-    vocabulary = _text(members["part_vocabulary"])
-    part_offsets, part_codes = members["part_offsets"], members["part_tokens"]
+    # Kept as read: nothing is split before linking or hashed ranking reads it.
+    index = _TextIndex(
+        *(_text(members[name]) if _SNAPSHOT_MEMBERS[name] is np.uint8 else members[name] for name in _TextIndex._fields)
+    )
 
     count = len(subjects)
     _require(len(ids) == len(names) == len(aliases) == len(offsets) - 1, "entity counts")
@@ -951,18 +931,17 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     _within(predicates, 0, len(relation_ids), "relation codes")
     _within(objects, 0, len(term_entities), "term codes")
     _within(incident, 0, count, "incident rows")
-    _require(surface_text.count("\n") == len(surface_entities), "surface counts")
-    _within(surface_entities, 0, len(ids), "surface entity codes")
-    _require((np.diff(surface_entities) >= 0).all(), "surface entity codes decrease")
-    _require(len(part_offsets) == len(ids) + len(relation_ids) + len(values) + 1, "part counts")
-    _require_offsets(part_offsets, len(part_codes), "part offsets")
-    _within(part_codes, 0, vocabulary.count("\n"), "part token codes")
+    _require(index.surface_keys.count("\n") == len(index.surface_entities), "surface counts")
+    _within(index.surface_entities, 0, len(ids), "surface entity codes")
+    _require((np.diff(index.surface_entities) >= 0).all(), "surface entity codes decrease")
+    _require(len(index.part_offsets) == len(ids) + len(relation_ids) + len(values) + 1, "part counts")
+    _require_offsets(index.part_offsets, len(index.part_tokens), "part offsets")
+    _within(index.part_tokens, 0, index.part_vocabulary.count("\n"), "part token codes")
 
     literals = list(map(Literal._make, zip(values, map(LITERAL_DATATYPES.__getitem__, datatypes.tolist()))))
-    surfaces = (surface_text, surface_entities)  # split into keys when the index is first read
-    tokens = (vocabulary, part_offsets, part_codes)  # split when the first hashed ranking reads them
-    graph = _graph(ids, names, aliases, relation_ids, relation_names, literals, columns, surfaces, tokens)
+    graph = _graph(ids, names, aliases, relation_ids, relation_names, literals, columns)
     _require(len(graph.entity_codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")
+    graph._text_index = index
     return graph
 
 

@@ -76,7 +76,8 @@ class RemoteClient:
     """HTTP completion client over one ``remote.Transport``.
 
     The transport bounds concurrency and retries what may succeed later; a
-    2xx body that is not JSON or lacks a ``text`` string fails at once.
+    2xx body that is not JSON or lacks a ``text`` string, or whose text holds
+    a lone surrogate, fails at once.
     """
 
     def __init__(self, config: ProviderConfig, sleep: Callable[[float], None] = time.sleep):
@@ -95,6 +96,10 @@ class RemoteClient:
             raise RemoteServiceError(
                 "completion response is missing a 'text' string", attempts=attempts
             )
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise RemoteServiceError("completion text holds a lone surrogate", attempts=attempts) from exc
         return text
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import ConfigError, RemoteServiceError
+from .errors import ConfigError, RemoteServiceError, check_json_text
 from .embed import EmbedderConfig, remote_embedder
 from .kg import EntityId, KnowledgeGraph, Triple, link_entities, load_graph, neighborhood
 from .llm import CompletionClient, CompletionRequest, ProviderConfig, RemoteClient, build_client
@@ -163,12 +163,16 @@ def config_from_dict(data: dict, base_dir: str | Path | None = None) -> RunConfi
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """The RunConfig of a JSON config file; ConfigError naming ``path:line`` for text that is not Unicode."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    check_json_text(text, path)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # also an integer past Python's int string limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data, base_dir=path.parent)
 
@@ -462,13 +466,14 @@ def _numbered_records(path: str | Path, parse=None):
     """Yield (line number, record) for each non-blank line of a JSONL file.
 
     The record is the line's JSON object, mapped by ``parse`` when given. A
-    line that is not an object, or a ConfigError from ``parse``, names its
-    ``path:line``.
+    line that is not an object or not Unicode text, or a ConfigError from
+    ``parse``, names its ``path:line``.
     """
-    with Path(path).open("r", encoding="utf-8") as handle:
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
                 continue
+            check_json_text(line, path, number)
             try:
                 record = json.loads(line)
             except ValueError as exc:  # also an integer past Python's int string limit

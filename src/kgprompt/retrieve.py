@@ -167,27 +167,23 @@ def rank_candidates(
     whose rows are read as they are (see ``KnowledgeGraph.rows``). Returns
     the full ranking with 1-based ranks and non-increasing scores, as a
     ``Ranking`` that verbalizes a candidate only when it is read. Scoring
-    reads each candidate's parts by code and builds no ``Triple`` or text.
-    The hashed embedder scores all candidates at once in numpy: it counts
-    each candidate's buckets from ``graph.part_tokens``, hashed once per
-    graph and dimension into a bucket table, and the buckets of the three
-    parts add up to those of the joined text (see ``verbalize``), so scores
-    equal the cosine of ``hashed_bow_sparse`` vectors of the question and
-    ``.verbalized`` bit for bit. A graph without a snapshot tokenizes all of
-    its part texts at its first hashed ranking. A remote embedder embeds the
-    joined texts of ``graph.part_texts`` in one batch; ``Popular`` scores
-    each relation code by its count in the whole graph.
+    reads each candidate's parts by their numbers, ``graph.row_parts``, and
+    builds no ``Triple`` or verbalized text. The hashed embedder scores all
+    candidates at once in numpy: it counts each candidate's buckets from the
+    parts' ``graph.part_tokens``, hashed once per graph and dimension into a
+    bucket table, and the buckets of the three parts add up to those of the
+    joined text (see ``verbalize``), so scores equal the cosine of
+    ``hashed_bow_sparse`` vectors of the question and ``.verbalized`` bit for
+    bit. A graph not decoded from a snapshot tokenizes all of its part texts
+    at its first hashed ranking. A remote embedder embeds the joined texts of
+    the parts' ``graph.part_texts`` in one batch; ``Popular`` scores each
+    relation code by its count in the whole graph.
     """
     rows = graph.rows(candidates)
     if isinstance(strategy, Similarity) and strategy.embedder.kind == "hashed_bow":
         scores = _hashed_scores(graph, rows, question, strategy.embedder.dimension)
     elif isinstance(strategy, Similarity):
-        texts = graph.part_texts
-        parts = zip(
-            texts.entities[graph.subjects[rows]].tolist(),
-            texts.relations[graph.predicates[rows]].tolist(),
-            texts.terms[graph.objects[rows]].tolist(),
-        )
+        parts = zip(*graph.part_texts[graph.row_parts(rows)].reshape(3, -1).tolist())
         scores = np.array(_similarity_scores(strategy.embedder, question, parts), dtype=np.float64)
     elif isinstance(strategy, Random):
         rng = np.random.default_rng(strategy.seed & 0xFFFFFFFFFFFFFFFF)

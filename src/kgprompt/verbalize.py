@@ -39,16 +39,15 @@ def verbalize(triple: Triple, graph: KnowledgeGraph) -> VerbalizedTriple:
 
     The part texts are those of ``graph.part_texts``: entity references
     render their canonical name, read by entity code (raw id when unnamed,
-    with a warning), relations their name; ``kg.literal_text`` renders a
-    literal: plain
-    literals render their value as-is; time and quantity literals get a
-    ``time: `` / ``quantity: `` prefix inside the object part. ``subject``,
-    ``relation`` and ``object`` hold the three part texts. The joiners
-    ``(``, ``, `` and ``)`` are token separators that are neither cased nor
-    case-ignorable, so the tokens of ``text`` are the tokens of each part in
-    turn, each part lowercased on its own (final sigma included): hashed
-    bucket counts of ``text`` are the sums of its parts' counts. Pure
-    function of its inputs.
+    with a warning), relations their name, and literals their
+    ``kg.literal_text``: plain literals render their value as-is, time and
+    quantity literals get a ``time: `` / ``quantity: `` prefix inside the
+    object part. ``subject``, ``relation`` and ``object`` hold the three
+    part texts. The joiners ``(``, ``, `` and ``)`` are token separators
+    that are neither cased nor case-ignorable, so the tokens of ``text`` are
+    the tokens of each part in turn, each part lowercased on its own (final
+    sigma included): hashed bucket counts of ``text`` are the sums of its
+    parts' counts. Pure function of its inputs.
     """
     subject = _entity_text(graph, triple.subject)
     relation = graph.relations[triple.relation].name

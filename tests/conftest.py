@@ -153,6 +153,9 @@ def _make_handler(state: ServiceState):
                     self._reply(200, None, raw=b"this is not json")
                 elif self.path == "/no_text":
                     self._reply(200, {"something": "else"})
+                elif self.path == "/lone_surrogate":
+                    # Valid JSON, whose text escapes half of a surrogate pair.
+                    self._reply(200, None, raw=b'{"text": "\\ud800"}')
                 else:
                     self._reply(404, {"error": "unknown path"})
             finally:

@@ -113,6 +113,16 @@ class TestRunCommand:
         assert results["gated"][2] == results["plain"][2]
         assert http_service.state.requests == 50
 
+    def test_completion_with_a_lone_surrogate_fails_its_example(self, toy_config_path, http_service, tmp_path, capsys):
+        failing = ["--provider-kind", "remote", "--provider-endpoint", f"{http_service.url}/lone_surrogate"]
+        argv = ["run", "--config", toy_config_path, *failing, "--max-failure-rate", "1", "--out", str(tmp_path)]
+        code, out, _err = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["overall"]["count"] == 25
+        records = [json.loads(line) for line in (tmp_path / "predictions.jsonl").read_text().splitlines()]
+        assert len(records) == 25
+        assert all(record["flags"] == ["generation_failed"] and record["generation"] is None for record in records)
+
     def test_failure_gate_is_on_by_default(self, toy_config_path, http_service, tmp_path, capsys):
         failing = ["--provider-kind", "remote", "--provider-endpoint", f"{http_service.url}/missing"]
         code, _out, err = run_cli(capsys, "run", "--config", toy_config_path, *failing, "--out", str(tmp_path))

@@ -12,13 +12,18 @@ import dataclasses
 import importlib
 import json
 import math
+import os
+import random
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from kgprompt import cli, pipeline
-from kgprompt.errors import ConfigError
+from kgprompt.errors import ConfigError, check_json_text
 from kgprompt.pipeline import RunConfig, config_from_dict, load_config
 
 PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
@@ -328,6 +333,108 @@ class TestScoresOutOfRange:
             pipeline.report_text({"overall": {"f1": math.nan}})
         with pytest.raises(ValueError):
             pipeline.write_records(tmp_path / "records.jsonl", [{"scores": {"f1": math.inf}}])
+
+
+TOY_FILES = ("config.json", "dataset.jsonl", "entities.tsv", "relations.tsv", "triples.tsv")
+
+
+def toy_copy(toy_dir, tmp_path) -> str:
+    """The path of a copy of the toy config, beside copies of the data files it names."""
+    for name in TOY_FILES:
+        shutil.copyfile(toy_dir / name, tmp_path / name)
+    return str(tmp_path / "config.json")
+
+
+def spoil(path: Path, marker: str, raw: bytes) -> int:
+    """Put the bytes ``raw`` in place of the last ``marker`` in ``path``; the line they are on."""
+    data = path.read_bytes()
+    at = data.rindex(marker.encode("utf-8"))
+    path.write_bytes(data[:at] + raw + data[at + len(marker) :])
+    return data.count(b"\n", 0, at) + 1
+
+
+# Where to spoil each input: in its last TSV field, or inside the last JSON string.
+SPOILED = {name: ("\t", b"\t\xe9") if name.endswith(".tsv") else ('"', b'\xe9"') for name in TOY_FILES}
+
+
+class TestTextThatIsNotUnicode:
+    """Input bytes that are not UTF-8, or a JSON escape of a lone surrogate, are an error exit naming the line.
+
+    Either used to end the run with a traceback: bytes when they were read,
+    and a lone surrogate when ``write_records`` wrote it, after every example
+    had run.
+    """
+
+    @pytest.mark.parametrize("name", TOY_FILES)
+    def test_bytes_not_utf8_in_a_run_input(self, name, toy_dir, tmp_path, capsys):
+        config = toy_copy(toy_dir, tmp_path)
+        line = spoil(tmp_path / name, *SPOILED[name])
+        assert line > 1
+        argv = ["run", "--config", config, "--out", str(tmp_path / "out")]
+        assert_error_exit(capsys, argv, f"error: {tmp_path / name}:{line}: not valid UTF-8\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["config.json", "dataset.jsonl"])
+    def test_lone_surrogate_in_a_run_input(self, name, toy_dir, tmp_path, capsys):
+        config = toy_copy(toy_dir, tmp_path)
+        line = spoil(tmp_path / name, '"', b'\\ud800"')
+        argv = ["run", "--config", config, "--out", str(tmp_path / "out")]
+        fragment = f"error: {tmp_path / name}:{line}: a \\u escape makes a lone surrogate"
+        assert_error_exit(capsys, argv, fragment)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["report", "score"])
+    @pytest.mark.parametrize("spoiled", [b'"\xe9"', b'"\\udc00"'])
+    def test_records(self, command, spoiled, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        lines = [json.dumps(record_with("generation", text)).encode() for text in ("a", "SPOILED")]
+        path.write_bytes(b"\r\n".join(lines).replace(b'"SPOILED"', spoiled))
+        fragment = "not valid UTF-8" if b"\xe9" in spoiled else "a \\u escape makes a lone surrogate"
+        option = "--in" if command == "report" else "--examples"
+        assert_error_exit(capsys, [command, option, str(path)], f"error: {path}:2: {fragment}")
+
+    def test_surrogate_pairs_and_escaped_backslashes_are_taken(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        texts = ["\U0001f600", "\\ud800", "\\\U0001f600"]
+        path.write_text("".join(json.dumps(record_with("generation", text)) + "\n" for text in texts))
+        assert r'"\ud83d\ude00"' in path.read_text() and r'"\\ud800"' in path.read_text()
+        assert cli.main(["report", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["overall"]["count"] == 3
+
+    def test_escapes_are_read_as_json_reads_them(self):
+        rng = random.Random(20261019)
+        pieces = [r"\ud83d", r"\ude00", r"\uD800", r"\uDFFF", r"\\", r"\n", r"\"", "a", "u", "d800", "\u00e9"]
+        lone = 0
+        for _ in range(3000):
+            text = json.dumps({"k": ""})[:-2] + "".join(rng.choices(pieces, k=rng.randint(0, 6))) + '"}'
+            try:
+                json.loads(text)["k"].encode("utf-8")
+                expected = False
+            except UnicodeEncodeError:
+                expected = True
+            try:
+                check_json_text(text, "p")
+                found = False
+            except ConfigError as exc:
+                assert str(exc).startswith("p:1: ")
+                found = True
+            assert found == expected, text
+            lone += expected
+        assert 500 < lone < 2500
+
+    def test_a_real_run_prints_no_traceback(self, toy_dir, tmp_path):
+        config = toy_copy(toy_dir, tmp_path)
+        line = spoil(tmp_path / "entities.tsv", *SPOILED["entities.tsv"])
+        source = Path(pipeline.__file__).parents[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "kgprompt.cli", "run", "--config", config, "--out", str(tmp_path / "out")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(source)},
+            timeout=60,
+        )
+        assert result.returncode == 1
+        assert result.stderr == f"error: {tmp_path / 'entities.tsv'}:{line}: not valid UTF-8\n"
 
 
 @pytest.mark.parametrize("name", ["linked_popular", "gold_kaping_2hop", "remote_kaping"])

@@ -107,6 +107,25 @@ class TestLoadGraph:
         graph = load_graph(triples, entities)
         assert graph.relations["P9"].name == "P9"
 
+    @pytest.mark.parametrize("name", ["triples.tsv", "entities.tsv", "relations.tsv"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_bytes_not_utf8_name_their_line(self, tmp_path, name, ending):
+        # Far past the first chunk a text reader decodes, and past a # comment and a blank line.
+        count = 3000
+        triples = "".join(f"Q{n % 7}\tP{n % 5}\tL:plain:value {n}{ending}" for n in range(count))
+        entities = "".join(f"Q{n}\tName {n}{ending}" for n in range(count))
+        relations = "".join(f"P{n}\trelation {n}{ending}" for n in range(count))
+        texts = {"triples.tsv": triples, "entities.tsv": entities, "relations.tsv": relations}
+        lines = f"# comment{ending}{ending}{texts[name]}".split(ending)
+        lines[2900] = lines[2900].replace(" ", " caf\udce9 ", 1)  # a lone 0xE9 byte
+        texts[name] = ending.join(lines)
+        for file, text in texts.items():
+            (tmp_path / file).write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert load_failure(tmp_path / "triples.tsv", tmp_path / "entities.tsv") == (
+            f"{tmp_path / name}:2901: not valid UTF-8"
+        )
+        assert snapshot_files(tmp_path) == {}
+
     def test_unnamed_entity_and_aliases(self, tmp_path):
         triples, entities = write_graph_files(
             tmp_path, "", "Q1\t\t\nQ2\tBeta\tB.|Beta|b2\n"
@@ -576,14 +595,11 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
 
     Mappings (dicts and the entities view) compare in the same order, arrays
     in value, dtype and element type, and both down to the type of each
-    element of an ``Entity``, term or index entry. ``_stored_surfaces`` and
-    ``_stored_tokens`` are what a decoded graph read from its snapshot, and
-    None on any other graph, so they are compared through ``surface_pairs``
-    and ``part_tokens``, which are built from them.
+    element of an ``Entity``, term or index entry. The text index is
+    compared member by member, texts as ``str``, so a decoded index that
+    drifts from the derived one fails here.
     """
     for field in dataclasses.fields(KnowledgeGraph):
-        if field.name in ("_stored_surfaces", "_stored_tokens"):
-            continue
         expected, actual = getattr(parsed, field.name), getattr(decoded, field.name)
         if isinstance(expected, Mapping):
             assert type(actual) is type(expected), field.name
@@ -591,8 +607,13 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
         else:
             assert_same_array(actual, expected, field.name)
     assert_same_array(decoded.terms, parsed.terms, "terms")
-    for name, expected in parsed.part_texts._asdict().items():
-        assert_same_array(getattr(decoded.part_texts, name), expected, f"part_texts.{name}")
+    assert_same_array(decoded.part_texts, parsed.part_texts, "part_texts")
+    for name, expected in parsed._text_index._asdict().items():
+        actual = getattr(decoded._text_index, name)
+        if isinstance(expected, str):
+            assert type(actual) is str and actual == expected, f"_text_index.{name}"
+        else:
+            assert_same_array(actual, expected, f"_text_index.{name}")
     (keys, codes), (expected_keys, expected_codes) = decoded.surface_pairs, parsed.surface_pairs
     assert typed(keys) == typed(expected_keys)
     assert_same_array(codes, expected_codes, "surface_pairs")
@@ -1024,6 +1045,7 @@ class TestSnapshot:
             assert_graph_matches_oracle(graph, expected)
             # No snapshot to write, so nothing tokenized.
             assert "surface_pairs" not in graph.__dict__ and "part_tokens" not in graph.__dict__
+            assert "_text_index" not in graph.__dict__ and "part_texts" not in graph.__dict__
         assert sorted(os.listdir(tmp_path)) == SOURCE_FILES
 
     def test_failed_write_leaves_no_file_behind(self, tmp_path, monkeypatch, caplog):
@@ -1248,12 +1270,14 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
             self.count_made(patch, made)
             graph = load_decoded(monkeypatch, *paths)
             assert made == Counter()
-            for view in ("terms", "surface_pairs", "surface_index", "part_texts", "triples"):
+            for view in ("terms", "surface_pairs", "surface_index", "part_texts", "part_tokens", "triples"):
                 assert view not in graph.__dict__, view
+            # The hit holds the stored text index, split by nothing yet.
+            assert "_text_index" in graph.__dict__
             # The index is built from the stored surface pairs, not by tokenizing the names again.
-            patch.setattr(kg, "_surface_pairs", lambda *args: pytest.fail("tokenized the surfaces on a hit"))
+            patch.setattr(kg, "normalize_text", lambda text: pytest.fail("tokenized the surfaces on a hit"))
             assert link_entities(graph, "Where is Al?") == {"Q1"}
-            assert graph.part_texts.entities.tolist() == ["Alpha", "Q2"]
+            assert graph.part_texts[:2].tolist() == ["Alpha", "Q2"]
             assert made == Counter()  # linking and part texts read entities by code
             assert "surface_index" in graph.__dict__ and "terms" not in graph.__dict__
             # No token text is split before the first hashed ranking, which splits the stored vocabulary.
@@ -1336,9 +1360,9 @@ class TestNeighborhoodView:
         assert list(view.rows) == [0, 1, 2]
         assert "triples" not in graph.__dict__
         texts = graph.part_texts
-        assert list(texts.entities) == ["Alpha", "Q2"]
-        assert list(texts.relations) == ["born", "P9"]
-        assert list(texts.terms[graph.objects]) == ["Q2", "time: 1999", "quantity: 7", "x"]
+        assert list(texts[:2]) == ["Alpha", "Q2"]
+        assert list(texts[2:4]) == ["born", "P9"]
+        assert list(texts[graph.row_parts(np.arange(4))[8:]]) == ["Q2", "time: 1999", "quantity: 7", "x"]
         assert [verbalize(triple, graph).text for triple in view] == [
             "(Alpha, born, Q2)",
             "(Q2, P9, time: 1999)",

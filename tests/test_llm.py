@@ -151,7 +151,7 @@ class TestRemoteProvider:
         assert http_service.state.requests == 1
         assert delays == []
 
-    @pytest.mark.parametrize("path", ["/not_json", "/no_text"])
+    @pytest.mark.parametrize("path", ["/not_json", "/no_text", "/lone_surrogate"])
     def test_bad_success_body_fails_fast(self, http_service, path):
         delays = []
         config = ProviderConfig(kind="remote", endpoint=f"{http_service.url}{path}")
