@@ -38,7 +38,7 @@ OVERRIDES = (
     ("--provider-endpoint", "provider.endpoint", {}),
     ("--model", "provider.model_name", {"help": "remote model name"}),
     ("--timeout", "provider.timeout", {"type": float, "help": "remote request timeout (s)"}),
-    ("--max-concurrency", "provider.max_concurrency", {"type": int, "help": "provider in-flight bound"}),
+    ("--max-concurrency", "provider.max_concurrency", {"type": int, "help": "remote provider in-flight bound"}),
 )
 RETRIEVE_OVERRIDES = ("--method", "--k", "--hops", "--seed")
 
@@ -50,11 +50,21 @@ def _add_overrides(parser: argparse.ArgumentParser, flags=None) -> None:
             parser.add_argument(flag, dest=path, **options)
 
 
+def _check_utf8(flag: str, value: str) -> None:
+    """Raise a ConfigError naming ``flag`` when ``value`` holds argv bytes that were not UTF-8."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"argument {flag}: not valid UTF-8") from None
+
+
 def _config(args: argparse.Namespace) -> pipeline.RunConfig:
-    """The ``--config`` file's RunConfig with the override flags given on the command line."""
+    """The ``--config`` file's RunConfig with the override flags given; every one but a path must be UTF-8."""
     overrides: dict = {}
-    for _flag, path, _options in OVERRIDES:
+    for flag, path, _options in OVERRIDES:
         value = getattr(args, path, None)
+        if isinstance(value, str) and path not in pipeline.PATH_FIELDS:
+            _check_utf8(flag, value)
         if value is not None:
             section, _, name = path.rpartition(".")
             (overrides.setdefault(section, {}) if section else overrides)[name] = value
@@ -127,6 +137,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_retrieve(args: argparse.Namespace) -> int:
+    _check_utf8("--question", args.question)
     config = _config(args)
     pipeline.strategy_for(config, config.seed)  # a method without a strategy fails before the load
     graph = load_graph(config.triples_path, config.entities_path, config.relations_path)

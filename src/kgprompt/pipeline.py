@@ -50,6 +50,8 @@ METHODS = (
 )
 TRIPLE_METHODS = ("random_knowledge", "popular_knowledge", "kaping")
 
+PATH_FIELDS = ("triples_path", "entities_path", "relations_path", "dataset_path", "output_dir")
+
 PREDICTIONS_FILENAME = "predictions.jsonl"
 REPORT_FILENAME = "report.json"
 
@@ -153,7 +155,7 @@ def config_from_dict(data: dict, base_dir: str | Path | None = None) -> RunConfi
     if base_dir is not None:
         base = Path(base_dir)
         resolved = {}
-        for name in ("triples_path", "entities_path", "relations_path", "dataset_path", "output_dir"):
+        for name in PATH_FIELDS:
             value = getattr(config, name)
             if value and not Path(value).is_absolute():
                 resolved[name] = str(base / value)
@@ -513,9 +515,10 @@ def run(config: RunConfig) -> dict:
 
     Returns the records, the report and the paths of both files.
 
-    Examples run on one worker per slot of the remote services they call and
-    are written in dataset order. Per-example failures are recorded and
-    scored as incorrect; only configuration and load problems raise.
+    Examples run on one worker per slot of the remote services they call (on
+    one if they call none) and are written in dataset order. Per-example
+    failures are recorded and scored as incorrect; only configuration and
+    load problems raise.
     """
     for name in ("triples_path", "entities_path", "dataset_path", "output_dir"):
         if not getattr(config, name):
@@ -532,10 +535,8 @@ def run(config: RunConfig) -> dict:
     )
     client = build_client(config.provider)
     transports = [client.transport] if isinstance(client, RemoteClient) else []
-    workers = config.provider.max_concurrency
     if config.method == "kaping" and config.embedder.kind == "remote":
         transports.append(remote_embedder(config.embedder).transport)
-        workers += config.embedder.max_concurrency
 
     def process(example: QaExample) -> dict:
         try:
@@ -545,9 +546,9 @@ def run(config: RunConfig) -> dict:
             return _failure_record(config, example, graph)
 
     # A remote embedder's transport serves every run of the process, so the
-    # log counts this run's requests and retries from where they started.
-    started = [(t.requests, t.retries) for t in transports]
-    with ThreadPoolExecutor(max_workers=workers) as executor:
+    # log counts this run's requests, retries and peak from where they started.
+    started = [t.restart_peak() for t in transports]
+    with ThreadPoolExecutor(max_workers=max(1, sum(t.max_concurrency for t in transports))) as executor:
         records = list(executor.map(process, kept))
     for t, (requests, retries) in zip(transports, started):
         counts = (t.requests - requests, t.retries - retries, t.peak_in_flight)

@@ -105,7 +105,7 @@ def _retryable(status: int | None) -> bool:
 
 
 class Transport:
-    """One remote service: endpoint, timeout, concurrency bound, retry policy and counters.
+    """One remote service: endpoint, timeout, in-flight bound ``max_concurrency``, retry policy and counters.
 
     A failure that may succeed later (see ``_retryable``) is retried up to
     MAX_RETRIES times with exponential backoff (1s, 2s, 4s), slept outside
@@ -117,11 +117,18 @@ class Transport:
     def __init__(self, endpoint: str, timeout: float, max_concurrency: int, post=post_json, sleep=time.sleep):
         self.endpoint = endpoint
         self.timeout = timeout
+        self.max_concurrency = max_concurrency
         self._post = post
         self._sleep = sleep
         self._slots = threading.Semaphore(max_concurrency)
         self._lock = threading.Lock()
         self._in_flight = self.requests = self.retries = self.peak_in_flight = 0
+
+    def restart_peak(self) -> tuple[int, int]:
+        """The requests and retries made so far; the peak in flight restarts from those now in flight."""
+        with self._lock:
+            self.peak_in_flight = self._in_flight
+            return self.requests, self.retries
 
     def call(self, payload: dict) -> tuple[dict, int]:
         """POST ``payload`` under the retry policy; the JSON body and the attempts made."""

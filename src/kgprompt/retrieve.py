@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .embed import EmbedderConfig, embed_batch, fnv1a_64, hashed_bow_sparse
+from .embed import EmbedderConfig, embed_batch, fnv1a_64, hashed_bow_vector
 from .kg import EntityId, KnowledgeGraph, RowView, Triple, relation_frequency
 from .verbalize import joined, verbalize
 
@@ -57,26 +57,17 @@ RetrievalStrategy = Union[Similarity, Random, Popular]
 Parts = tuple[str, str, str]
 
 
-class _BucketTable(NamedTuple):
-    """A graph's token vocabulary as hashed buckets of one dimension.
+def _bucket_table(graph: KnowledgeGraph, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct buckets of ``graph.part_tokens.vocabulary``, ascending, and each token's slot among them.
 
-    ``slots`` numbers the distinct buckets ``fnv1a_64(token) % dimension``
-    of ``graph.part_tokens.vocabulary``, ascending, and ``code_slots``
-    holds the slot of each vocabulary entry.
+    A token's bucket is ``fnv1a_64(token) % dimension``; the pair is built
+    on first use and kept in ``graph.bucket_tables``.
     """
-
-    slots: dict[int, int]
-    code_slots: np.ndarray
-
-
-def _bucket_table(graph: KnowledgeGraph, dimension: int) -> _BucketTable:
-    """``graph``'s bucket table for ``dimension``, built on first use and kept in ``graph.bucket_tables``."""
     table = graph.bucket_tables.get(dimension)
     if table is None:
-        buckets = [fnv1a_64(token) % dimension for token in graph.part_tokens.vocabulary]
-        slots = {bucket: slot for slot, bucket in enumerate(sorted(set(buckets)))}
-        code_slots = np.array([slots[bucket] for bucket in buckets], dtype=np.int64)
-        table = graph.bucket_tables[dimension] = _BucketTable(slots, code_slots)
+        vocabulary = graph.part_tokens.vocabulary
+        buckets = np.fromiter((fnv1a_64(token) % dimension for token in vocabulary), np.int64, len(vocabulary))
+        table = graph.bucket_tables[dimension] = np.unique(buckets, return_inverse=True)
     return table
 
 
@@ -92,17 +83,14 @@ def _hashed_scores(graph: KnowledgeGraph, rows: np.ndarray, question: str, dimen
     row's one or two products to 0.0 in one rounding each, which is exact,
     and ``math.fsum`` adds three or more. A row sharing no bucket scores 0.0.
     """
-    table = _bucket_table(graph, dimension)
-    width = len(table.slots)
-    question_values = np.zeros(width)
-    for bucket, value in hashed_bow_sparse(question, dimension).items():
-        slot = table.slots.get(bucket)
-        if slot is not None:
-            question_values[slot] = value
+    buckets, code_slots = _bucket_table(graph, dimension)
+    width = len(buckets)
+    # The dense components equal ``hashed_bow_sparse``'s values bit for bit.
+    question_values = hashed_bow_vector(question, dimension)[buckets]
 
     count = len(rows)
     codes, owners = graph.row_tokens(rows)
-    keys, counts = np.unique(owners * width + table.code_slots[codes], return_counts=True)
+    keys, counts = np.unique(owners * width + code_slots[codes], return_counts=True)
     owners, slots, counts = keys // width, keys % width, counts.astype(np.float64)
     norms = np.sqrt(np.bincount(owners, weights=counts * counts, minlength=count))
 
@@ -169,13 +157,11 @@ def rank_candidates(
     ``Ranking`` that verbalizes a candidate only when it is read. Scoring
     reads each candidate's parts by their numbers, ``graph.row_parts``, and
     builds no ``Triple`` or verbalized text. The hashed embedder scores all
-    candidates at once in numpy: it counts each candidate's buckets from the
-    parts' ``graph.part_tokens``, hashed once per graph and dimension into a
-    bucket table, and the buckets of the three parts add up to those of the
-    joined text (see ``verbalize``), so scores equal the cosine of
-    ``hashed_bow_sparse`` vectors of the question and ``.verbalized`` bit for
-    bit. A graph not decoded from a snapshot tokenizes all of its part texts
-    at its first hashed ranking. A remote embedder embeds the joined texts of
+    candidates at once in numpy from the parts' ``graph.part_tokens`` (see
+    ``_hashed_scores``): each score is the cosine of the ``hashed_bow_sparse``
+    vectors of the question and ``.verbalized``, bit for bit. A graph not
+    decoded from a snapshot tokenizes all of its part texts at its first
+    hashed ranking. A remote embedder embeds the joined texts of
     the parts' ``graph.part_texts`` in one batch; ``Popular`` scores each
     relation code by its count in the whole graph.
     """

@@ -90,6 +90,21 @@ class TestRunCommand:
         assert code == 1
         assert "method" in err
 
+    def test_text_flag_that_is_not_utf8_is_an_error_exit(self, toy_config_path, tmp_path, capsys):
+        # Python decodes argv bytes that are not UTF-8 to lone surrogates.
+        text = ["--instruction", "custom", "--custom-instruction", "x\udce9"]
+        code, out, err = run_cli(capsys, "run", "--config", toy_config_path, *text, "--out", str(tmp_path / "out"))
+        assert (code, out, err) == (1, "", "error: argument --custom-instruction: not valid UTF-8\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_dir_that_is_not_utf8_runs(self, toy_config_path, tmp_path, capfd):
+        # capfd's stderr, like a process's, escapes the path's lone surrogate instead of raising.
+        out_dir = tmp_path / "out\udce9"
+        code, out, _err = run_cli(capfd, "run", "--config", toy_config_path, "--out", str(out_dir))
+        assert code == 0
+        assert json.loads(out)["overall"]["count"] == 25
+        assert len((out_dir / "predictions.jsonl").read_text().splitlines()) == 25
+
     def test_failure_gate_exits_1_after_writing_outputs(
         self, toy_config_path, http_service, tmp_path, capsys
     ):
@@ -296,6 +311,12 @@ class TestRetrieveCommand:
         assert code == 1
         assert out == ""
         assert "error: method 'no_knowledge' has no retrieval strategy" in err
+
+    def test_question_that_is_not_utf8_is_an_error_exit(self, toy_config_path, capsys, monkeypatch):
+        # The question is checked before the graph is loaded.
+        monkeypatch.setattr(cli, "load_graph", None)
+        code, out, err = run_cli(capsys, "retrieve", "--config", toy_config_path, "--question", "who\udce9?")
+        assert (code, out, err) == (1, "", "error: argument --question: not valid UTF-8\n")
 
 
 class TestScoreAndReportCommands:

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import logging
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -401,15 +403,63 @@ class TestRun:
         result = run(config)
         assert result["report"]["overall"]["accuracy"] == pytest.approx(0.7)
 
-    def test_records_in_dataset_order_with_concurrency(self, toy_dir, tmp_path):
-        config = dataclasses.replace(load_config(toy_dir / "config.json"), output_dir=str(tmp_path))
-        assert config.provider.max_concurrency == 4
+    def test_records_in_dataset_order_with_concurrency(self, toy_dir, tmp_path, http_service, monkeypatch):
+        # Two provider slots give two workers; the first example waits until
+        # the second has finished, so examples complete out of dataset order.
+        provider = ProviderConfig(kind="remote", endpoint=f"{http_service.url}/complete", max_concurrency=2)
+        config = dataclasses.replace(load_config(toy_dir / "config.json"), provider=provider, output_dir=str(tmp_path))
+        completed = []
+        second_done = threading.Event()
+
+        def first_waits_for_second(config, example, graph, client):
+            if example.id == "toy-001":
+                second_done.wait(timeout=5)
+            record = run_example(config, example, graph, client)
+            completed.append(example.id)
+            if example.id == "toy-002":
+                second_done.set()
+            return record
+
+        monkeypatch.setattr(pipeline, "run_example", first_waits_for_second)
         run(config)
         records = [
             json.loads(line)
             for line in (tmp_path / "predictions.jsonl").read_text().splitlines()
         ]
+        assert completed.index("toy-002") < completed.index("toy-001")
         assert [record["id"] for record in records] == [f"toy-{i:03d}" for i in range(1, 26)]
+
+    @pytest.mark.parametrize(
+        "method, provider_bound, embedder_bound, workers",
+        [
+            ("kaping", None, None, 1),  # the toy config's scripted provider
+            ("kaping", 3, None, 3),  # hashed embedder
+            ("kaping", 2, 3, 5),
+            ("no_knowledge", 2, 3, 2),  # calls no embedder
+        ],
+    )
+    def test_pool_has_one_worker_per_remote_slot(
+        self, toy_dir, tmp_path, http_service, monkeypatch, method, provider_bound, embedder_bound, workers
+    ):
+        sizes = []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recording_pool)
+        config = dataclasses.replace(load_config(toy_dir / "config.json"), method=method, output_dir=str(tmp_path))
+        assert config.provider.max_concurrency == 4
+        if provider_bound:
+            endpoint = f"{http_service.url}/complete"
+            provider = ProviderConfig(kind="remote", endpoint=endpoint, max_concurrency=provider_bound)
+            config = dataclasses.replace(config, provider=provider)
+        if embedder_bound:
+            endpoint = f"{http_service.url}/embed"
+            embedder = EmbedderConfig(kind="remote", dimension=8, endpoint=endpoint, max_concurrency=embedder_bound)
+            config = dataclasses.replace(config, embedder=embedder)
+        run(config)
+        assert sizes == [workers]
 
     def test_remote_pool_keeps_both_services_busy(self, toy_dir, tmp_path, http_service, monkeypatch, caplog):
         http_service.state.delay = 0.02
@@ -461,6 +511,21 @@ class TestRun:
             assert len(logged) == 2
             assert all(": 25 requests, 0 retries, peak " in message for message in logged)
         assert remote_embedder(embedder).transport.requests == 50
+
+    def test_each_run_logs_its_own_peak_in_flight(self, toy_dir, tmp_path, http_service, caplog):
+        # The embedder's shared client restarts its peak at each run.
+        http_service.state.delay = 0.02
+        caplog.set_level(logging.INFO, logger="kgprompt.pipeline")
+        embedder = EmbedderConfig(kind="remote", dimension=8, endpoint=f"{http_service.url}/embed")
+        provider = ProviderConfig(kind="remote", endpoint=f"{http_service.url}/complete")
+        base = dataclasses.replace(load_config(toy_dir / "config.json"), embedder=embedder, provider=provider)
+        run(dataclasses.replace(base, output_dir=str(tmp_path / "all")))
+        assert remote_embedder(embedder).transport.peak_in_flight > 1
+        one = tmp_path / "one.jsonl"
+        one.write_text(Path(base.dataset_path).read_text().splitlines()[0] + "\n")
+        caplog.clear()
+        run(dataclasses.replace(base, dataset_path=str(one), output_dir=str(tmp_path / "one")))
+        assert f"{http_service.url}/embed: 1 requests, 0 retries, peak 1 in flight" in caplog.messages
 
     def test_prompt_shape_invariants(self, toy_dir, tmp_path):
         base = load_config(toy_dir / "config.json")
