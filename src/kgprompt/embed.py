@@ -55,6 +55,25 @@ def fnv1a_64(token: str) -> int:
     return value
 
 
+def fnv1a_64_lines(text: str) -> np.ndarray:
+    """The ``fnv1a_64`` of each string of ``text``, which precedes each with a newline, as uint64s.
+
+    Bytes before the first newline belong to no string. The strings are
+    hashed together in numpy, one pass per byte position over the strings
+    that long, and each hash equals ``fnv1a_64``'s bit for bit: a uint64
+    product wraps modulo 2**64 as the masked one does.
+    """
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    starts = np.flatnonzero(data == ord("\n")) + 1
+    lengths = np.diff(np.append(starts, len(data) + 1)) - 1
+    hashes = np.full(len(starts), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for position in range(int(lengths.max(initial=0))):
+        live = np.flatnonzero(lengths > position)
+        hashes[live] = (hashes[live] ^ data[starts[live] + position]) * prime
+    return hashes
+
+
 # Token hashes repeat across questions; the cache fills at query time and is
 # bounded, so it never grows with the corpus.
 _token_hash = functools.lru_cache(maxsize=1 << 16)(fnv1a_64)

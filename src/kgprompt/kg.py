@@ -24,16 +24,19 @@ objects. Every entity id and relation id has a code: its position in
 ``graph.entities`` and ``graph.relations`` (declared ones in file order,
 then undeclared relations in order of first use). Every distinct object
 term, compared by value, has a code; ``term_entities`` gives its entity
-code, or -1 for a literal, whose ``Literal`` is in ``term_literals``. The
-int32 columns ``subjects``, ``predicates`` and ``objects`` hold one row per
-distinct triple in ingestion order, and the CSR pair ``offsets``/``incident``
-lists each entity's incident rows in ascending order.
+code, or -1 for a literal. Literals are numbered in term order: literal
+``n``'s value is ``literal_values[n]`` and its datatype
+``LITERAL_DATATYPES[literal_datatypes[n]]``. The int32 columns
+``subjects``, ``predicates`` and ``objects`` hold one row per distinct
+triple in ingestion order, and the CSR pair ``offsets``/``incident`` lists
+each entity's incident rows in ascending order.
 
 Objects are made only when they are read. ``graph.entities`` is an
-``Entities`` mapping view over the ids, names and aliases by code, which
-makes an ``Entity`` for the id looked up. ``neighborhood`` returns a
-``Neighborhood``, a ``RowView`` sequence over rows that makes a ``Triple``
-(and its ``EntityRef``) only when an element is read.
+``Entities`` mapping view over the ids, names and ``|``-joined alias texts
+by code, which makes an ``Entity`` (and splits its aliases) for the id
+looked up. ``neighborhood`` returns a ``Neighborhood``, a ``RowView``
+sequence over rows that makes a ``Triple`` (and its ``EntityRef`` or
+``Literal``) only when an element is read.
 
 Each part of a triple has one number: entities by code, then relations by
 code, then literals in term order. ``part_texts`` holds each part's text,
@@ -50,12 +53,12 @@ derived views built on first access.
 Ids, object terms and part tokens are coded by one kind of table,
 ``_Codes``, in first-seen order; loading parses each distinct object token
 once. Every graph, parsed, built by ``build_graph`` or decoded, is made in
-one place, ``_graph``, from the same parts: entity ids, names and aliases,
-relation ids and names, the literals and the code arrays. The ids it is
-given are the ones the graph hands out, so every subject, relation and
-entity-valued object of a triple the graph returns, and every id of an
-``Entity`` it makes, is the very string object that keys
-``graph.entities`` or ``graph.relations``.
+one place, ``_graph``, from the same parts: entity ids, names and alias
+texts, relation ids and names, the literal values and datatype codes, and
+the code arrays. The ids it is given are the ones the graph hands out, so
+every subject, relation and entity-valued object of a triple the graph
+returns, and every id of an ``Entity`` it makes, is the very string object
+that keys ``graph.entities`` or ``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
 (``snapshot_path``): a pickle-free ``.npz`` (format 3) of the code columns,
@@ -64,12 +67,13 @@ text index, stored under the SHA-256 of a format tag and the source files'
 bytes. A load whose files hash to a snapshot's key decodes it instead of
 parsing, after checking its structure, and hands its parts to ``_graph``,
 so it has the same dict orders, codes, term order and interned ids as a
-parsed one. A hit makes no ``Entity``, ``EntityRef`` or linking index: it
-keeps the stored text index as read, so the first link splits the stored
-surface keys instead of tokenizing every name, and the first hashed
-ranking splits the stored vocabulary instead of tokenizing every part
-text. A snapshot that is missing, stale, of another format, damaged or
-cannot be written costs only a parse.
+parsed one. A hit makes no ``Entity``, ``EntityRef``, ``Literal``, alias
+tuple or linking index: it keeps the stored alias texts, literal datatype
+codes and text index as read, so the first link splits the stored surface
+keys instead of tokenizing every name, and the first hashed ranking reads
+the stored vocabulary instead of tokenizing every part text. A snapshot
+that is missing, stale, of another format, damaged or cannot be written
+costs only a parse.
 """
 
 from __future__ import annotations
@@ -99,6 +103,8 @@ EntityId = str
 RelationId = str
 
 LITERAL_DATATYPES = ("plain", "time", "quantity")
+# A literal's datatype code: its position in ``LITERAL_DATATYPES``.
+_DATATYPE_CODES = {datatype: code for code, datatype in enumerate(LITERAL_DATATYPES)}
 
 
 class Entity(NamedTuple):
@@ -148,17 +154,27 @@ def literal_text(literal: Literal) -> str:
     return f"{literal.datatype}: {literal.value}"
 
 
+# What ``literal_text`` puts before a literal's value, by datatype code.
+_LITERAL_PREFIXES = np.array([literal_text(Literal("", datatype)) for datatype in LITERAL_DATATYPES], dtype=object)
+
+
+def _alias_tuple(text: str) -> tuple[str, ...]:
+    """The aliases of an ``|``-joined alias text."""
+    return tuple(text.split("|")) if text else ()
+
+
 class PartTokens(NamedTuple):
     """The normalized tokens of every part text, coded into one vocabulary.
 
     Parts are numbered as ``part_texts`` lists them. Part ``p``'s tokens
-    are ``vocabulary[c]`` for each code ``c`` of
+    are token ``c`` of the vocabulary for each code ``c`` of
     ``codes[offsets[p]:offsets[p + 1]]`` (int64 offsets, int32 codes), in
-    text order. ``vocabulary`` lists each distinct token once, in
-    first-seen order.
+    text order. ``vocabulary`` is one text holding each distinct token
+    once, in first-seen order, each preceded by a newline, as the snapshot
+    stores it (``vocabulary.split("\\n")[1:]`` lists them).
     """
 
-    vocabulary: list[str]
+    vocabulary: str
     offsets: np.ndarray
     codes: np.ndarray
 
@@ -196,23 +212,25 @@ class SurfaceIndex:
 class Entities(Mapping):
     """A graph's entities: each id mapped to its ``Entity``, made only when read.
 
-    ``ids``, ``names`` and ``aliases`` hold the parts by entity code, and
-    ``codes`` maps an id to its code. Iteration is in code order. Like a
-    dict, the view equals any mapping with equal items, and its repr is
-    the dict's.
+    ``ids``, ``names`` and ``alias_texts`` hold the parts by entity code,
+    and ``codes`` maps an id to its code. An alias text is the entity's
+    aliases joined by ``|`` (empty for none), as the snapshot stores it; it
+    is split into the ``Entity``'s tuple only when that entity is read.
+    Iteration is in code order. Like a dict, the view equals any mapping
+    with equal items, and its repr is the dict's.
     """
 
-    __slots__ = ("codes", "ids", "names", "aliases")
+    __slots__ = ("codes", "ids", "names", "alias_texts")
 
-    def __init__(self, codes: dict[EntityId, int], ids: list, names: list, aliases: list):
+    def __init__(self, codes: dict[EntityId, int], ids: list, names: list, alias_texts: list):
         self.codes = codes
         self.ids = ids
         self.names = names
-        self.aliases = aliases
+        self.alias_texts = alias_texts
 
     def __getitem__(self, entity_id: EntityId) -> Entity:
         code = self.codes[entity_id]
-        return Entity(self.ids[code], self.names[code], self.aliases[code])
+        return Entity(self.ids[code], self.names[code], _alias_tuple(self.alias_texts[code]))
 
     def __contains__(self, entity_id: object) -> bool:
         return entity_id in self.codes
@@ -240,8 +258,10 @@ class KnowledgeGraph:
 
     ``entities`` is an ``Entities`` mapping view, which makes an ``Entity``
     only when one is read. Object term ``t`` is an ``EntityRef`` to entity
-    code ``term_entities[t]``, or, where that is -1, the ``Literal``
-    ``term_literals[t]`` (None elsewhere).
+    code ``term_entities[t]``, or, where that is -1, a ``Literal``: the
+    ``n``-th literal term has the value ``literal_values[n]`` (an object
+    array of str) and the datatype ``LITERAL_DATATYPES[literal_datatypes[n]]``
+    (uint8 codes). Terms are made only when a row or ``terms`` is read.
 
     ``triples`` (a ``Triple`` per row), ``terms`` (each term's object),
     ``part_texts``, ``part_tokens``, ``surface_pairs``, ``surface_index``,
@@ -258,7 +278,8 @@ class KnowledgeGraph:
     relation_ids: np.ndarray
     entity_codes: dict[EntityId, int]
     term_entities: np.ndarray
-    term_literals: np.ndarray
+    literal_values: np.ndarray
+    literal_datatypes: np.ndarray
     subjects: np.ndarray
     predicates: np.ndarray
     objects: np.ndarray
@@ -283,10 +304,14 @@ class KnowledgeGraph:
 
     def _terms_at(self, codes: np.ndarray) -> np.ndarray:
         """The object term of each term code of the index array ``codes``, made now."""
-        terms = self.term_literals[codes]
+        terms = np.empty(len(codes), dtype=object)
         targets = self.term_entities[codes]
-        on_entity = np.flatnonzero(targets >= 0)
+        on_entity = targets >= 0
         terms[on_entity] = _objects(list(map(EntityRef._make, zip(self.entity_ids[targets[on_entity]].tolist()))))
+        literals = self._literal_numbers[codes[~on_entity]]
+        values = self.literal_values[literals].tolist()
+        datatypes = map(LITERAL_DATATYPES.__getitem__, self.literal_datatypes[literals].tolist())
+        terms[~on_entity] = _objects(list(map(Literal._make, zip(values, datatypes))))
         return terms
 
     def rows(self, triples: Sequence[Triple]) -> np.ndarray:
@@ -319,7 +344,7 @@ class KnowledgeGraph:
         view = self.entities
         texts = [entity_id if name is None else name for entity_id, name in zip(view.ids, view.names)]
         texts += [relation.name for relation in self.relations.values()]
-        texts += map(literal_text, self.term_literals[self.term_entities < 0].tolist())
+        texts += (_LITERAL_PREFIXES[self.literal_datatypes] + self.literal_values).tolist()
         return _objects(texts)
 
     def row_parts(self, rows: np.ndarray) -> np.ndarray:
@@ -330,8 +355,8 @@ class KnowledgeGraph:
     def row_tokens(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The codes of the tokens of ``rows``' part texts, and the position in ``rows`` of each.
 
-        Codes index ``part_tokens.vocabulary``. They come in ``row_parts``
-        order, each part's tokens in text order.
+        Codes number the tokens of ``part_tokens.vocabulary``. They come in
+        ``row_parts`` order, each part's tokens in text order.
         """
         parts = self.row_parts(rows)
         _, offsets, codes = self.part_tokens
@@ -341,12 +366,16 @@ class KnowledgeGraph:
         return codes[_ranges(starts, lengths)], owners
 
     @cached_property
+    def _literal_numbers(self) -> np.ndarray:
+        # Each term's number among the literals in term order (meaningful for literal terms only).
+        return np.cumsum(self.term_entities < 0) - 1
+
+    @cached_property
     def _term_parts(self) -> np.ndarray:
         # A term's part is its entity's, or its literal's, which follow the
         # entity and relation parts in term order.
-        literals = self.term_entities < 0
-        literal_parts = len(self.entity_ids) + len(self.relation_ids) + np.cumsum(literals) - 1
-        return np.where(literals, literal_parts, self.term_entities)
+        literal_parts = len(self.entity_ids) + len(self.relation_ids) + self._literal_numbers
+        return np.where(self.term_entities < 0, literal_parts, self.term_entities)
 
     @cached_property
     def _text_index(self) -> _TextIndex:
@@ -359,8 +388,8 @@ class KnowledgeGraph:
         token_lists = list(map(normalize_tokens, self.part_texts.tolist()))
         view = self.entities
         keys, codes = [], []
-        for code, (name, aliases, tokens) in enumerate(zip(view.names, view.aliases, token_lists)):
-            for key in (" ".join(tokens) if name else "", *map(normalize_text, aliases)):
+        for code, (name, aliases, tokens) in enumerate(zip(view.names, view.alias_texts, token_lists)):
+            for key in (" ".join(tokens) if name else "", *map(normalize_text, _alias_tuple(aliases))):
                 if key:
                     keys.append(key)
                     codes.append(code)
@@ -379,7 +408,7 @@ class KnowledgeGraph:
     def part_tokens(self) -> PartTokens:
         """The tokens of every part text, coded (see ``PartTokens``)."""
         index = self._text_index
-        return PartTokens(_split_lines(index.part_vocabulary), index.part_offsets, index.part_tokens)
+        return PartTokens(index.part_vocabulary, index.part_offsets, index.part_tokens)
 
     @cached_property
     def surface_pairs(self) -> tuple[list[str], np.ndarray]:
@@ -524,13 +553,14 @@ class _Coder:
         predicates = np.fromiter(self.predicates, np.int32, count)
         objects = np.fromiter(self.objects, np.int32, count)
         # Each term's entity code, or -1 for a literal, in one pass.
-        codes, literals = [], []
+        codes, values, datatypes = [], [], []
         for term in self.terms.ids:
             if isinstance(term, EntityRef):
                 codes.append(self.entities[term.entity_id])
             else:
                 codes.append(-1)
-                literals.append(term)
+                values.append(term.value)
+                datatypes.append(_DATATYPE_CODES[term.datatype])
         term_entities = np.array(codes, dtype=np.int32)
         # Exact duplicates, first occurrence kept. A row's key codes its
         # (relation, object) pair densely first, so that it fits in 63 bits.
@@ -569,10 +599,11 @@ class _Coder:
         return _graph(
             self.entities.ids,
             [entity.name for entity in self.entity_list],
-            [entity.aliases for entity in self.entity_list],
+            ["|".join(filter(None, entity.aliases)) for entity in self.entity_list],
             self.relations.ids,
             relation_names,
-            literals,
+            values,
+            np.array(datatypes, dtype=np.uint8),
             (term_entities, subjects, predicates, objects, offsets, incident),
         )
 
@@ -581,21 +612,21 @@ class _Coder:
 _COLUMNS = ("term_entities", "subjects", "predicates", "objects", "offsets", "incident")
 
 
-def _graph(ids, names, aliases, relation_ids, relation_names, literals, columns) -> KnowledgeGraph:
+def _graph(
+    ids, names, alias_texts, relation_ids, relation_names, literal_values, literal_datatypes, columns
+) -> KnowledgeGraph:
     """The graph of its parts; every graph is made here.
 
-    Entity ``ids``, ``names`` and ``aliases`` and the relation ids and names
-    are in code order, ``literals`` in term order, ``columns`` as ``_COLUMNS``
-    names them. Each id the graph holds is the very object of ``ids`` or
-    ``relation_ids``, a relation named by its own id included. No ``Entity``
-    or ``EntityRef`` is made here.
+    Entity ``ids``, ``names`` and ``alias_texts`` and the relation ids and
+    names are in code order, the literal values (a list of str) and datatype
+    codes (a uint8 array) in term order, ``columns`` as ``_COLUMNS`` names
+    them. Each id the graph holds is the very object of ``ids`` or
+    ``relation_ids``, a relation named by its own id included. No
+    ``Entity``, ``EntityRef``, ``Literal`` or alias tuple is made here.
     """
     codes = dict(zip(ids, range(len(ids))))
-    term_entities = columns[0]
-    term_literals = np.empty(len(term_entities), dtype=object)  # None where the term is an entity
-    term_literals[term_entities < 0] = _objects(literals)
     return KnowledgeGraph(
-        entities=Entities(codes, ids, names, aliases),
+        entities=Entities(codes, ids, names, alias_texts),
         relations={
             relation_id: Relation(relation_id, relation_id if name == relation_id else name)
             for relation_id, name in zip(relation_ids, relation_names)
@@ -603,7 +634,8 @@ def _graph(ids, names, aliases, relation_ids, relation_names, literals, columns)
         entity_ids=_objects(ids),
         relation_ids=_objects(relation_ids),
         entity_codes=codes,
-        term_literals=term_literals,
+        literal_values=_objects(literal_values),
+        literal_datatypes=literal_datatypes,
         **dict(zip(_COLUMNS, columns)),
     )
 
@@ -616,10 +648,14 @@ def build_graph(
     """Assemble a validated graph from already-parsed parts.
 
     Exact duplicate triples are dropped (first occurrence wins). Relations
-    referenced by triples but not declared get their id as a display name.
-    Raises GraphLoadError on duplicate entity/relation ids or on triples
-    referencing unknown entities. The graph is coded and made as a loaded
-    one is, so it holds its own interned ids and ``Entity`` objects.
+    referenced by triples but not declared get their id as a display name,
+    and empty aliases are dropped, as the loader drops them. Raises
+    GraphLoadError on duplicate entity/relation ids, on triples referencing
+    unknown entities, and on what the TSV files cannot hold: an alias
+    holding ``|`` or a literal datatype not in ``LITERAL_DATATYPES``. The
+    graph is coded and made as a loaded one is, so it holds its own
+    interned ids, and makes its ``Entity`` and term objects only when they
+    are read.
     """
     coder = _Coder(entities, relations)
     entity_codes, relation_codes, terms = coder.entities, coder.relations, coder.terms
@@ -627,6 +663,12 @@ def build_graph(
         coder.subjects.append(entity_codes[subject])
         coder.predicates.append(relation_codes[relation])
         coder.objects.append(terms[obj])
+    for entity in coder.entity_list:
+        if any("|" in alias for alias in entity.aliases):
+            raise GraphLoadError(f"entity {entity.id}: an alias holds '|'")
+    for term in terms.ids:
+        if not isinstance(term, EntityRef) and term.datatype not in _DATATYPE_CODES:
+            raise GraphLoadError(f"unknown literal datatype {term.datatype!r}")
     return coder.assemble()
 
 
@@ -836,19 +878,16 @@ def _require_offsets(offsets: np.ndarray, total: int, what: str) -> None:
 
 def _snapshot_arrays(key: bytes, graph: KnowledgeGraph) -> dict[str, np.ndarray]:
     """The members of ``graph``'s snapshot under ``key``, as ``_SNAPSHOT_MEMBERS`` lists them."""
-    literals = graph.term_literals[graph.term_entities < 0].tolist()
     index = graph._text_index._asdict()
     return {
         "key": np.frombuffer(key, dtype=np.uint8),
         "entity_ids": _blob(graph.entity_ids.tolist()),
         "entity_names": _blob(name or "" for name in graph.entities.names),
-        "entity_aliases": _blob("|".join(aliases) for aliases in graph.entities.aliases),
+        "entity_aliases": _blob(graph.entities.alias_texts),
         "relation_ids": _blob(graph.relation_ids.tolist()),
         "relation_names": _blob(relation.name for relation in graph.relations.values()),
-        "literal_values": _blob(literal.value for literal in literals),
-        "literal_datatypes": np.array(
-            [LITERAL_DATATYPES.index(literal.datatype) for literal in literals], dtype=np.uint8
-        ),
+        "literal_values": _blob(graph.literal_values.tolist()),
+        "literal_datatypes": graph.literal_datatypes,
         **{name: getattr(graph, name) for name in _COLUMNS},
         **{name: _utf8(value) if isinstance(value, str) else value for name, value in index.items()},
     }
@@ -907,14 +946,14 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
         _require(array.dtype == dtype and array.ndim == 1, f"{name} is not a 1-d {np.dtype(dtype)} array")
     ids = _strings(members["entity_ids"])
     names = [name or None for name in _strings(members["entity_names"])]
-    aliases = [tuple(alias.split("|")) if alias else () for alias in _strings(members["entity_aliases"])]
+    aliases = _strings(members["entity_aliases"])
     relation_ids = _strings(members["relation_ids"])
     relation_names = _strings(members["relation_names"])
     values = _strings(members["literal_values"])
     datatypes = members["literal_datatypes"]
     columns = [members[name] for name in _COLUMNS]
     term_entities, subjects, predicates, objects, offsets, incident = columns
-    # Kept as read: nothing is split before linking or hashed ranking reads it.
+    # Kept as read: nothing is split before linking reads it.
     index = _TextIndex(
         *(_text(members[name]) if _SNAPSHOT_MEMBERS[name] is np.uint8 else members[name] for name in _TextIndex._fields)
     )
@@ -938,8 +977,7 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     _require_offsets(index.part_offsets, len(index.part_tokens), "part offsets")
     _within(index.part_tokens, 0, index.part_vocabulary.count("\n"), "part token codes")
 
-    literals = list(map(Literal._make, zip(values, map(LITERAL_DATATYPES.__getitem__, datatypes.tolist()))))
-    graph = _graph(ids, names, aliases, relation_ids, relation_names, literals, columns)
+    graph = _graph(ids, names, aliases, relation_ids, relation_names, values, datatypes, columns)
     _require(len(graph.entity_codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")
     graph._text_index = index
     return graph

@@ -269,7 +269,7 @@ class Retrieval(NamedTuple):
     entities: tuple[EntityId, ...]
     candidates: Sequence[Triple]
     ranked: Ranking
-    top: list[ScoredTriple]
+    top: Ranking
 
 
 def retrieve_facts(
@@ -283,7 +283,9 @@ def retrieve_facts(
 
     Links the question when ``entities`` is None, collects the
     ``config.hops`` neighborhood, ranks it with ``strategy_for(config,
-    seed)`` and keeps the top ``config.k``; only those facts are verbalized.
+    seed)`` and keeps the top ``config.k`` as a lazy ``Ranking``: a fact
+    is verbalized only when it is read, so ``run`` verbalizes only what
+    ``render_prompt`` reads and ``kgprompt retrieve`` all k.
     """
     if entities is None:
         entities = sorted(link_entities(graph, question))

@@ -8,7 +8,10 @@ lowest-scored facts are dropped until it fits. Every budget is counted by
 ``whitespace_token_count``, whose count of lines joined by newlines is the
 sum of their counts, so the longest fitting prefix of the ranking is found
 in one pass over the facts in rank order and the prompt is rendered once.
-Demonstrations are caller-fixed context and are never dropped.
+That pass reads the ranking in slices and stops at the first fact over
+budget, so a lazy ranking verbalizes only about as many facts as the
+prompt keeps. Demonstrations are caller-fixed context and are never
+dropped.
 """
 
 from __future__ import annotations
@@ -163,6 +166,10 @@ def _fit(spec: PromptSpec, question: str, instruction: str, lines: Iterable[str]
     return kept
 
 
+# How many facts ``render_prompt`` reads from a ranking at a time.
+_SLICE = 16
+
+
 def render_prompt(
     spec: PromptSpec,
     ranked_triples: Sequence[ScoredTriple],
@@ -170,17 +177,27 @@ def render_prompt(
 ) -> RenderedPrompt:
     """Render the full prompt, dropping lowest-scored facts to fit the budget.
 
-    ``ranked_triples`` is the retrieval ranking (best first); what survives
-    truncation is always its highest-scored prefix, reported in rank order
-    via ``included_triples``. Raises PromptTooLongError when the prompt is
-    over budget with no facts left to drop.
+    ``ranked_triples`` is the retrieval ranking (best first), a list or a
+    lazy ``Ranking``; what survives truncation is always its highest-scored
+    prefix, reported in rank order via ``included_triples``. The ranking is
+    read in slices of ``_SLICE`` facts only as far as the budget reaches,
+    so of a ``Ranking`` the kept facts and at most one slice more are
+    verbalized. Raises PromptTooLongError when the prompt is over budget
+    with no facts left to drop.
     """
-    ranked = tuple(ranked_triples)
     instruction = spec.instruction_text()
-    count = _fit(spec, question, instruction, (scored.verbalized for scored in ranked))
-    kept = ranked[:count]
+    read: list[ScoredTriple] = []
+
+    def lines():
+        for start in range(0, len(ranked_triples), _SLICE):
+            facts = ranked_triples[start : start + _SLICE]
+            read.extend(facts)
+            yield from (scored.verbalized for scored in facts)
+
+    count = _fit(spec, question, instruction, lines())
+    kept = tuple(read[:count])
     block = render_knowledge_block(instruction, kept, spec.ordering, spec.shuffle_seed)
-    return RenderedPrompt(_assemble(spec, block, question), kept, count < len(ranked))
+    return RenderedPrompt(_assemble(spec, block, question), kept, count < len(ranked_triples))
 
 
 def render_prompt_from_lines(

@@ -5,10 +5,11 @@ embeddings, seeded random ordering, and relation popularity. All of them
 break ties by the candidate's position in the input list, so rankings (and
 therefore prompts) are bit-reproducible. Candidates are ranked as rows of
 the graph's columnar store; only the facts a caller reads from the ranking
-(normally the top k) are verbalized. The hashed embedder scores a whole
-neighborhood at once in numpy, from the token codes of ``graph.part_tokens``
-and a bucket table kept on the graph per dimension, with the exact scores
-of the joined texts.
+are verbalized (a prompt reads the ones it keeps, and at most one slice
+more, of the top k). The hashed embedder scores a whole neighborhood at
+once in numpy, from the token codes of ``graph.part_tokens`` and a bucket
+table kept on the graph per dimension, with the exact scores of the joined
+texts.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .embed import EmbedderConfig, embed_batch, fnv1a_64, hashed_bow_vector
+from .embed import EmbedderConfig, embed_batch, fnv1a_64_lines, hashed_bow_vector
 from .kg import EntityId, KnowledgeGraph, RowView, Triple, relation_frequency
 from .verbalize import joined, verbalize
 
@@ -58,15 +59,17 @@ Parts = tuple[str, str, str]
 
 
 def _bucket_table(graph: KnowledgeGraph, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct buckets of ``graph.part_tokens.vocabulary``, ascending, and each token's slot among them.
+    """The distinct buckets of the vocabulary's tokens, ascending, and each token's slot among them.
 
-    A token's bucket is ``fnv1a_64(token) % dimension``; the pair is built
-    on first use and kept in ``graph.bucket_tables``.
+    A token's bucket is ``fnv1a_64(token) % dimension``, hashed in numpy
+    from the stored text ``graph.part_tokens.vocabulary``
+    (``fnv1a_64_lines``); the pair is built on first use and kept in
+    ``graph.bucket_tables``.
     """
     table = graph.bucket_tables.get(dimension)
     if table is None:
-        vocabulary = graph.part_tokens.vocabulary
-        buckets = np.fromiter((fnv1a_64(token) % dimension for token in vocabulary), np.int64, len(vocabulary))
+        hashes = fnv1a_64_lines(graph.part_tokens.vocabulary)
+        buckets = (hashes % np.uint64(dimension)).astype(np.int64)
         table = graph.bucket_tables[dimension] = np.unique(buckets, return_inverse=True)
     return table
 
@@ -187,13 +190,17 @@ def rank_candidates(
     return Ranking(graph, rows[order], scores[order])
 
 
-def top_k(ranked: Sequence[ScoredTriple], k: int) -> list[ScoredTriple]:
+def top_k(ranked: Sequence[ScoredTriple], k: int) -> Sequence[ScoredTriple]:
     """First ``min(k, n)`` elements of a ranking, ranks preserved.
 
-    A ``Ranking`` gathers those rows at once and verbalizes only them.
+    Of a ``Ranking``, the ``Ranking`` of its first ``k`` rows, which
+    verbalizes none of them until they are read; of any other sequence, a
+    list.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
+    if isinstance(ranked, Ranking):
+        return Ranking(ranked.graph, ranked.rows[:k], ranked.scores[:k])
     return list(ranked[:k])
 
 

@@ -11,6 +11,7 @@ from kgprompt.embed import (
     RemoteEmbedder,
     embed_batch,
     fnv1a_64,
+    fnv1a_64_lines,
     hashed_bow_sparse,
     hashed_bow_vector,
 )
@@ -23,6 +24,26 @@ class TestFnv1a:
         assert fnv1a_64("") == 0xCBF29CE484222325
         assert fnv1a_64("a") == 0xAF63DC4C8601EC8C
         assert fnv1a_64("foobar") == 0x85944171F73967E8
+
+    # Letters of one to four UTF-8 bytes: ASCII, Latin, CJK, emoji (a flag
+    # is two code points, a family of emoji joined by U+200D many more).
+    LETTERS = ["a", "Z", "7", "é", "ß", "ñ", "東", "京", "😀", "🇯🇵", "👩\u200d👩\u200d👧"]
+
+    @pytest.mark.parametrize("dimension", [1, 7, 256, 2**20, 2**63 + 5])
+    def test_lines_hash_like_each_token(self, dimension):
+        rng = random.Random(dimension)
+        tokens = ["", "a", "foobar"] + [
+            "".join(rng.choices(self.LETTERS, k=rng.randint(1, 12))) for _ in range(300)
+        ]
+        hashes = fnv1a_64_lines("\n".join(["", *tokens]))
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == [fnv1a_64(token) for token in tokens]
+        assert (hashes % np.uint64(dimension)).tolist() == [fnv1a_64(token) % dimension for token in tokens]
+
+    def test_lines_ignore_bytes_before_the_first_newline(self):
+        assert fnv1a_64_lines("").tolist() == []
+        assert fnv1a_64_lines("ignored").tolist() == []
+        assert fnv1a_64_lines("ignored\nfoobar").tolist() == [0x85944171F73967E8]
 
 
 class TestHashedBow:

@@ -595,9 +595,11 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
 
     Mappings (dicts and the entities view) compare in the same order, arrays
     in value, dtype and element type, and both down to the type of each
-    element of an ``Entity``, term or index entry. The text index is
-    compared member by member, texts as ``str``, so a decoded index that
-    drifts from the derived one fails here.
+    element of an ``Entity``, term or index entry. The entities' alias
+    texts compare as ``str``, and the literal values and datatype codes as
+    the arrays they are. The text index is compared member by member, texts
+    as ``str``, so a decoded index that drifts from the derived one fails
+    here.
     """
     for field in dataclasses.fields(KnowledgeGraph):
         expected, actual = getattr(parsed, field.name), getattr(decoded, field.name)
@@ -606,7 +608,9 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
             assert typed(list(actual.items())) == typed(list(expected.items())), field.name
         else:
             assert_same_array(actual, expected, field.name)
+    assert typed(decoded.entities.alias_texts) == typed(parsed.entities.alias_texts)
     assert_same_array(decoded.terms, parsed.terms, "terms")
+    assert typed(decoded.triples_at(slice(None))) == typed(parsed.triples_at(slice(None)))
     assert_same_array(decoded.part_texts, parsed.part_texts, "part_texts")
     for name, expected in parsed._text_index._asdict().items():
         actual = getattr(decoded._text_index, name)
@@ -810,6 +814,47 @@ class TestInternedIds:
         assert_same_store(parsed, decoded)
         assert_same_store(parsed, built)
         assert_same_store(decoded, built)
+
+
+class TestLiteralsAndAliases:
+    def test_every_literal_datatype_reads_the_same_on_every_path(self, tmp_path, monkeypatch):
+        paths = write_graph_files(
+            tmp_path,
+            "Q1\tP1\tL:plain:a:b\nQ1\tP1\tL:time:+1999-01-02\nQ2\tP1\tL:quantity:7 kg\n"
+            "Q2\tP1\tE:Q1\nQ2\tP2\tL:plain:Ünïcode 東京\nQ1\tP2\tL:time:a:b\n",
+            "Q1\tAlpha\tA|Al\nQ2\tBeta\n",
+            "P1\tknows\nP2\tsees\n",
+        )
+        parsed = load_graph(*paths)
+        decoded = load_decoded(monkeypatch, *paths)
+        built = build_graph(parsed.entities.values(), parsed.relations.values(), parsed.triples)
+        expected = [
+            Literal("a:b"),
+            Literal("+1999-01-02", "time"),
+            Literal("7 kg", "quantity"),
+            EntityRef("Q1"),
+            Literal("Ünïcode 東京"),
+            Literal("a:b", "time"),
+        ]
+        texts = ["a:b", "time: +1999-01-02", "quantity: 7 kg", "Ünïcode 東京", "time: a:b"]
+        for graph in (parsed, decoded, built):
+            assert graph.terms.tolist() == expected
+            assert [triple.object for triple in graph.triples] == expected
+            assert graph.part_texts[4:].tolist() == texts
+            assert graph.literal_datatypes.dtype == np.uint8
+            assert graph.literal_datatypes.tolist() == [0, 1, 2, 0, 1]
+        assert_same_store(parsed, decoded)
+        assert_same_store(parsed, built)
+
+    def test_build_graph_refuses_what_the_files_cannot_hold(self):
+        with pytest.raises(GraphLoadError, match="entity Q1: an alias holds '[|]'$"):
+            build_graph([Entity("Q1", "Alpha", ("A|B",))], [], [])
+        with pytest.raises(GraphLoadError, match="unknown literal datatype 'date'$"):
+            build_graph([Entity("Q1")], [], [Triple("Q1", "P1", Literal("x", "date"))])
+        # Empty aliases name nothing, and the loader drops them too.
+        graph = build_graph([Entity("Q1", "Alpha", ("", "A", "")), Entity("Q2", None, ("",))], [], [])
+        assert graph.entities.alias_texts == ["A", ""]
+        assert list(graph.entities.values()) == [Entity("Q1", "Alpha", ("A",)), Entity("Q2")]
 
 
 def rewrite_snapshot(path, change) -> None:
@@ -1247,8 +1292,19 @@ class TestNoFullMaterialization:
 
 class TestSnapshotHitBuildsOnlyWhatIsRead:
     def count_made(self, patch, made: Counter) -> None:
-        """Count each ``Entity`` and ``EntityRef`` made, through ``__new__`` or ``_make``."""
-        for cls in (Entity, EntityRef):
+        """Count each ``Entity``, ``EntityRef``, ``Literal`` and alias tuple made.
+
+        Named tuples are counted through ``__new__`` or ``_make``, alias
+        tuples as the splits of ``kg._alias_tuple``.
+        """
+        split = kg._alias_tuple
+
+        def counted_split(text):
+            made["aliases"] += 1
+            return split(text)
+
+        patch.setattr(kg, "_alias_tuple", counted_split)
+        for cls in (Entity, EntityRef, Literal):
             new, make = cls.__new__, cls._make
 
             def counted_new(klass, *args, _new=new, **kwargs):
@@ -1272,27 +1328,33 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
             assert made == Counter()
             for view in ("terms", "surface_pairs", "surface_index", "part_texts", "part_tokens", "triples"):
                 assert view not in graph.__dict__, view
+            # The aliases are kept as the stored texts, the literals as values and datatype codes.
+            assert graph.entities.alias_texts == ["A|Al", ""]
+            assert graph.literal_values.tolist() == ["1999", "a:b"] and graph.literal_datatypes.tolist() == [1, 0]
             # The hit holds the stored text index, split by nothing yet.
             assert "_text_index" in graph.__dict__
             # The index is built from the stored surface pairs, not by tokenizing the names again.
             patch.setattr(kg, "normalize_text", lambda text: pytest.fail("tokenized the surfaces on a hit"))
             assert link_entities(graph, "Where is Al?") == {"Q1"}
-            assert graph.part_texts[:2].tolist() == ["Alpha", "Q2"]
-            assert made == Counter()  # linking and part texts read entities by code
+            assert graph.part_texts.tolist() == ["Alpha", "Q2", "knows", "P9", "time: 1999", "a:b"]
+            assert made == Counter()  # linking and part texts read entities and literals by code
             assert "surface_index" in graph.__dict__ and "terms" not in graph.__dict__
-            # No token text is split before the first hashed ranking, which splits the stored vocabulary.
+            # No token text is split before the first hashed ranking, which hashes the stored vocabulary.
             assert "part_tokens" not in graph.__dict__ and "bucket_tables" not in graph.__dict__
             patch.setattr(kg, "normalize_tokens", lambda text: pytest.fail("tokenized a part text on a hit"))
             ranked = rank_candidates(Similarity(), "alpha knows", neighborhood(graph, ["Q1"], 1), graph)
             assert ranked.rows.tolist() == [3, 0, 2] and ranked.scores[0] > 0  # (Alpha, knows, Alpha) first
-            assert graph.part_tokens.vocabulary == ["alpha", "q2", "knows", "p9", "time", "1999", "a", "b"]
+            assert graph.part_tokens.vocabulary == "\nalpha\nq2\nknows\np9\ntime\n1999\na\nb"
             assert list(graph.bucket_tables) == [Similarity().embedder.dimension]
             assert made == Counter()
             entity = graph.entities["Q1"]
-            assert made == Counter({"Entity": 1})
+            assert made == Counter({"Entity": 1, "aliases": 1})  # only the entity read splits its aliases
             [triple] = graph.triples_at(np.array([0]))
-            assert made == Counter({"Entity": 1, "EntityRef": 1})
+            assert made == Counter({"Entity": 1, "aliases": 1, "EntityRef": 1})
+            [literal_triple] = graph.triples_at(np.array([1]))
+            assert made == Counter({"Entity": 1, "aliases": 1, "EntityRef": 1, "Literal": 1})
         assert entity == Entity("Q1", "Alpha", ("A", "Al")) and triple.object == EntityRef("Q2")
+        assert literal_triple == Triple("Q2", "P9", Literal("1999", "time"))
         assert_same_store(parsed, graph)
 
     @pytest.mark.parametrize("method", ["kaping", "popular_knowledge"])

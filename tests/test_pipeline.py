@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from kgprompt import pipeline, retrieve
+from kgprompt import pipeline, prompts, retrieve
 from kgprompt.embed import EmbedderConfig, remote_embedder
 from kgprompt.errors import ConfigError
 from kgprompt.kg import Entity, EntityRef, Relation, Triple, build_graph, load_graph, neighborhood
@@ -569,10 +569,11 @@ class TestRun:
 
 
 class TestRetrievalWorkBound:
-    def test_kaping_verbalizes_at_most_k_facts_per_example(self, toy_dir, tmp_path, monkeypatch):
+    def counted_run(self, config, monkeypatch):
+        """Run ``config``; the graph, the neighborhood sizes, the ``verbalize`` calls by example id, and the result."""
         loaded = []
         calls = threading.local()
-        per_example = []
+        per_example = {}
         candidates = []
 
         def load_and_keep(*paths):
@@ -586,7 +587,7 @@ class TestRetrievalWorkBound:
         def counting_run_example(*args, **kwargs):
             calls.count = 0
             record = run_example(*args, **kwargs)
-            per_example.append(calls.count)
+            per_example[record["id"]] = calls.count
             return record
 
         def sized_neighborhood(*args, **kwargs):
@@ -598,15 +599,32 @@ class TestRetrievalWorkBound:
         monkeypatch.setattr(pipeline, "run_example", counting_run_example)
         monkeypatch.setattr(pipeline, "neighborhood", sized_neighborhood)
         monkeypatch.setattr(retrieve, "verbalize", counting_verbalize)
-        config = dataclasses.replace(load_config(toy_dir / "config.json"), output_dir=str(tmp_path))
         result = run(config)
+        [graph] = loaded
+        return graph, candidates, per_example, result
+
+    def test_kaping_verbalizes_at_most_k_facts_per_example(self, toy_dir, tmp_path, monkeypatch):
+        config = dataclasses.replace(load_config(toy_dir / "config.json"), output_dir=str(tmp_path))
+        graph, candidates, per_example, result = self.counted_run(config, monkeypatch)
         assert len(per_example) == len(result["records"]) == 25
         # Every example has more candidates than k, so the bound is the point.
         assert min(candidates) > config.k
-        assert max(per_example) <= config.k
+        assert max(per_example.values()) <= config.k
         assert all(len(record["included_triples"]) <= config.k for record in result["records"])
-        [graph] = loaded
         assert "triples" not in graph.__dict__
+
+    def test_kaping_verbalizes_the_kept_facts_and_at_most_one_slice_more(self, toy_dir, tmp_path, monkeypatch):
+        # Two hops and k=100 offer every candidate; the budget keeps only some.
+        config = load_config(toy_dir / "config.json")
+        prompt = dataclasses.replace(config.prompt, max_input_tokens=80)
+        config = dataclasses.replace(config, hops=2, k=100, prompt=prompt, output_dir=str(tmp_path))
+        graph, candidates, per_example, result = self.counted_run(config, monkeypatch)
+        assert len(per_example) == len(result["records"]) == 25
+        for record in result["records"]:
+            kept = len(record["included_triples"])
+            assert record["truncated"] and 0 < kept < min(candidates)
+            assert kept <= per_example[record["id"]] <= kept + prompts._SLICE
+        assert sum(per_example.values()) < sum(candidates) / 2
 
     def test_unnamed_entity_warns_only_when_its_fact_is_verbalized(self, caplog):
         graph = build_graph(

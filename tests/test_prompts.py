@@ -1,14 +1,15 @@
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from oracles import oracle_truncate
 
-from kgprompt import prompts
+from kgprompt import prompts, retrieve
 from kgprompt.embed import EmbedderConfig
 from kgprompt.errors import ConfigError, PromptTooLongError
-from kgprompt.kg import Literal, Triple
+from kgprompt.kg import Entity, Literal, Relation, Triple, build_graph
 from kgprompt.prompts import (
     INSTRUCTION_TEXTS,
     ORDERINGS,
@@ -18,8 +19,9 @@ from kgprompt.prompts import (
     render_prompt_from_lines,
     render_question,
 )
-from kgprompt.retrieve import ScoredTriple, Similarity, rank_candidates
+from kgprompt.retrieve import Ranking, ScoredTriple, Similarity, rank_candidates
 from kgprompt.text import whitespace_token_count
+from kgprompt.verbalize import verbalize
 
 
 def make_scored(texts_scores):
@@ -28,6 +30,17 @@ def make_scored(texts_scores):
         ScoredTriple(Triple("S", "r", Literal(str(i))), text, float(score), i + 1)
         for i, (text, score) in enumerate(texts_scores)
     ]
+
+
+def make_ranking(objects) -> Ranking:
+    """A real, lazy ``Ranking`` whose i-th fact is ``(s<i>, r, <objects[i]>)``, best first."""
+    count = len(objects)
+    graph = build_graph(
+        [Entity(f"Q{i}", f"s{i}") for i in range(count)],
+        [Relation("P", "r")],
+        [Triple(f"Q{i}", "P", Literal(text)) for i, text in enumerate(objects)],
+    )
+    return Ranking(graph, np.arange(count), np.arange(count, 0, -1, dtype=np.float64))
 
 
 class TestRenderQuestion:
@@ -248,16 +261,45 @@ class TestBinarySearchTruncation:
 
     @pytest.mark.parametrize("token_counter", [whitespace_token_count])
     def test_render_prompt_matches_drop_one(self, token_counter):
+        self.check_render_prompt_against_drop_one(
+            token_counter, lambda lines: make_scored([(line, len(lines) - i) for i, line in enumerate(lines)])
+        )
+
+    @pytest.mark.parametrize("token_counter", [whitespace_token_count])
+    def test_render_prompt_through_a_ranking_matches_drop_one(self, token_counter, monkeypatch):
+        verbalized = []
+        unread = []
+
+        def counted(triple, graph):
+            verbalized.append(triple)
+            return verbalize(triple, graph)
+
+        def counted_render(spec, ranked, question):
+            verbalized.clear()
+            rendered = render_prompt(spec, ranked, question)
+            # The kept facts are read, and at most one slice more.
+            kept = len(rendered.included_triples)
+            assert kept <= len(verbalized) <= kept + prompts._SLICE
+            unread.append(len(ranked) - len(verbalized))
+            return rendered
+
+        monkeypatch.setattr(retrieve, "verbalize", counted)
+        self.check_render_prompt_against_drop_one(token_counter, make_ranking, counted_render)
+        assert sum(count > 0 for count in unread) > 20
+
+    @staticmethod
+    def check_render_prompt_against_drop_one(token_counter, make_ranked, render=render_prompt) -> None:
+        """``render`` keeps the drop-one reference's prefix on random cases, each ranked by ``make_ranked``."""
         rng = random.Random(97)
         for _ in range(400):
             spec, lines, question = random_case(rng)
-            ranked = make_scored([(line, len(lines) - i) for i, line in enumerate(lines)])
+            ranked = make_ranked(lines)
             unlimited = dataclasses.replace(spec, max_input_tokens=UNLIMITED)
 
-            def render(count):
+            def render_first(count):
                 return render_prompt(unlimited, ranked[:count], question).text
 
-            count, expected = oracle_truncate(render, len(ranked), spec.max_input_tokens)
+            count, expected = oracle_truncate(render_first, len(ranked), spec.max_input_tokens)
             if count is None:
                 with pytest.raises(PromptTooLongError) as error:
                     render_prompt(spec, ranked, question)
@@ -266,7 +308,7 @@ class TestBinarySearchTruncation:
                     f" budget is {spec.max_input_tokens}"
                 )
                 continue
-            rendered = render_prompt(spec, ranked, question)
+            rendered = render(spec, ranked, question)
             assert rendered.text == expected
             assert token_counter(rendered.text) <= spec.max_input_tokens
             assert rendered.included_triples == tuple(ranked[:count])
