@@ -128,11 +128,10 @@ class RemoteEmbedder:
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         body, _ = self.transport.call({"texts": list(texts)})
         vectors = body.get("vectors")
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
-            raise RemoteServiceError(
-                f"embedding endpoint returned {0 if vectors is None else len(vectors)}"
-                f" vectors for {len(texts)} texts"
-            )
+        if not isinstance(vectors, list):
+            raise RemoteServiceError("embedding endpoint returned no list of vectors")
+        if len(vectors) != len(texts):
+            raise RemoteServiceError(f"embedding endpoint returned {len(vectors)} vectors for {len(texts)} texts")
         out = []
         for raw in vectors:
             if not isinstance(raw, list) or not _COMPONENT_TYPES.issuperset(map(type, raw)):

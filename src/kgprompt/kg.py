@@ -22,14 +22,15 @@ A graph keeps its triples as integer-coded columns, not as ``Triple``
 objects. Every entity id and relation id has a code: its position in
 ``entity_ids`` or ``relation_ids``, which list the keys of
 ``graph.entities`` and ``graph.relations`` (declared ones in file order,
-then undeclared relations in order of first use). Every distinct object
-term, compared by value, has a code; ``term_entities`` gives its entity
-code, or -1 for a literal. Literals are numbered in term order: literal
-``n``'s value is ``literal_values[n]`` and its datatype
-``LITERAL_DATATYPES[literal_datatypes[n]]``. The int32 columns
-``subjects``, ``predicates`` and ``objects`` hold one row per distinct
-triple in ingestion order, and the CSR pair ``offsets``/``incident`` lists
-each entity's incident rows in ascending order.
+then undeclared relations in order of first use). Distinct literals,
+compared by value, are numbered in first-seen order: literal ``n``'s value
+is ``literal_values[n]`` and its datatype
+``LITERAL_DATATYPES[literal_datatypes[n]]``. A triple's object has one
+code: an entity object its entity code, below ``E`` (the entity count),
+and literal ``n`` the code ``E + n``. The int32 columns ``subjects``,
+``predicates`` and ``objects`` hold one row per distinct triple in
+ingestion order, and the CSR pair ``offsets``/``incident`` lists each
+entity's incident rows in ascending order.
 
 Objects are made only when they are read. ``graph.entities`` is an
 ``Entities`` mapping view over the ids, names and ``|``-joined alias texts
@@ -39,21 +40,22 @@ sequence over rows that makes a ``Triple`` (and its ``EntityRef`` or
 ``Literal``) only when an element is read.
 
 Each part of a triple has one number: entities by code, then relations by
-code, then literals in term order. ``part_texts`` holds each part's text,
+code, then literals in literal order, so a literal object's part is its
+object code plus the relation count. ``part_texts`` holds each part's text,
 as ``verbalize`` renders it, and ``row_parts`` gives the parts of rows, so
 remote ranking reads a row's texts without any ``Triple`` or ``Entity``.
-One text index per graph, in the form the snapshot stores it, holds the
-surface pairs (a normalized key and entity code per name or alias, from
-which ``surface_index`` and so linking are built) and the part tokens (each
+One text index per graph, ``text_index``, holds the surface pairs (a
+normalized key and entity code per name or alias, from which
+``surface_index`` and so linking are built) and the part tokens (each
 part's normalized tokens as codes into one vocabulary, from which hashed
-ranking scores rows). A graph not decoded from a snapshot builds it by
-tokenizing each part text once. ``graph.triples`` and ``graph.terms`` are
-derived views built on first access.
+ranking scores rows), in the form the snapshot stores them. A graph not
+decoded from a snapshot builds it by tokenizing each part text once. ``graph.triples`` is a derived
+view built on first access.
 
-Ids, object terms and part tokens are coded by one kind of table,
-``_Codes``, in first-seen order; loading parses each distinct object token
-once. Every graph, parsed, built by ``build_graph`` or decoded, is made in
-one place, ``_graph``, from the same parts: entity ids, names and alias
+Ids, literals and part tokens are coded by one kind of table, ``_Codes``,
+in first-seen order; loading parses each distinct object token once.
+Every graph, parsed, built by ``build_graph`` or decoded, is made in one
+place, ``_graph``, from the same parts: entity ids, names and alias
 texts, relation ids and names, the literal values and datatype codes, and
 the code arrays. The ids it is given are the ones the graph hands out, so
 every subject, relation and entity-valued object of a triple the graph
@@ -61,13 +63,13 @@ returns, and every id of an ``Entity`` it makes, is the very string object
 that keys ``graph.entities`` or ``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
-(``snapshot_path``): a pickle-free ``.npz`` (format 3) of the code columns,
+(``snapshot_path``): a pickle-free ``.npz`` (format 4) of the code columns,
 the CSR pair, the ids, names, aliases and literals as UTF-8 text, and the
 text index, stored under the SHA-256 of a format tag and the source files'
 bytes. A load whose files hash to a snapshot's key decodes it instead of
 parsing, after checking its structure, and hands its parts to ``_graph``,
-so it has the same dict orders, codes, term order and interned ids as a
-parsed one. A hit makes no ``Entity``, ``EntityRef``, ``Literal``, alias
+so it has the same dict orders, codes, literal order and interned ids as
+a parsed one. A hit makes no ``Entity``, ``EntityRef``, ``Literal``, alias
 tuple or linking index: it keeps the stored alias texts, literal datatype
 codes and text index as read, so the first link splits the stored surface
 keys instead of tokenizing every name, and the first hashed ranking reads
@@ -163,29 +165,16 @@ def _alias_tuple(text: str) -> tuple[str, ...]:
     return tuple(text.split("|")) if text else ()
 
 
-class PartTokens(NamedTuple):
-    """The normalized tokens of every part text, coded into one vocabulary.
-
-    Parts are numbered as ``part_texts`` lists them. Part ``p``'s tokens
-    are token ``c`` of the vocabulary for each code ``c`` of
-    ``codes[offsets[p]:offsets[p + 1]]`` (int64 offsets, int32 codes), in
-    text order. ``vocabulary`` is one text holding each distinct token
-    once, in first-seen order, each preceded by a newline, as the snapshot
-    stores it (``vocabulary.split("\\n")[1:]`` lists them).
-    """
-
-    vocabulary: str
-    offsets: np.ndarray
-    codes: np.ndarray
-
-
-class _TextIndex(NamedTuple):
+class TextIndex(NamedTuple):
     """A graph's surface pairs and part tokens, as the snapshot members of these names store them.
 
-    ``surface_keys`` and ``part_vocabulary`` are texts holding each key or
-    token preceded by a newline; ``surface_entities`` holds each key's
-    entity code, ``part_offsets`` and ``part_tokens`` the offsets and codes
-    of ``PartTokens``.
+    ``surface_keys`` holds each surface's normalized key, preceded by a
+    newline, in entity order, and ``surface_entities`` each key's entity
+    code (int32). ``part_vocabulary`` holds each distinct part token once,
+    in first-seen order, preceded by a newline. Part ``p``'s tokens, parts
+    numbered as ``part_texts`` lists them, are the vocabulary's tokens
+    numbered ``part_tokens[part_offsets[p]:part_offsets[p + 1]]`` (int64
+    offsets, int32 codes), in text order.
     """
 
     surface_keys: str
@@ -257,19 +246,19 @@ class KnowledgeGraph:
     ``load_graph``.
 
     ``entities`` is an ``Entities`` mapping view, which makes an ``Entity``
-    only when one is read. Object term ``t`` is an ``EntityRef`` to entity
-    code ``term_entities[t]``, or, where that is -1, a ``Literal``: the
-    ``n``-th literal term has the value ``literal_values[n]`` (an object
-    array of str) and the datatype ``LITERAL_DATATYPES[literal_datatypes[n]]``
-    (uint8 codes). Terms are made only when a row or ``terms`` is read.
+    only when one is read. An object code ``c`` below the entity count
+    ``E`` is an ``EntityRef`` to entity code ``c``; any other is a
+    ``Literal``, literal ``c - E``, with the value ``literal_values[c - E]``
+    (an object array of str) and the datatype
+    ``LITERAL_DATATYPES[literal_datatypes[c - E]]`` (uint8 codes). Objects
+    are made only when a row is read.
 
-    ``triples`` (a ``Triple`` per row), ``terms`` (each term's object),
-    ``part_texts``, ``part_tokens``, ``surface_pairs``, ``surface_index``,
-    ``relation_counts`` and ``bucket_tables`` are derived views, each built
-    once on first access; the pipeline reads all but ``triples`` and
-    ``terms``. They assume the graph is not mutated after it is built, and
-    changing a view does not change the graph. Two graphs are equal when
-    their entities, relations and triples are.
+    ``triples`` (a ``Triple`` per row), ``part_texts``, ``text_index``,
+    ``surface_index``, ``relation_counts`` and ``bucket_tables`` are derived
+    views, each built once on first access; the pipeline reads all but
+    ``triples``. They assume the graph is not mutated after it is built,
+    and changing a view does not change the graph. Two graphs are equal
+    when their entities, relations and triples are.
     """
 
     entities: Entities
@@ -277,7 +266,6 @@ class KnowledgeGraph:
     entity_ids: np.ndarray
     relation_ids: np.ndarray
     entity_codes: dict[EntityId, int]
-    term_entities: np.ndarray
     literal_values: np.ndarray
     literal_datatypes: np.ndarray
     subjects: np.ndarray
@@ -303,12 +291,12 @@ class KnowledgeGraph:
         return list(map(Triple._make, zip(subjects, relations, objects)))
 
     def _terms_at(self, codes: np.ndarray) -> np.ndarray:
-        """The object term of each term code of the index array ``codes``, made now."""
+        """The object term of each object code of the index array ``codes``, made now."""
         terms = np.empty(len(codes), dtype=object)
-        targets = self.term_entities[codes]
-        on_entity = targets >= 0
-        terms[on_entity] = _objects(list(map(EntityRef._make, zip(self.entity_ids[targets[on_entity]].tolist()))))
-        literals = self._literal_numbers[codes[~on_entity]]
+        entities = len(self.entity_ids)
+        on_entity = codes < entities
+        terms[on_entity] = _objects(list(map(EntityRef._make, zip(self.entity_ids[codes[on_entity]].tolist()))))
+        literals = codes[~on_entity] - entities
         values = self.literal_values[literals].tolist()
         datatypes = map(LITERAL_DATATYPES.__getitem__, self.literal_datatypes[literals].tolist())
         terms[~on_entity] = _objects(list(map(Literal._make, zip(values, datatypes))))
@@ -335,10 +323,6 @@ class KnowledgeGraph:
         return self.triples_at(slice(None))
 
     @cached_property
-    def terms(self) -> np.ndarray:
-        return self._terms_at(np.arange(len(self.term_entities)))
-
-    @cached_property
     def part_texts(self) -> np.ndarray:
         """The text of every part, as ``verbalize`` renders it, in part order (an object array)."""
         view = self.entities
@@ -349,36 +333,27 @@ class KnowledgeGraph:
 
     def row_parts(self, rows: np.ndarray) -> np.ndarray:
         """The part numbers of ``rows``' subjects, then of their relations, then of their objects."""
-        relations = len(self.entity_ids) + self.predicates[rows]
-        return np.concatenate((self.subjects[rows], relations, self._term_parts[self.objects[rows]]))
+        entities = len(self.entity_ids)
+        objects = self.objects[rows]
+        # A literal's part follows the relation parts: its object code plus the relation count.
+        objects = np.where(objects < entities, objects, objects + len(self.relation_ids))
+        return np.concatenate((self.subjects[rows], entities + self.predicates[rows], objects))
 
     def row_tokens(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The codes of the tokens of ``rows``' part texts, and the position in ``rows`` of each.
 
-        Codes number the tokens of ``part_tokens.vocabulary``. They come in
-        ``row_parts`` order, each part's tokens in text order.
+        Codes number the tokens of ``text_index.part_vocabulary``. They come
+        in ``row_parts`` order, each part's tokens in text order.
         """
         parts = self.row_parts(rows)
-        _, offsets, codes = self.part_tokens
-        starts = offsets[parts]
-        lengths = offsets[parts + 1] - starts
+        index = self.text_index
+        starts = index.part_offsets[parts]
+        lengths = index.part_offsets[parts + 1] - starts
         owners = np.repeat(np.tile(np.arange(len(rows)), 3), lengths)
-        return codes[_ranges(starts, lengths)], owners
+        return index.part_tokens[_ranges(starts, lengths)], owners
 
     @cached_property
-    def _literal_numbers(self) -> np.ndarray:
-        # Each term's number among the literals in term order (meaningful for literal terms only).
-        return np.cumsum(self.term_entities < 0) - 1
-
-    @cached_property
-    def _term_parts(self) -> np.ndarray:
-        # A term's part is its entity's, or its literal's, which follow the
-        # entity and relation parts in term order.
-        literal_parts = len(self.entity_ids) + len(self.relation_ids) + self._literal_numbers
-        return np.where(self.term_entities < 0, literal_parts, self.term_entities)
-
-    @cached_property
-    def _text_index(self) -> _TextIndex:
+    def text_index(self) -> TextIndex:
         """The surface pairs and part tokens, tokenizing each part text once (a decoded graph is given them).
 
         An entity's surfaces are its name, then its aliases; a surface's key
@@ -396,7 +371,7 @@ class KnowledgeGraph:
         all_tokens = list(itertools.chain.from_iterable(token_lists))
         vocabulary = _Codes()
         token_codes = np.fromiter(map(vocabulary.__getitem__, all_tokens), np.int32, len(all_tokens))
-        return _TextIndex(
+        return TextIndex(
             _joined_lines(keys),
             np.array(codes, dtype=np.int32),
             _joined_lines(vocabulary.ids),
@@ -405,23 +380,11 @@ class KnowledgeGraph:
         )
 
     @cached_property
-    def part_tokens(self) -> PartTokens:
-        """The tokens of every part text, coded (see ``PartTokens``)."""
-        index = self._text_index
-        return PartTokens(index.part_vocabulary, index.part_offsets, index.part_tokens)
-
-    @cached_property
-    def surface_pairs(self) -> tuple[list[str], np.ndarray]:
-        """Each surface's normalized key and entity code, in entity order (see ``_text_index``)."""
-        index = self._text_index
-        return _split_lines(index.surface_keys), index.surface_entities
-
-    @cached_property
     def surface_index(self) -> SurfaceIndex:
-        """The ``SurfaceIndex`` of the surface pairs, each key with the id of its entity."""
-        keys, codes = self.surface_pairs
+        """The ``SurfaceIndex`` of the text index's surface pairs, each key with the id of its entity."""
+        index = self.text_index
         entries: dict[str, EntityId | tuple[EntityId, ...]] = {}
-        for key, entity_id in zip(keys, self.entity_ids[codes].tolist()):
+        for key, entity_id in zip(_split_lines(index.surface_keys), self.entity_ids[index.surface_entities].tolist()):
             present = entries.get(key)
             if present is None:
                 entries[key] = entity_id
@@ -505,7 +468,7 @@ class _Codes(dict):
 
     Looking up an unseen key gives it the next code. ``ids`` lists the
     stored key objects by code, so every use of an id shares the first
-    string seen for it. Keys are ids, object terms or tokens.
+    string seen for it. Keys are ids, literals or tokens.
     """
 
     def __init__(self, keys: Iterable = ()):
@@ -519,13 +482,15 @@ class _Codes(dict):
 
 
 class _Coder:
-    """A graph's parts while it is built: ids and terms coded, one row per triple.
+    """A graph's parts while it is built: ids and literals coded, one row per triple.
 
-    Entity ids, relation ids and object terms each have a ``_Codes`` table.
-    ``build_graph`` and ``load_graph`` fill the three code lists, then call
-    ``assemble``, which derives each term's entity code in one pass over the
-    terms and hands the checked parts to ``_graph``. Unknown entity ids get
-    codes past the declared ones, so that ``assemble`` can name them.
+    Entity ids, relation ids and literals each have a ``_Codes`` table.
+    ``build_graph`` and ``load_graph`` fill the three code lists, coding
+    each object with ``object_code``, then call ``assemble``, which checks
+    the parts and hands them to ``_graph``. Unknown entity ids get codes
+    past the declared ones, so that ``assemble`` can name them; so the
+    ``n``-th literal is coded ``-1 - n`` until ``assemble`` has found none
+    and can give it its graph code ``E + n``.
     """
 
     def __init__(self, entities: Iterable[Entity], relations: Iterable[Relation]):
@@ -533,10 +498,16 @@ class _Coder:
         self.relation_list = list(relations)
         self.entities = _Codes(entity.id for entity in self.entity_list)
         self.relations = _Codes(relation.id for relation in self.relation_list)
-        self.terms = _Codes()
+        self.literals = _Codes()
         self.subjects: list[int] = []
         self.predicates: list[int] = []
         self.objects: list[int] = []
+
+    def object_code(self, obj: ObjectTerm) -> int:
+        """An entity object's entity code, or ``-1 - n`` for the ``n``-th distinct literal."""
+        if isinstance(obj, EntityRef):
+            return self.entities[obj.entity_id]
+        return -1 - self.literals[obj]
 
     def assemble(self) -> KnowledgeGraph:
         """Validate and dedupe the rows and index them into a graph."""
@@ -552,19 +523,22 @@ class _Coder:
         subjects = np.fromiter(self.subjects, np.int32, count)
         predicates = np.fromiter(self.predicates, np.int32, count)
         objects = np.fromiter(self.objects, np.int32, count)
-        # Each term's entity code, or -1 for a literal, in one pass.
-        codes, values, datatypes = [], [], []
-        for term in self.terms.ids:
-            if isinstance(term, EntityRef):
-                codes.append(self.entities[term.entity_id])
-            else:
-                codes.append(-1)
-                values.append(term.value)
-                datatypes.append(_DATATYPE_CODES[term.datatype])
-        term_entities = np.array(codes, dtype=np.int32)
+        # The first row naming an unknown entity (any duplicate of it comes later).
+        known = len(self.entity_list)
+        unknown = np.flatnonzero((subjects >= known) | (objects >= known))
+        if unknown.size:
+            row = unknown[0]
+            if subjects[row] >= known:
+                entity_id = self.entities.ids[subjects[row]]
+                raise GraphLoadError(f"triple references unknown subject entity: {entity_id}")
+            entity_id = self.entities.ids[objects[row]]
+            raise GraphLoadError(f"triple references unknown object entity: {entity_id}")
+        literal = objects < 0
+        objects[literal] = known - 1 - objects[literal]
+
         # Exact duplicates, first occurrence kept. A row's key codes its
         # (relation, object) pair densely first, so that it fits in 63 bits.
-        pair_keys = predicates.astype(np.int64) * len(term_entities) + objects
+        pair_keys = predicates.astype(np.int64) * (known + len(self.literals)) + objects
         pairs = np.unique(pair_keys, return_inverse=True)[1]
         keys = subjects.astype(np.int64) * count + pairs
         ordered = np.sort(keys)
@@ -573,23 +547,12 @@ class _Coder:
             subjects, predicates, objects = subjects[keep], predicates[keep], objects[keep]
             count = len(keep)
 
-        known = len(self.entity_list)
-        object_entities = term_entities[objects]
-        unknown = np.flatnonzero((subjects >= known) | (object_entities >= known))
-        if unknown.size:
-            row = unknown[0]
-            if subjects[row] >= known:
-                entity_id = self.entities.ids[subjects[row]]
-                raise GraphLoadError(f"triple references unknown subject entity: {entity_id}")
-            entity_id = self.entities.ids[object_entities[row]]
-            raise GraphLoadError(f"triple references unknown object entity: {entity_id}")
-
-        # A row is incident to its subject, and to its entity object unless
-        # that is a literal or the subject again. Sorting (entity, row) keys
-        # lists each entity's rows in ascending order.
+        # A row is incident to its subject, and to its object when that is
+        # another entity. Sorting (entity, row) keys lists each entity's rows
+        # in ascending order.
         rows = np.arange(count, dtype=np.int64)
-        on_object = (object_entities >= 0) & (object_entities != subjects)
-        owners = np.concatenate((subjects, object_entities[on_object])).astype(np.int64)
+        on_object = (objects < known) & (objects != subjects)
+        owners = np.concatenate((subjects, objects[on_object])).astype(np.int64)
         incidence = np.sort(owners * count + np.concatenate((rows, rows[on_object])))
         offsets = np.zeros(known + 1, dtype=np.int64)
         np.cumsum(np.bincount(owners, minlength=known), out=offsets[1:])
@@ -602,14 +565,14 @@ class _Coder:
             ["|".join(filter(None, entity.aliases)) for entity in self.entity_list],
             self.relations.ids,
             relation_names,
-            values,
-            np.array(datatypes, dtype=np.uint8),
-            (term_entities, subjects, predicates, objects, offsets, incident),
+            [value for value, _ in self.literals.ids],
+            np.array([_DATATYPE_CODES[datatype] for _, datatype in self.literals.ids], dtype=np.uint8),
+            (subjects, predicates, objects, offsets, incident),
         )
 
 
 # A graph's code arrays, in the order ``_graph`` takes them and a snapshot names them.
-_COLUMNS = ("term_entities", "subjects", "predicates", "objects", "offsets", "incident")
+_COLUMNS = ("subjects", "predicates", "objects", "offsets", "incident")
 
 
 def _graph(
@@ -619,7 +582,7 @@ def _graph(
 
     Entity ``ids``, ``names`` and ``alias_texts`` and the relation ids and
     names are in code order, the literal values (a list of str) and datatype
-    codes (a uint8 array) in term order, ``columns`` as ``_COLUMNS`` names
+    codes (a uint8 array) in literal order, ``columns`` as ``_COLUMNS`` names
     them. Each id the graph holds is the very object of ``ids`` or
     ``relation_ids``, a relation named by its own id included. No
     ``Entity``, ``EntityRef``, ``Literal`` or alias tuple is made here.
@@ -653,22 +616,23 @@ def build_graph(
     GraphLoadError on duplicate entity/relation ids, on triples referencing
     unknown entities, and on what the TSV files cannot hold: an alias
     holding ``|`` or a literal datatype not in ``LITERAL_DATATYPES``. The
-    graph is coded and made as a loaded one is, so it holds its own
-    interned ids, and makes its ``Entity`` and term objects only when they
-    are read.
+    graph is coded and made as a loaded one is, each object once (an
+    entity by its entity code, the ``n``-th distinct literal as ``E + n``),
+    so it holds its own interned ids, and makes its ``Entity`` and object
+    terms only when they are read.
     """
     coder = _Coder(entities, relations)
-    entity_codes, relation_codes, terms = coder.entities, coder.relations, coder.terms
+    entity_codes, relation_codes = coder.entities, coder.relations
     for subject, relation, obj in triples:
         coder.subjects.append(entity_codes[subject])
         coder.predicates.append(relation_codes[relation])
-        coder.objects.append(terms[obj])
+        coder.objects.append(coder.object_code(obj))
     for entity in coder.entity_list:
         if any("|" in alias for alias in entity.aliases):
             raise GraphLoadError(f"entity {entity.id}: an alias holds '|'")
-    for term in terms.ids:
-        if not isinstance(term, EntityRef) and term.datatype not in _DATATYPE_CODES:
-            raise GraphLoadError(f"unknown literal datatype {term.datatype!r}")
+    for literal in coder.literals.ids:
+        if literal.datatype not in _DATATYPE_CODES:
+            raise GraphLoadError(f"unknown literal datatype {literal.datatype!r}")
     return coder.assemble()
 
 
@@ -755,11 +719,11 @@ def _load_relations(path: Path, data: bytes) -> list[Relation]:
 
 def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
     """Parse a triples file's bytes straight into ``coder``'s code lists."""
-    entity_codes, relation_codes, terms = coder.entities, coder.relations, coder.terms
+    entity_codes, relation_codes = coder.entities, coder.relations
     add_subject = coder.subjects.append
     add_predicate = coder.predicates.append
     add_object = coder.objects.append
-    # Raw object token -> its term code, so each distinct token is parsed
+    # Raw object token -> its object code, so each distinct token is parsed
     # once; its first occurrence is the line errors name.
     token_codes: dict[str, int] = {}
     for number, line in _data_lines(path, data):
@@ -775,7 +739,7 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
             raise GraphLoadError(f"{path}:{number}: empty subject or relation id")
         code = token_codes.get(object_token)
         if code is None:
-            code = token_codes[object_token] = terms[_parse_object(object_token.strip(), path, number)]
+            code = token_codes[object_token] = coder.object_code(_parse_object(object_token.strip(), path, number))
         add_subject(entity_codes[subject])
         add_predicate(relation_codes[relation])
         add_object(code)
@@ -783,12 +747,13 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
 
 # The snapshot's format tag, hashed into its key: a change to the layout
 # below changes the tag, so an older file is never read as a newer one.
-_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 3"
+_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 4"
 # Every member of a snapshot and its dtype. Strings are stored as UTF-8,
 # each preceded by a newline, which no TSV field holds; an entity's aliases
 # are joined by "|", which no alias holds, and an unnamed entity's name is
 # empty. Relation names cover every relation, an undeclared one's being its id.
-# The surface and part members are the graph's ``_TextIndex``.
+# Object codes are the graph's: an entity's code, or E + n for literal n.
+# The surface and part members are the graph's ``TextIndex``.
 _SNAPSHOT_MEMBERS = {
     "key": np.uint8,
     "entity_ids": np.uint8,
@@ -798,7 +763,6 @@ _SNAPSHOT_MEMBERS = {
     "relation_names": np.uint8,
     "literal_values": np.uint8,
     "literal_datatypes": np.uint8,
-    "term_entities": np.int32,
     "subjects": np.int32,
     "predicates": np.int32,
     "objects": np.int32,
@@ -878,7 +842,7 @@ def _require_offsets(offsets: np.ndarray, total: int, what: str) -> None:
 
 def _snapshot_arrays(key: bytes, graph: KnowledgeGraph) -> dict[str, np.ndarray]:
     """The members of ``graph``'s snapshot under ``key``, as ``_SNAPSHOT_MEMBERS`` lists them."""
-    index = graph._text_index._asdict()
+    index = graph.text_index._asdict()
     return {
         "key": np.frombuffer(key, dtype=np.uint8),
         "entity_ids": _blob(graph.entity_ids.tolist()),
@@ -952,23 +916,22 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     values = _strings(members["literal_values"])
     datatypes = members["literal_datatypes"]
     columns = [members[name] for name in _COLUMNS]
-    term_entities, subjects, predicates, objects, offsets, incident = columns
+    subjects, predicates, objects, offsets, incident = columns
     # Kept as read: nothing is split before linking reads it.
-    index = _TextIndex(
-        *(_text(members[name]) if _SNAPSHOT_MEMBERS[name] is np.uint8 else members[name] for name in _TextIndex._fields)
+    index = TextIndex(
+        *(_text(members[name]) if _SNAPSHOT_MEMBERS[name] is np.uint8 else members[name] for name in TextIndex._fields)
     )
 
     count = len(subjects)
     _require(len(ids) == len(names) == len(aliases) == len(offsets) - 1, "entity counts")
     _require(len(relation_ids) == len(relation_names), "relation counts")
-    _require(np.count_nonzero(term_entities < 0) == len(values) == len(datatypes), "literal counts")
+    _require(len(values) == len(datatypes), "literal counts")
     _require(len(predicates) == len(objects) == count, "row counts")
     _require_offsets(offsets, len(incident), "offsets")
-    _within(term_entities, -1, len(ids), "term entity codes")
     _within(datatypes, 0, len(LITERAL_DATATYPES), "literal datatypes")
     _within(subjects, 0, len(ids), "subject codes")
     _within(predicates, 0, len(relation_ids), "relation codes")
-    _within(objects, 0, len(term_entities), "term codes")
+    _within(objects, 0, len(ids) + len(values), "object codes")
     _within(incident, 0, count, "incident rows")
     _require(index.surface_keys.count("\n") == len(index.surface_entities), "surface counts")
     _within(index.surface_entities, 0, len(ids), "surface entity codes")
@@ -979,7 +942,7 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
 
     graph = _graph(ids, names, aliases, relation_ids, relation_names, values, datatypes, columns)
     _require(len(graph.entity_codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")
-    graph._text_index = index
+    graph.text_index = index
     return graph
 
 
@@ -1065,8 +1028,8 @@ def neighborhood(
     if hops == 2:
         # Every 1-hop row touches a seed, so the entities of the 1-hop rows
         # (seeds included) reach all of it again.
-        object_entities = graph.term_entities[graph.objects[rows]]
-        frontier = np.concatenate((graph.subjects[rows], object_entities[object_entities >= 0]))
+        objects = graph.objects[rows]
+        frontier = np.concatenate((graph.subjects[rows], objects[objects < len(graph.entity_ids)]))
         rows = _incident_rows(graph, _distinct(frontier))
     return Neighborhood(graph, _distinct(rows))
 

@@ -299,6 +299,12 @@ def fact_entries(facts: Sequence[ScoredTriple]) -> list[dict]:
     return [{"rank": scored.rank, "score": scored.score, "text": scored.verbalized} for scored in facts]
 
 
+def _scores(generation: str | None, answers: AnswerSet) -> dict:
+    """A record's ``scores``: its generation's, or all zero for a failed example."""
+    gen = score_generation(generation, answers) if generation is not None else GenScores(0, 0, 0.0)
+    return {"accuracy": gen.accuracy, "em": gen.em, "f1": gen.f1}
+
+
 def _record(
     config: RunConfig,
     example: QaExample,
@@ -313,7 +319,6 @@ def _record(
     retrieval: RetrievalScores | None = None,
 ) -> dict:
     """The JSONL-ready record of one example; the defaults are a failed one."""
-    gen_scores = score_generation(generation, answers) if generation is not None else GenScores(0, 0, 0.0)
     return {
         "id": example.id,
         "question": example.question,
@@ -328,7 +333,7 @@ def _record(
         "answers": [
             {"name": entity.name, "aliases": list(entity.aliases)} for entity in answers.entities
         ],
-        "scores": {"accuracy": gen_scores.accuracy, "em": gen_scores.em, "f1": gen_scores.f1},
+        "scores": _scores(generation, answers),
         "retrieval": None
         if retrieval is None
         else {
@@ -460,8 +465,7 @@ def rescore_record(record: dict) -> dict:
         raise ConfigError("field 'answers' must be a list of {name, aliases} objects")
     answers = AnswerSet(tuple(AnswerEntity(entry["name"], tuple(entry["aliases"])) for entry in entries))
     generation = _field(record, "generation", type(None))
-    gen = score_generation(generation, answers) if generation is not None else GenScores(0, 0, 0.0)
-    updated = dict(record, scores={"accuracy": gen.accuracy, "em": gen.em, "f1": gen.f1})
+    updated = dict(record, scores=_scores(generation, answers))
     scores_from_record(updated)
     return updated
 

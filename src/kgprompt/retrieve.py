@@ -7,9 +7,9 @@ therefore prompts) are bit-reproducible. Candidates are ranked as rows of
 the graph's columnar store; only the facts a caller reads from the ranking
 are verbalized (a prompt reads the ones it keeps, and at most one slice
 more, of the top k). The hashed embedder scores a whole neighborhood at
-once in numpy, from the token codes of ``graph.part_tokens`` and a bucket
-table kept on the graph per dimension, with the exact scores of the joined
-texts.
+once in numpy, from the part token codes of ``graph.text_index`` and a
+bucket table kept on the graph per dimension, with the exact scores of the
+joined texts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .embed import EmbedderConfig, embed_batch, fnv1a_64_lines, hashed_bow_vector
+from .embed import EmbedderConfig, embed_batch, fnv1a_64_lines, hashed_bow_sparse
 from .kg import EntityId, KnowledgeGraph, RowView, Triple, relation_frequency
 from .verbalize import joined, verbalize
 
@@ -59,17 +59,18 @@ Parts = tuple[str, str, str]
 
 
 def _bucket_table(graph: KnowledgeGraph, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct buckets of the vocabulary's tokens, ascending, and each token's slot among them.
+    """The distinct buckets of the vocabulary's tokens, ascending (uint64), and each token's slot among them.
 
     A token's bucket is ``fnv1a_64(token) % dimension``, hashed in numpy
-    from the stored text ``graph.part_tokens.vocabulary``
+    from the stored text ``graph.text_index.part_vocabulary``
     (``fnv1a_64_lines``); the pair is built on first use and kept in
     ``graph.bucket_tables``.
     """
     table = graph.bucket_tables.get(dimension)
     if table is None:
-        hashes = fnv1a_64_lines(graph.part_tokens.vocabulary)
-        buckets = (hashes % np.uint64(dimension)).astype(np.int64)
+        hashes = fnv1a_64_lines(graph.text_index.part_vocabulary)
+        # A hash is below 2**64, so a larger dimension leaves it as it is.
+        buckets = hashes % np.uint64(dimension) if dimension < 1 << 64 else hashes
         table = graph.bucket_tables[dimension] = np.unique(buckets, return_inverse=True)
     return table
 
@@ -88,8 +89,15 @@ def _hashed_scores(graph: KnowledgeGraph, rows: np.ndarray, question: str, dimen
     """
     buckets, code_slots = _bucket_table(graph, dimension)
     width = len(buckets)
-    # The dense components equal ``hashed_bow_sparse``'s values bit for bit.
-    question_values = hashed_bow_vector(question, dimension)[buckets]
+    # The question's value at each of the graph's buckets: one search places
+    # those of its buckets that the graph has.
+    sparse = hashed_bow_sparse(question, dimension)
+    question_values = np.zeros(width)
+    if width and sparse:
+        wanted = np.fromiter(sparse, np.uint64, len(sparse))
+        places = np.minimum(np.searchsorted(buckets, wanted), width - 1)
+        found = buckets[places] == wanted
+        question_values[places[found]] = np.fromiter(sparse.values(), np.float64, len(sparse))[found]
 
     count = len(rows)
     codes, owners = graph.row_tokens(rows)
@@ -160,9 +168,10 @@ def rank_candidates(
     ``Ranking`` that verbalizes a candidate only when it is read. Scoring
     reads each candidate's parts by their numbers, ``graph.row_parts``, and
     builds no ``Triple`` or verbalized text. The hashed embedder scores all
-    candidates at once in numpy from the parts' ``graph.part_tokens`` (see
-    ``_hashed_scores``): each score is the cosine of the ``hashed_bow_sparse``
-    vectors of the question and ``.verbalized``, bit for bit. A graph not
+    candidates at once in numpy from the parts' tokens in
+    ``graph.text_index`` (see ``_hashed_scores``), at any dimension: each
+    score is the cosine of the ``hashed_bow_sparse`` vectors of the question
+    and ``.verbalized``, bit for bit, and no dense vector is made. A graph not
     decoded from a snapshot tokenizes all of its part texts at its first
     hashed ranking. A remote embedder embeds the joined texts of
     the parts' ``graph.part_texts`` in one batch; ``Popular`` scores each
@@ -211,8 +220,8 @@ def answer_bearing(ranked: Ranking, answers: set[EntityId]) -> int | None:
     """
     graph = ranked.graph
     subjects = graph.subjects[ranked.rows]
-    # A literal's entity code is -1, which no answer has.
-    objects = graph.term_entities[graph.objects[ranked.rows]]
+    # A literal's object code is at least the entity count, which no answer's code reaches.
+    objects = graph.objects[ranked.rows]
     hits = np.zeros(len(ranked.rows), dtype=bool)
     for answer in answers:
         code = graph.entity_codes.get(answer)

@@ -58,6 +58,8 @@ class ServiceState:
         self.embed_dimension = 8
         # first component of every /embed_nonfinite vector (None -> JSON null)
         self.nonfinite_component = None
+        # the "vectors" field of every /embed_vectors_field reply (None -> JSON null)
+        self.vectors_field = None
         self.fail_remaining = 0
         self.flaky_status = 503  # status of each failing /flaky or /embed_flaky reply
         self.delay = 0.0
@@ -137,6 +139,8 @@ def _make_handler(state: ServiceState):
                     dim = state.embed_dimension
                     vector = [state.nonfinite_component] + [1.0] * (dim - 1)
                     self._reply(200, {"vectors": [vector for _ in request["texts"]]})
+                elif self.path == "/embed_vectors_field":
+                    self._reply(200, {"vectors": state.vectors_field})
                 elif self.path == "/complete":
                     self._reply(200, {"text": f"completion for {len(request['prompt'])} chars"})
                 elif self.path == "/flaky":

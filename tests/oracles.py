@@ -30,6 +30,21 @@ def oracle_vector(text: str, dimension: int) -> list[float]:
     return [component / norm for component in counts]
 
 
+def oracle_sparse_vector(text: str, dimension: int) -> dict[int, float]:
+    """``oracle_vector``'s nonzero components, ``{bucket: value}``, at any dimension."""
+    counts: dict[int, int] = {}
+    for token in oracle_tokens(text):
+        bucket = oracle_fnv1a(token) % dimension
+        counts[bucket] = counts.get(bucket, 0) + 1
+    norm = math.sqrt(sum(count * count for count in counts.values()))
+    return {bucket: count / norm for bucket, count in counts.items()}
+
+
+def oracle_sparse_cosine(left: dict[int, float], right: dict[int, float]) -> float:
+    """``oracle_cosine`` of two sparse vectors: the other products are zeros, which leave the exact sum as it is."""
+    return math.fsum(value * right[bucket] for bucket, value in left.items() if bucket in right)
+
+
 def oracle_cosine(left: list[float], right: list[float]) -> float:
     """Dense dot product over every component, zeros included.
 

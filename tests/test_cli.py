@@ -269,6 +269,25 @@ class TestRetrieveCommand:
         assert out == ""
         assert err == "error: embedding endpoint returned a vector that is not a list of numbers\n"
 
+    # A number or boolean has no length, and a string has one as a list does: none is a list of vectors.
+    @pytest.mark.parametrize("field", [5, True, 1.5, "ab", {}, None])
+    def test_embedding_vectors_field_that_is_not_a_list_is_error_exit(
+        self, remote_config, http_service, capsys, field
+    ):
+        http_service.state.vectors_field = field
+        code, out, err = run_cli(
+            capsys,
+            "retrieve",
+            "--config",
+            remote_config(f"{http_service.url}/embed_vectors_field", 8),
+            "--question",
+            "What is the place of birth of Mara Ellison?",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: embedding endpoint returned no list of vectors\n"
+        assert http_service.state.requests == 1  # bad data is never retried
+
     def test_random_ranks_with_the_run_seed(self, toy_config_path, toy_dir, capsys):
         question = "What is the place of birth of Mara Ellison?"
         code, out, _ = run_cli(

@@ -609,25 +609,17 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
         else:
             assert_same_array(actual, expected, field.name)
     assert typed(decoded.entities.alias_texts) == typed(parsed.entities.alias_texts)
-    assert_same_array(decoded.terms, parsed.terms, "terms")
     assert typed(decoded.triples_at(slice(None))) == typed(parsed.triples_at(slice(None)))
     assert_same_array(decoded.part_texts, parsed.part_texts, "part_texts")
-    for name, expected in parsed._text_index._asdict().items():
-        actual = getattr(decoded._text_index, name)
+    for name, expected in parsed.text_index._asdict().items():
+        actual = getattr(decoded.text_index, name)
         if isinstance(expected, str):
-            assert type(actual) is str and actual == expected, f"_text_index.{name}"
+            assert type(actual) is str and actual == expected, f"text_index.{name}"
         else:
-            assert_same_array(actual, expected, f"_text_index.{name}")
-    (keys, codes), (expected_keys, expected_codes) = decoded.surface_pairs, parsed.surface_pairs
-    assert typed(keys) == typed(expected_keys)
-    assert_same_array(codes, expected_codes, "surface_pairs")
+            assert_same_array(actual, expected, f"text_index.{name}")
     index, expected_index = decoded.surface_index, parsed.surface_index
     assert typed(list(index.entries.items())) == typed(list(expected_index.entries.items()))
     assert index.widths == expected_index.widths
-    tokens, expected_tokens = decoded.part_tokens, parsed.part_tokens
-    assert typed(tokens.vocabulary) == typed(expected_tokens.vocabulary)
-    assert_same_array(tokens.offsets, expected_tokens.offsets, "part_tokens.offsets")
-    assert_same_array(tokens.codes, expected_tokens.codes, "part_tokens.codes")
 
 
 def load_failure(*paths) -> str:
@@ -838,7 +830,7 @@ class TestLiteralsAndAliases:
         ]
         texts = ["a:b", "time: +1999-01-02", "quantity: 7 kg", "Ünïcode 東京", "time: a:b"]
         for graph in (parsed, decoded, built):
-            assert graph.terms.tolist() == expected
+            assert graph.objects.tolist() == [2, 3, 4, 0, 5, 6]  # Q1 is entity 0; literal n is 2 + n
             assert [triple.object for triple in graph.triples] == expected
             assert graph.part_texts[4:].tolist() == texts
             assert graph.literal_datatypes.dtype == np.uint8
@@ -902,6 +894,10 @@ DAMAGED_SNAPSHOTS = {
     ),
     "subject out of range": lambda path: rewrite_snapshot(
         path, lambda members: members["subjects"].__setitem__(0, 2)
+    ),
+    # SNAPSHOT_GRAPH has E = 2 entities and L = 2 literals, so object codes stop below E + L = 4.
+    "object code out of range": lambda path: rewrite_snapshot(
+        path, lambda members: members["objects"].__setitem__(0, 4)
     ),
     "literal count": lambda path: rewrite_snapshot(
         path, lambda members: members.update(literal_datatypes=members["literal_datatypes"][:-1])
@@ -1011,10 +1007,13 @@ class TestSnapshot:
         assert len(graph.triples) == 4
         assert_same_store(graph, load_decoded(monkeypatch, triples, entities))
 
-    # The members each older format lacked: format 1 stored no surface pairs, format 2 no part tokens.
+    # The members each older format lacked, and those it held otherwise: format 1 stored no surface
+    # pairs, format 2 no part tokens, and format 3 coded objects by term, each term's entity code (-1
+    # for a literal) in ``term_entities``. SNAPSHOT_GRAPH's terms are E:Q2, L:time:1999, L:plain:a:b, E:Q1.
     OLDER_FORMATS = {
-        1: ("surface_keys", "surface_entities", "part_vocabulary", "part_offsets", "part_tokens"),
-        2: ("part_vocabulary", "part_offsets", "part_tokens"),
+        1: (("surface_keys", "surface_entities", "part_vocabulary", "part_offsets", "part_tokens"), {}),
+        2: (("part_vocabulary", "part_offsets", "part_tokens"), {}),
+        3: ((), {"term_entities": [1, -1, -1, 0], "objects": [0, 1, 2, 3]}),
     }
 
     @pytest.mark.parametrize("version", OLDER_FORMATS)
@@ -1022,14 +1021,19 @@ class TestSnapshot:
         paths = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
         parsed = load_graph(*paths)
         path = snapshot_path(paths[0])
+        sources = (*paths, tmp_path / "relations.tsv")
         # What the older format stored: fewer members, under that format's key.
         with monkeypatch.context() as patch:
             patch.setattr(kg, "_SNAPSHOT_FORMAT", f"kgprompt graph snapshot {version}".encode())
-            old_key = kg._source_key([source.read_bytes() for source in (*paths, tmp_path / "relations.tsv")])
+            old_key = kg._source_key([source.read_bytes() for source in sources])
+
+        lacked, held = self.OLDER_FORMATS[version]
 
         def older_format(members):
-            for name in self.OLDER_FORMATS[version]:
+            for name in lacked:
                 del members[name]
+            for name, codes in held.items():
+                members[name] = np.array(codes, dtype=np.int32)
             members["key"] = np.frombuffer(old_key, dtype=np.uint8)
 
         rewrite_snapshot(path, older_format)
@@ -1039,8 +1043,10 @@ class TestSnapshot:
         assert not [record for record in caplog.records if record.levelname == "WARNING"]
         assert "holds other sources" in caplog.text
         with np.load(path, allow_pickle=False) as snapshot:
-            assert set(self.OLDER_FORMATS[version]) <= set(snapshot.files)
+            assert set(lacked) <= set(snapshot.files) and "term_entities" not in snapshot.files
             assert snapshot["key"].tobytes() != old_key
+            assert snapshot["key"].tobytes() == kg._source_key([source.read_bytes() for source in sources])
+            assert snapshot["objects"].tolist() == [1, 2, 3, 0]  # format 4: literal n is E + n
             assert snapshot["surface_entities"].tolist() == [0, 0, 0]
             # Alpha | Q2 | knows | P9 | time: 1999 | a:b
             assert snapshot["part_offsets"].tolist() == [0, 1, 2, 3, 4, 6, 8]
@@ -1089,8 +1095,7 @@ class TestSnapshot:
         for graph in graphs:
             assert_graph_matches_oracle(graph, expected)
             # No snapshot to write, so nothing tokenized.
-            assert "surface_pairs" not in graph.__dict__ and "part_tokens" not in graph.__dict__
-            assert "_text_index" not in graph.__dict__ and "part_texts" not in graph.__dict__
+            assert "text_index" not in graph.__dict__ and "part_texts" not in graph.__dict__
         assert sorted(os.listdir(tmp_path)) == SOURCE_FILES
 
     def test_failed_write_leaves_no_file_behind(self, tmp_path, monkeypatch, caplog):
@@ -1157,20 +1162,24 @@ class TestNeighborhoodMatchesOracle:
 
 
 class TestColumnarStore:
-    def test_padded_tokens_are_one_term_and_one_triple(self, tmp_path):
-        triples, entities = write_graph_files(
+    def test_padded_tokens_are_one_term_and_one_triple(self, tmp_path, monkeypatch):
+        paths = write_graph_files(
             tmp_path,
             "Q1\tP1\tE:Q2\nQ1\tP1\t E:Q2 \nQ1\tP2\tE:Q2 \nQ2\tP1\tL:plain:x\nQ2\tP1\tL:plain:x  \n",
             "Q1\tAlpha\nQ2\tBeta\n",
         )
-        graph = load_graph(triples, entities)
-        assert graph.terms.tolist() == [EntityRef("Q2"), Literal("x")]
-        assert graph.term_entities.tolist() == [1, -1]
-        assert graph.triples == [
-            Triple("Q1", "P1", EntityRef("Q2")),
-            Triple("Q1", "P2", EntityRef("Q2")),
-            Triple("Q2", "P1", Literal("x")),
-        ]
+        parsed = load_graph(*paths)
+        decoded = load_decoded(monkeypatch, *paths)
+        built = build_graph(parsed.entities.values(), parsed.relations.values(), parsed.triples)
+        for graph in (parsed, decoded, built):
+            # An entity object holds its entity code, below E = 2; the one literal is coded E + 0.
+            assert graph.objects.dtype == np.int32 and graph.objects.tolist() == [1, 1, 2]
+            assert graph.literal_values.tolist() == ["x"]
+            assert graph.triples == [
+                Triple("Q1", "P1", EntityRef("Q2")),
+                Triple("Q1", "P2", EntityRef("Q2")),
+                Triple("Q2", "P1", Literal("x")),
+            ]
 
     def test_caller_made_ids_are_interned_too(self):
         entities = [Entity("Q1", "Alpha"), Entity("Q2", "Beta")]
@@ -1285,7 +1294,6 @@ class TestNoFullMaterialization:
         assert result["report"]["overall"]["count"] > 0
         [graph] = loaded
         assert "triples" not in graph.__dict__
-        assert "terms" not in graph.__dict__
         # The check can see a view that was built.
         assert ("relation_counts" in graph.__dict__) == (method == "popular_knowledge")
 
@@ -1326,25 +1334,25 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
             self.count_made(patch, made)
             graph = load_decoded(monkeypatch, *paths)
             assert made == Counter()
-            for view in ("terms", "surface_pairs", "surface_index", "part_texts", "part_tokens", "triples"):
+            for view in ("surface_index", "part_texts", "triples"):
                 assert view not in graph.__dict__, view
             # The aliases are kept as the stored texts, the literals as values and datatype codes.
             assert graph.entities.alias_texts == ["A|Al", ""]
             assert graph.literal_values.tolist() == ["1999", "a:b"] and graph.literal_datatypes.tolist() == [1, 0]
             # The hit holds the stored text index, split by nothing yet.
-            assert "_text_index" in graph.__dict__
+            assert "text_index" in graph.__dict__
             # The index is built from the stored surface pairs, not by tokenizing the names again.
             patch.setattr(kg, "normalize_text", lambda text: pytest.fail("tokenized the surfaces on a hit"))
             assert link_entities(graph, "Where is Al?") == {"Q1"}
             assert graph.part_texts.tolist() == ["Alpha", "Q2", "knows", "P9", "time: 1999", "a:b"]
             assert made == Counter()  # linking and part texts read entities and literals by code
-            assert "surface_index" in graph.__dict__ and "terms" not in graph.__dict__
+            assert "surface_index" in graph.__dict__
             # No token text is split before the first hashed ranking, which hashes the stored vocabulary.
-            assert "part_tokens" not in graph.__dict__ and "bucket_tables" not in graph.__dict__
+            assert "bucket_tables" not in graph.__dict__
             patch.setattr(kg, "normalize_tokens", lambda text: pytest.fail("tokenized a part text on a hit"))
             ranked = rank_candidates(Similarity(), "alpha knows", neighborhood(graph, ["Q1"], 1), graph)
             assert ranked.rows.tolist() == [3, 0, 2] and ranked.scores[0] > 0  # (Alpha, knows, Alpha) first
-            assert graph.part_tokens.vocabulary == "\nalpha\nq2\nknows\np9\ntime\n1999\na\nb"
+            assert graph.text_index.part_vocabulary == "\nalpha\nq2\nknows\np9\ntime\n1999\na\nb"
             assert list(graph.bucket_tables) == [Similarity().embedder.dimension]
             assert made == Counter()
             entity = graph.entities["Q1"]
@@ -1370,7 +1378,6 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
         monkeypatch.setattr(pipeline, "load_graph", load_and_keep)
         pipeline.run(dataclasses.replace(config, method=method, output_dir=str(tmp_path)))
         [graph] = loaded
-        assert ("part_tokens" in graph.__dict__) == (method == "kaping")
         assert ("bucket_tables" in graph.__dict__) == (method == "kaping")
 
 

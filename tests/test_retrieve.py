@@ -1,9 +1,10 @@
+import json
 import random
 
 import numpy as np
 import pytest
 
-from oracles import oracle_cosine, oracle_rank, oracle_vector
+from oracles import oracle_cosine, oracle_rank, oracle_sparse_cosine, oracle_sparse_vector, oracle_vector
 
 from kgprompt import kg, retrieve
 from kgprompt.embed import EmbedderConfig
@@ -14,6 +15,7 @@ from kgprompt.kg import (
     Relation,
     Triple,
     build_graph,
+    link_entities,
     load_graph,
     neighborhood,
     relation_frequency,
@@ -382,9 +384,41 @@ class TestScorerEdgeCases:
 
     def test_graph_without_tokens_scores_zero(self):
         graph = build_graph([Entity("Q1", "!!")], [Relation("P1", "--")], [Triple("Q1", "P1", Literal("(, )"))])
-        assert graph.part_tokens.vocabulary == ""
+        assert graph.text_index.part_vocabulary == ""
         ranked = rank_candidates(Similarity(), "amber harbor", graph.triples, graph)
         assert ranked.scores.dtype == np.float64 and ranked.scores.tolist() == [0.0]
+
+
+class TestAnyDimension:
+    # Dimensions whose dense vector could not be allocated, one past every 64-bit hash, and small ones.
+    @pytest.mark.parametrize("dimension", [2**40, 2**62, 2**64 + 5, 7, 1])
+    def test_toy_rankings_match_the_sparse_oracle(self, toy_dir, dimension):
+        graph = load_graph(toy_dir / "triples.tsv", toy_dir / "entities.tsv", toy_dir / "relations.tsv")
+        examples = [json.loads(line) for line in (toy_dir / "dataset.jsonl").read_text(encoding="utf-8").splitlines()]
+        strategy = Similarity(EmbedderConfig(dimension=dimension))
+        sharing = 0
+        for example in examples:
+            question = example["question"]
+            seeds = example.get("question_entities") or link_entities(graph, question)
+            candidates = neighborhood(graph, seeds, 2)
+            texts = [verbalize(triple, graph).text for triple in candidates]
+            question_vector = oracle_sparse_vector(question, dimension)
+            expected = [oracle_sparse_cosine(question_vector, oracle_sparse_vector(text, dimension)) for text in texts]
+            order = sorted(range(len(texts)), key=lambda index: (-expected[index], index))
+            ranked = list(rank_candidates(strategy, question, candidates, graph))
+            assert [scored.verbalized for scored in ranked] == [texts[index] for index in order]
+            assert [scored.score.hex() for scored in ranked] == [expected[index].hex() for index in order]
+            sharing += sum(score > 0 for score in expected)
+        assert len(examples) == 25 and sharing > 25
+
+    def test_question_sharing_no_bucket_or_graph_without_buckets_scores_zero(self):
+        graph = build_graph([Entity("Q1", "amber")], [Relation("P1", "harbor")], [Triple("Q1", "P1", Literal("x"))])
+        for question in ("", "quiet night"):
+            ranked = rank_candidates(Similarity(EmbedderConfig(dimension=2**40)), question, graph.triples, graph)
+            assert ranked.scores.tolist() == [0.0]
+        empty = build_graph([Entity("Q1", "!!")], [Relation("P1", "--")], [Triple("Q1", "P1", Literal("(, )"))])
+        ranked = rank_candidates(Similarity(EmbedderConfig(dimension=2**40)), "amber", empty.triples, empty)
+        assert ranked.scores.tolist() == [0.0]
 
 
 class TestRandomStrategy:
@@ -609,6 +643,17 @@ class TestRankingByCodes:
         assert answer_bearing(ranked, {"L"}) == 2  # a self-loop
         assert answer_bearing(ranked, {"Q1", "Q4"}) == 3
         assert answer_bearing(ranked, {"1999", "missing"}) is None  # a literal value is no entity
+
+    def test_first_literal_is_no_hit_for_the_last_entity(self):
+        # The last entity has code E - 1 and the first literal object code E.
+        entities = [Entity("Q0", "first"), Entity("Q1", "last")]
+        triples = [Triple("Q0", "P1", Literal("x")), Triple("Q0", "P2", EntityRef("Q0"))]
+        graph = build_graph(entities, [], triples)
+        assert graph.objects.tolist() == [2, 0]
+        for strategy in (Popular(), Random(3), Similarity()):
+            ranked = rank_candidates(strategy, "first x", graph.triples, graph)
+            assert answer_bearing(ranked, {"Q1"}) is None
+            assert answer_bearing(ranked, {"Q0"}) == 1
 
     def test_remote_embedder_gets_the_verbalized_texts(self, monkeypatch):
         sent = []
