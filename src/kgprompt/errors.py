@@ -21,14 +21,17 @@ def string_pairs(value, name: str) -> tuple[tuple[str, str], ...]:
 
 
 def http_url(value, name: str) -> str:
-    """``value`` if it is an absolute http or https URL with a host; else a ConfigError naming ``name``."""
-    if isinstance(value, str):
+    """``value`` if it is an absolute http or https URL that HTTP can send; else a ConfigError naming ``name``.
+
+    It has a host, no whitespace or control character, and an ASCII path and query (a host is sent IDNA-encoded).
+    """
+    if isinstance(value, str) and not re.search(r"[\x00-\x20\x7f]", value):
         try:
             parts = urllib.parse.urlsplit(value)
             parts.port  # raises ValueError for a port that is not a number in 0-65535
         except ValueError:  # or for a malformed IPv6 host
             parts = None
-        if parts and parts.scheme in ("http", "https") and parts.hostname:
+        if parts and parts.scheme in ("http", "https") and parts.hostname and (parts.path + parts.query).isascii():
             return value
     raise ConfigError(f"{name} must be an absolute http or https URL, got {value!r}")
 

@@ -5,11 +5,15 @@ File formats
 triples TSV   one triple per line, ``subject_id <TAB> relation_id <TAB> object``
               where object is ``E:<entity_id>`` for an entity reference or
               ``L:<datatype>:<value>`` for a literal (datatype one of
-              plain/time/quantity). ``#``-prefixed lines are comments.
+              plain/time/quantity).
 entities TSV  ``entity_id <TAB> canonical_name <TAB> alias1|alias2|...``
               (aliases optional; an empty name field marks an unnamed entity).
 relations TSV ``relation_id <TAB> relation_name``; optional, picked up as
               ``relations.tsv`` next to the entities file when not given.
+
+One reader, ``_rows``, reads the lines of all three. It skips blanks, ``#``
+comments and a UTF-8 byte-order mark that starts a file (one anywhere else
+is data), and raises every not-UTF-8 and column-count error.
 
 ``Triple``, ``EntityRef``, ``Literal``, ``Entity`` and ``Relation`` are named
 tuples, so building, hashing and comparing them runs in C (and each compares
@@ -36,8 +40,9 @@ Objects are made only when they are read. ``graph.entities`` is an
 ``Entities`` mapping view over the ids, names and ``|``-joined alias texts
 by code, which makes an ``Entity`` (and splits its aliases) for the id
 looked up. ``neighborhood`` returns a ``Neighborhood``, a ``RowView``
-sequence over rows that makes a ``Triple`` (and its ``EntityRef`` or
-``Literal``) only when an element is read.
+sequence over rows that makes a ``Triple`` only when an element is read.
+``triples_at`` makes each object from its code: an ``EntityRef`` below
+``E``, and the literal's ``Literal`` above.
 
 Each part of a triple has one number: entities by code, then relations by
 code, then literals in literal order, so a literal object's part is its
@@ -63,7 +68,7 @@ returns, and every id of an ``Entity`` it makes, is the very string object
 that keys ``graph.entities`` or ``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
-(``snapshot_path``): a pickle-free ``.npz`` (format 4) of the code columns,
+(``snapshot_path``): a pickle-free ``.npz`` (format 5) of the code columns,
 the CSR pair, the ids, names, aliases and literals as UTF-8 text, and the
 text index, stored under the SHA-256 of a format tag and the source files'
 bytes. A load whose files hash to a snapshot's key decodes it instead of
@@ -75,7 +80,9 @@ codes and text index as read, so the first link splits the stored surface
 keys instead of tokenizing every name, and the first hashed ranking reads
 the stored vocabulary instead of tokenizing every part text. A snapshot
 that is missing, stale, of another format, damaged or cannot be written
-costs only a parse.
+costs only a parse. Format 5 has format 4's layout: its tag changed
+because format 4 kept a leading byte-order mark as data, so the same bytes
+now parse to another graph.
 """
 
 from __future__ import annotations
@@ -284,23 +291,18 @@ class KnowledgeGraph:
         )
 
     def triples_at(self, rows) -> list[Triple]:
-        """The triples of ``rows`` (an index array or a slice), in that order."""
-        subjects = self.entity_ids[self.subjects[rows]].tolist()
+        """The triples of ``rows`` (an index array or a slice), in that order, each object made from its code."""
+        ids, values, datatypes = self.entity_ids, self.literal_values, self.literal_datatypes
+        entities = len(ids)
+        objects = [
+            EntityRef(ids[code])
+            if code < entities
+            else Literal(values[code - entities], LITERAL_DATATYPES[datatypes[code - entities]])
+            for code in self.objects[rows].tolist()
+        ]
+        subjects = ids[self.subjects[rows]].tolist()
         relations = self.relation_ids[self.predicates[rows]].tolist()
-        objects = self._terms_at(self.objects[rows]).tolist()
         return list(map(Triple._make, zip(subjects, relations, objects)))
-
-    def _terms_at(self, codes: np.ndarray) -> np.ndarray:
-        """The object term of each object code of the index array ``codes``, made now."""
-        terms = np.empty(len(codes), dtype=object)
-        entities = len(self.entity_ids)
-        on_entity = codes < entities
-        terms[on_entity] = _objects(list(map(EntityRef._make, zip(self.entity_ids[codes[on_entity]].tolist()))))
-        literals = codes[~on_entity] - entities
-        values = self.literal_values[literals].tolist()
-        datatypes = map(LITERAL_DATATYPES.__getitem__, self.literal_datatypes[literals].tolist())
-        terms[~on_entity] = _objects(list(map(Literal._make, zip(values, datatypes))))
-        return terms
 
     def rows(self, triples: Sequence[Triple]) -> np.ndarray:
         """The row of each of ``triples`` in turn; KeyError for one not in the graph.
@@ -329,7 +331,7 @@ class KnowledgeGraph:
         texts = [entity_id if name is None else name for entity_id, name in zip(view.ids, view.names)]
         texts += [relation.name for relation in self.relations.values()]
         texts += (_LITERAL_PREFIXES[self.literal_datatypes] + self.literal_values).tolist()
-        return _objects(texts)
+        return np.array(texts, dtype=object)
 
     def row_parts(self, rows: np.ndarray) -> np.ndarray:
         """The part numbers of ``rows``' subjects, then of their relations, then of their objects."""
@@ -456,11 +458,6 @@ class Neighborhood(RowView):
 
     def _read(self, index: slice) -> list[Triple]:
         return self.graph.triples_at(self.rows[index])
-
-
-def _objects(items: list) -> np.ndarray:
-    """An object array holding ``items`` themselves (tuples are not unpacked)."""
-    return np.fromiter(items, dtype=object, count=len(items))
 
 
 class _Codes(dict):
@@ -594,10 +591,10 @@ def _graph(
             relation_id: Relation(relation_id, relation_id if name == relation_id else name)
             for relation_id, name in zip(relation_ids, relation_names)
         },
-        entity_ids=_objects(ids),
-        relation_ids=_objects(relation_ids),
+        entity_ids=np.array(ids, dtype=object),
+        relation_ids=np.array(relation_ids, dtype=object),
         entity_codes=codes,
-        literal_values=_objects(literal_values),
+        literal_values=np.array(literal_values, dtype=object),
         literal_datatypes=literal_datatypes,
         **dict(zip(_COLUMNS, columns)),
     )
@@ -636,22 +633,27 @@ def build_graph(
     return coder.assemble()
 
 
-def _data_lines(path: Path, data: bytes):
-    """Yield (line_number, line) for each data line of ``path``'s bytes ``data``.
+def _rows(path: Path, data: bytes, widths: tuple[int, ...]):
+    """Yield (line_number, columns) for each data line of ``path``'s bytes ``data``.
 
-    Blanks and # comments are skipped. ``line`` is the raw line, line ending
-    included: the callers strip every column they keep, and the ending never
-    changes a line's column count. Lines end as text mode reads them. Bytes
-    that are not valid UTF-8 raise GraphLoadError naming their line.
+    Blanks, # comments and a UTF-8 byte-order mark that starts the file are
+    skipped. ``columns`` are the line's tab-separated fields, the last with
+    the line ending: the callers strip every column they keep. Lines end as
+    text mode reads them. Bytes that are not valid UTF-8, or a column count
+    not in ``widths``, raise GraphLoadError naming their line.
     """
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape") as handle:
-        for number, raw in enumerate(handle, 1):
-            if not raw.isascii():  # an ASCII line, as most are, holds no surrogate
-                check_utf8(raw, path, number, GraphLoadError)
-            stripped = raw.strip()
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.isascii():  # an ASCII line, as most are, holds no surrogate
+                check_utf8(line, path, number, GraphLoadError)
+            stripped = line.strip()
             if not stripped or stripped[0] == "#":
                 continue
-            yield number, raw
+            columns = line.split("\t")
+            if len(columns) not in widths:
+                expected = " or ".join(map(str, widths))
+                raise GraphLoadError(f"{path}:{number}: expected {expected} tab-separated columns, got {len(columns)}")
+            yield number, columns
 
 
 def _parse_object(token: str, path: Path, line_number: int) -> ObjectTerm:
@@ -682,12 +684,7 @@ def _parse_object(token: str, path: Path, line_number: int) -> ObjectTerm:
 
 def _load_entities(path: Path, data: bytes) -> list[Entity]:
     entities = []
-    for number, line in _data_lines(path, data):
-        columns = line.split("\t")
-        if len(columns) not in (2, 3):
-            raise GraphLoadError(
-                f"{path}:{number}: expected 2 or 3 tab-separated columns, got {len(columns)}"
-            )
+    for number, columns in _rows(path, data, (2, 3)):
         entity_id = columns[0].strip()
         if not entity_id:
             raise GraphLoadError(f"{path}:{number}: empty entity id")
@@ -704,12 +701,7 @@ def _load_entities(path: Path, data: bytes) -> list[Entity]:
 
 def _load_relations(path: Path, data: bytes) -> list[Relation]:
     relations = []
-    for number, line in _data_lines(path, data):
-        columns = line.split("\t")
-        if len(columns) != 2:
-            raise GraphLoadError(
-                f"{path}:{number}: expected 2 tab-separated columns, got {len(columns)}"
-            )
+    for number, columns in _rows(path, data, (2,)):
         relation_id, name = columns[0].strip(), columns[1].strip()
         if not relation_id or not name:
             raise GraphLoadError(f"{path}:{number}: empty relation id or name")
@@ -726,15 +718,8 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
     # Raw object token -> its object code, so each distinct token is parsed
     # once; its first occurrence is the line errors name.
     token_codes: dict[str, int] = {}
-    for number, line in _data_lines(path, data):
-        columns = line.split("\t")
-        if len(columns) != 3:
-            raise GraphLoadError(
-                f"{path}:{number}: expected 3 tab-separated columns, got {len(columns)}"
-            )
-        subject, relation, object_token = columns
-        subject = subject.strip()
-        relation = relation.strip()
+    for number, (subject, relation, object_token) in _rows(path, data, (3,)):
+        subject, relation = subject.strip(), relation.strip()
         if not subject or not relation:
             raise GraphLoadError(f"{path}:{number}: empty subject or relation id")
         code = token_codes.get(object_token)
@@ -745,9 +730,11 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
         add_object(code)
 
 
-# The snapshot's format tag, hashed into its key: a change to the layout
-# below changes the tag, so an older file is never read as a newer one.
-_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 4"
+# The snapshot's format tag, hashed into its key. It changes when the layout
+# below changes, or when the same source bytes parse to a different graph
+# (format 5 reads past a leading byte-order mark), so a file that an older
+# version wrote is never read as this version's.
+_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 5"
 # Every member of a snapshot and its dtype. Strings are stored as UTF-8,
 # each preceded by a newline, which no TSV field holds; an entity's aliases
 # are joined by "|", which no alias holds, and an unnamed entity's name is

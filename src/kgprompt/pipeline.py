@@ -165,10 +165,13 @@ def config_from_dict(data: dict, base_dir: str | Path | None = None) -> RunConfi
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """The RunConfig of a JSON config file; ConfigError naming ``path:line`` for text that is not Unicode."""
+    """The RunConfig of a JSON config file; ConfigError naming ``path:line`` for text that is not Unicode.
+
+    A UTF-8 byte-order mark that starts the file is not data.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8", errors="surrogateescape")
+        text = path.read_text(encoding="utf-8-sig", errors="surrogateescape")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     check_json_text(text, path)
@@ -475,9 +478,10 @@ def _numbered_records(path: str | Path, parse=None):
 
     The record is the line's JSON object, mapped by ``parse`` when given. A
     line that is not an object or not Unicode text, or a ConfigError from
-    ``parse``, names its ``path:line``.
+    ``parse``, names its ``path:line``. A UTF-8 byte-order mark that starts
+    the file is not data.
     """
-    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as handle:
+    with Path(path).open("r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for number, line in enumerate(handle, 1):
             if not line.strip():
                 continue

@@ -8,6 +8,7 @@ per-example record, is an ``error:`` exit rather than a traceback.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import importlib
 import json
@@ -216,7 +217,18 @@ class TestEndpoints:
     @pytest.mark.parametrize("section", ["embedder", "provider"])
     @pytest.mark.parametrize(
         "endpoint",
-        ["localhost:9/complete", "ftp://x/complete", "file:///etc/hosts", "http:///complete", "http://x:port/complete"],
+        [
+            "localhost:9/complete",
+            "ftp://x/complete",
+            "file:///etc/hosts",
+            "http:///complete",
+            "http://x:port/complete",
+            # HTTP cannot send these: each request would fail, and be retried, as a transport error.
+            "http://127.0.0.1:9/em bed",
+            "http://127.0.0.1:9/complete\n",
+            "http://127.0.0.1:9/café",
+            "http://127.0.0.1:9/complete?q=é",
+        ],
     )
     def test_run_exits_1_before_loading_the_graph(self, section, endpoint, toy_dir, tmp_path, monkeypatch, capsys):
         loads = []
@@ -226,6 +238,14 @@ class TestEndpoints:
         fragment = f"{section} field 'endpoint' must be an absolute http or https URL, got {endpoint!r}"
         assert_error_exit(capsys, argv, fragment)
         assert loads == []
+
+    @pytest.mark.parametrize("section", ["embedder", "provider"])
+    def test_non_ascii_host_is_taken(self, section, toy_dir, monkeypatch, capsys):
+        # HTTP sends a non-ASCII host IDNA-encoded.
+        endpoint = "http://café.example/x"
+        flags = [f"--{section}-kind", "remote", f"--{section}-endpoint", endpoint]
+        config = parsed_config(monkeypatch, capsys, "run", str(toy_dir / "config.json"), *flags)
+        assert getattr(config, section).endpoint == endpoint
 
 
 class TestIgnoredCustomInstruction:
@@ -355,6 +375,28 @@ def spoil(path: Path, marker: str, raw: bytes) -> int:
 
 # Where to spoil each input: in its last TSV field, or inside the last JSON string.
 SPOILED = {name: ("\t", b"\t\xe9") if name.endswith(".tsv") else ('"', b'\xe9"') for name in TOY_FILES}
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark that starts an input file is not data; anywhere else it is."""
+
+    def test_run_on_marked_inputs_writes_the_same_files(self, toy_dir, tmp_path, capsys):
+        config = toy_copy(toy_dir, tmp_path)
+        assert cli.main(["run", "--config", config, "--out", str(tmp_path / "plain")]) == 0
+        for name in TOY_FILES:
+            path = tmp_path / name
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert cli.main(["run", "--config", config, "--out", str(tmp_path / "marked")]) == 0
+        capsys.readouterr()
+        for name in ("predictions.jsonl", "report.json"):
+            assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+    def test_mark_after_the_first_is_data(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(codecs.BOM_UTF8 * 2 + b"{}\n")
+        with pytest.raises(ConfigError) as excinfo:
+            pipeline.read_records(path)
+        assert str(excinfo.value).startswith(f"{path}:1: invalid JSON")
 
 
 class TestTextThatIsNotUnicode:

@@ -1,3 +1,4 @@
+import codecs
 import dataclasses
 import os
 import random
@@ -79,6 +80,24 @@ class TestLoadGraph:
         with pytest.raises(GraphLoadError) as excinfo:
             load_graph(triples, entities)
         assert "triples.tsv:2" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "name, line, message",
+        [
+            ("triples.tsv", "Q1\tP1\n", "expected 3 tab-separated columns, got 2"),
+            ("triples.tsv", "Q1\tP1\tE:Q2\tx\n", "expected 3 tab-separated columns, got 4"),
+            ("entities.tsv", "Q3\n", "expected 2 or 3 tab-separated columns, got 1"),
+            ("entities.tsv", "Q3\tGamma\tG\tx\n", "expected 2 or 3 tab-separated columns, got 4"),
+            ("relations.tsv", "P2\n", "expected 2 tab-separated columns, got 1"),
+            ("relations.tsv", "P2\tsees\tx\n", "expected 2 tab-separated columns, got 3"),
+        ],
+    )
+    def test_column_count_message_names_file_line_and_counts(self, tmp_path, name, line, message):
+        texts = {"triples.tsv": "Q1\tP1\tE:Q2\n", "entities.tsv": "Q1\tAlpha\nQ2\tBeta\n", "relations.tsv": "P1\tk\n"}
+        texts[name] = f"# comment\n\n{texts[name]}{line}"
+        write_graph_files(tmp_path, texts["triples.tsv"], texts["entities.tsv"], texts["relations.tsv"])
+        number = texts[name].count("\n")
+        assert load_failure(tmp_path / "triples.tsv", tmp_path / "entities.tsv") == f"{tmp_path / name}:{number}: {message}"
 
     def test_bad_object_prefix_rejected(self, tmp_path):
         triples, entities = write_graph_files(tmp_path, "Q1\tP1\tQ2\n", "Q1\tAlpha\nQ2\tBeta\n")
@@ -1010,10 +1029,12 @@ class TestSnapshot:
     # The members each older format lacked, and those it held otherwise: format 1 stored no surface
     # pairs, format 2 no part tokens, and format 3 coded objects by term, each term's entity code (-1
     # for a literal) in ``term_entities``. SNAPSHOT_GRAPH's terms are E:Q2, L:time:1999, L:plain:a:b, E:Q1.
+    # Format 4 stored what format 5 stores, but kept a leading byte-order mark as data.
     OLDER_FORMATS = {
         1: (("surface_keys", "surface_entities", "part_vocabulary", "part_offsets", "part_tokens"), {}),
         2: (("part_vocabulary", "part_offsets", "part_tokens"), {}),
         3: ((), {"term_entities": [1, -1, -1, 0], "objects": [0, 1, 2, 3]}),
+        4: ((), {}),
     }
 
     @pytest.mark.parametrize("version", OLDER_FORMATS)
@@ -1127,6 +1148,85 @@ class TestSnapshot:
             load_graph(triples, entities)
         assert snapshot_files(tmp_path) == before
         assert len(before) == stale
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("name", SOURCE_FILES)
+    def test_leading_mark_is_not_data(self, tmp_path, monkeypatch, name):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        for directory in (plain, marked):
+            directory.mkdir()
+            write_graph_files(directory, *SNAPSHOT_GRAPH)
+        path = marked / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        expected = load_graph(plain / "triples.tsv", plain / "entities.tsv")
+        assert_same_store(expected, load_graph(marked / "triples.tsv", marked / "entities.tsv"))
+        assert_same_store(expected, load_decoded(monkeypatch, marked / "triples.tsv", marked / "entities.tsv"))
+
+    def test_mark_anywhere_else_is_data(self, tmp_path):
+        mark = "\ufeff"
+        triples, entities = write_graph_files(
+            tmp_path,
+            f"{mark}Q1\tP1\tL:plain:{mark}x\n{mark}Q2\tP1\tE:Q1\n",
+            f"{mark}{mark}Q2\tBeta\nQ1\t{mark}Alpha\n",
+        )
+        graph = load_graph(triples, entities)
+        assert list(graph.entities) == [f"{mark}Q2", "Q1"]
+        assert graph.entities["Q1"].name == f"{mark}Alpha"
+        assert graph.triples == [
+            Triple("Q1", "P1", Literal(f"{mark}x")),
+            Triple(f"{mark}Q2", "P1", EntityRef("Q1")),
+        ]
+
+
+def oracle_triple(plain: tuple) -> Triple:
+    """An ``oracle_load`` triple as a ``Triple``."""
+    subject, relation, obj = plain
+    return Triple(subject, relation, EntityRef(obj[1]) if obj[0] == "E" else Literal(obj[2], obj[1]))
+
+
+def oracle_graph(expected) -> KnowledgeGraph:
+    """The graph ``build_graph`` makes of ``oracle_load``'s parts, every relation declared."""
+    triples, _adjacency, entities, relations = expected
+    return build_graph(
+        [Entity(entity_id, name, aliases) for entity_id, (name, aliases) in entities.items()],
+        [Relation(*item) for item in relations.items()],
+        map(oracle_triple, triples),
+    )
+
+
+class TestTriplesAt:
+    def test_rows_read_as_the_oracle_reads_them(self, tmp_path, monkeypatch):
+        rng = random.Random(20261026)
+        entity_rows = literal_rows = 0
+        for _ in range(12):
+            paths = random_graph_files(rng, tmp_path, lines=rng.choice([0, 1, 60, 200]))
+            expected = oracle_load(*paths)
+            triples = list(map(oracle_triple, expected[0]))
+            count = len(triples)
+            on_entity = [row for row, triple in enumerate(triples) if isinstance(triple.object, EntityRef)]
+            on_literal = [row for row, triple in enumerate(triples) if isinstance(triple.object, Literal)]
+            entity_rows += len(on_entity)
+            literal_rows += len(on_literal)
+            index_arrays = [
+                rng.sample(range(count), count),
+                rng.sample(range(count), rng.randint(0, count)),
+                rng.choices(range(count), k=rng.randint(0, 40)) if count else [],  # rows repeated
+                [],
+                rng.sample(on_entity, len(on_entity)),
+                rng.sample(on_literal, len(on_literal)),
+            ]
+            start, stop = sorted(rng.choices(range(count + 1), k=2))
+            slices = [slice(None), slice(start, stop), slice(stop, start), slice(None, None, 3), slice(None, None, -1)]
+            snapshot_path(paths[0]).unlink(missing_ok=True)
+            parsed = load_graph(*paths)
+            decoded = load_decoded(monkeypatch, *paths)
+            for graph in (parsed, decoded, oracle_graph(expected)):
+                for rows in [np.array(rows, dtype=np.int64) for rows in index_arrays] + slices:
+                    read = graph.triples_at(rows)
+                    assert type(read) is list
+                    assert typed(read) == typed([triples[row] for row in np.arange(count)[rows].tolist()])
+        assert min(entity_rows, literal_rows) > 100
 
 
 class TestNeighborhoodMatchesOracle:
