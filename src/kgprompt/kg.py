@@ -23,10 +23,12 @@ equal to the plain tuple of its fields); tell object kinds apart with
 Storage
 -------
 A graph keeps its triples as integer-coded columns, not as ``Triple``
-objects. Every entity id and relation id has a code: its position in
-``entity_ids`` or ``relation_ids``, which list the keys of
-``graph.entities`` and ``graph.relations`` (declared ones in file order,
-then undeclared relations in order of first use). Distinct literals,
+objects. Only this module reads the ``subjects`` and ``objects`` codes.
+Every entity id and relation id has a code: its position in
+``entity_ids`` (also ``entities.ids``) or ``relation_ids``, which list the
+keys of ``graph.entities`` and ``graph.relations`` (declared ones in file
+order, then undeclared relations in order of first use);
+``entities.codes`` maps an entity id to its code. Distinct literals,
 compared by value, are numbered in first-seen order: literal ``n``'s value
 is ``literal_values[n]`` and its datatype
 ``LITERAL_DATATYPES[literal_datatypes[n]]``. A triple's object has one
@@ -48,7 +50,7 @@ Each part of a triple has one number: entities by code, then relations by
 code, then literals in literal order, so a literal object's part is its
 object code plus the relation count. ``part_texts`` holds each part's text,
 as ``verbalize`` renders it, and ``row_parts`` gives the parts of rows, so
-remote ranking reads a row's texts without any ``Triple`` or ``Entity``.
+``row_texts`` gives rows' texts without any ``Triple`` or ``Entity``.
 One text index per graph, ``text_index``, holds the surface pairs (a
 normalized key and entity code per name or alias, from which
 ``surface_index`` and so linking are built) and the part tokens (each
@@ -156,6 +158,11 @@ class Triple(NamedTuple):
         return obj.entity_id if isinstance(obj, EntityRef) else None
 
 
+def joined(subject: str, relation: str, object_text: str) -> str:
+    """The text of a triple from its three part texts."""
+    return f"({subject}, {relation}, {object_text})"
+
+
 def literal_text(literal: Literal) -> str:
     """A literal's object text: the value, after ``time: `` or ``quantity: ``."""
     if literal.datatype == "plain":
@@ -208,17 +215,18 @@ class SurfaceIndex:
 class Entities(Mapping):
     """A graph's entities: each id mapped to its ``Entity``, made only when read.
 
-    ``ids``, ``names`` and ``alias_texts`` hold the parts by entity code,
-    and ``codes`` maps an id to its code. An alias text is the entity's
-    aliases joined by ``|`` (empty for none), as the snapshot stores it; it
-    is split into the ``Entity``'s tuple only when that entity is read.
-    Iteration is in code order. Like a dict, the view equals any mapping
-    with equal items, and its repr is the dict's.
+    ``ids`` (the graph's ``entity_ids``), ``names`` and ``alias_texts`` hold
+    the parts by entity code, and ``codes``, the graph's one id-to-code map,
+    gives an id's code. An alias text is the entity's aliases joined by ``|``
+    (empty for none), as the snapshot stores it; it is split into the
+    ``Entity``'s tuple only when that entity is read. Iteration is in code
+    order. Like a dict, the view equals any mapping with equal items, and its
+    repr is the dict's.
     """
 
     __slots__ = ("codes", "ids", "names", "alias_texts")
 
-    def __init__(self, codes: dict[EntityId, int], ids: list, names: list, alias_texts: list):
+    def __init__(self, codes: dict[EntityId, int], ids: np.ndarray, names: list, alias_texts: list):
         self.codes = codes
         self.ids = ids
         self.names = names
@@ -246,7 +254,7 @@ class KnowledgeGraph:
     """Immutable-after-build columnar triple store with a CSR incidence index.
 
     Row order is ingestion order, which is the tie-break and output order
-    everywhere else in the pipeline. ``entity_codes`` maps an entity id to
+    everywhere else in the pipeline. ``entities.codes`` maps an entity id to
     its code. Entity ``c``'s incident rows, whether it is their subject or
     their entity-valued object, are ``incident[offsets[c]:offsets[c + 1]]``;
     a self-loop is listed once. Build graphs with ``build_graph`` or
@@ -272,7 +280,6 @@ class KnowledgeGraph:
     relations: dict[RelationId, Relation]
     entity_ids: np.ndarray
     relation_ids: np.ndarray
-    entity_codes: dict[EntityId, int]
     literal_values: np.ndarray
     literal_datatypes: np.ndarray
     subjects: np.ndarray
@@ -340,6 +347,19 @@ class KnowledgeGraph:
         # A literal's part follows the relation parts: its object code plus the relation count.
         objects = np.where(objects < entities, objects, objects + len(self.relation_ids))
         return np.concatenate((self.subjects[rows], entities + self.predicates[rows], objects))
+
+    def row_texts(self, rows: np.ndarray) -> list[str]:
+        """Each row's text, its three ``part_texts`` ``joined``: ``verbalize``'s text, with no ``Triple`` made."""
+        return list(map(joined, *self.part_texts[self.row_parts(rows)].reshape(3, -1).tolist()))
+
+    def touching(self, rows: np.ndarray, entity_ids: Iterable[EntityId]) -> np.ndarray:
+        """A bool per row of ``rows``: whether its subject or entity object is one of ``entity_ids``, found by code."""
+        subjects, objects = self.subjects[rows], self.objects[rows]
+        hits = np.zeros(len(subjects), dtype=bool)
+        # A literal's object code is at least the entity count, which no entity's code reaches.
+        for code in [self.entities.codes[entity_id] for entity_id in entity_ids if entity_id in self.entities.codes]:
+            hits |= (subjects == code) | (objects == code)
+        return hits
 
     def row_tokens(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The codes of the tokens of ``rows``' part texts, and the position in ``rows`` of each.
@@ -584,16 +604,15 @@ def _graph(
     ``relation_ids``, a relation named by its own id included. No
     ``Entity``, ``EntityRef``, ``Literal`` or alias tuple is made here.
     """
-    codes = dict(zip(ids, range(len(ids))))
+    entity_ids = np.array(ids, dtype=object)
     return KnowledgeGraph(
-        entities=Entities(codes, ids, names, alias_texts),
+        entities=Entities(dict(zip(ids, range(len(ids)))), entity_ids, names, alias_texts),
         relations={
             relation_id: Relation(relation_id, relation_id if name == relation_id else name)
             for relation_id, name in zip(relation_ids, relation_names)
         },
-        entity_ids=np.array(ids, dtype=object),
+        entity_ids=entity_ids,
         relation_ids=np.array(relation_ids, dtype=object),
-        entity_codes=codes,
         literal_values=np.array(literal_values, dtype=object),
         literal_datatypes=literal_datatypes,
         **dict(zip(_COLUMNS, columns)),
@@ -928,7 +947,7 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     _within(index.part_tokens, 0, index.part_vocabulary.count("\n"), "part token codes")
 
     graph = _graph(ids, names, aliases, relation_ids, relation_names, values, datatypes, columns)
-    _require(len(graph.entity_codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")
+    _require(len(graph.entities.codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")
     graph.text_index = index
     return graph
 
@@ -1005,7 +1024,7 @@ def neighborhood(
         raise ValueError(f"hops must be 1 or 2, got {hops}")
     codes = []
     for seed in sorted(set(seeds)):
-        code = graph.entity_codes.get(seed)
+        code = graph.entities.codes.get(seed)
         if code is None:
             logger.warning("seed entity %s not in graph; skipping", seed)
         else:

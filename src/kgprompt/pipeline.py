@@ -187,6 +187,8 @@ def _example(record: dict) -> QaExample:
     for required in ("id", "question", "answer_entities"):
         if required not in record:
             raise ConfigError(f"missing field {required!r}")
+    if type(record["id"]) not in (str, int):  # not isinstance: a bool is no id
+        raise ConfigError("field 'id' must be a string or an integer")
     if not isinstance(record["question"], str):
         raise ConfigError("field 'question' must be a string")
     question_entities = record.get("question_entities")
@@ -213,8 +215,8 @@ def load_dataset(path: str | Path) -> list[QaExample]:
     """Read QA examples from JSONL, one object per line.
 
     ``question`` must be a string, ``answer_entities`` and a non-null
-    ``question_entities`` lists of entity id strings, and ``category`` a
-    string or null; ids, taken as strings, must be unique. Anything else
+    ``question_entities`` lists of entity id strings, ``category`` a string
+    or null, and ids strings or integers, unique as strings. Anything else
     raises ConfigError naming ``path:line`` and the field.
     """
     path = Path(path)

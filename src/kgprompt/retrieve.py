@@ -9,7 +9,7 @@ are verbalized (a prompt reads the ones it keeps, and at most one slice
 more, of the top k). The hashed embedder scores a whole neighborhood at
 once in numpy, from the part token codes of ``graph.text_index`` and a
 bucket table kept on the graph per dimension, with the exact scores of the
-joined texts.
+joined texts. Row texts, tokens and answer hits come from the graph's methods.
 """
 
 from __future__ import annotations
@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .embed import EmbedderConfig, embed_batch, fnv1a_64_lines, hashed_bow_sparse
 from .kg import EntityId, KnowledgeGraph, RowView, Triple, relation_frequency
-from .verbalize import joined, verbalize
+from .verbalize import verbalize
 
 
 class ScoredTriple(NamedTuple):
@@ -53,9 +53,6 @@ class Popular:
 
 
 RetrievalStrategy = Union[Similarity, Random, Popular]
-
-
-Parts = tuple[str, str, str]
 
 
 def _bucket_table(graph: KnowledgeGraph, dimension: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,17 +114,13 @@ def _hashed_scores(graph: KnowledgeGraph, rows: np.ndarray, question: str, dimen
     return scores
 
 
-def _similarity_scores(config: EmbedderConfig, question: str, parts: Iterable[Parts]) -> list[float]:
-    """The cosine of the embedded question and each candidate, given as its part texts.
-
-    ``parts`` holds each candidate's (subject, relation, object) texts; the
-    joined texts are embedded with the question in one ``embed_batch``.
-    """
+def _similarity_scores(config: EmbedderConfig, question: str, texts: Sequence[str]) -> list[float]:
+    """The cosine of the embedded question and each candidate's text, all embedded in one ``embed_batch``."""
     # Vectors are unit-norm or all-zero, so the dot product is the cosine
     # and a zero vector on either side yields 0. fsum gives the exactly
     # rounded sum of the products, so the score does not depend on
     # accumulation order, and it never returns -0.0.
-    dense = embed_batch(config, [question] + [joined(*candidate) for candidate in parts])
+    dense = embed_batch(config, [question, *texts])
     question_vector = dense[0].tolist()
     return [math.fsum(map(operator.mul, question_vector, vector.tolist())) for vector in dense[1:]]
 
@@ -166,23 +159,21 @@ def rank_candidates(
     whose rows are read as they are (see ``KnowledgeGraph.rows``). Returns
     the full ranking with 1-based ranks and non-increasing scores, as a
     ``Ranking`` that verbalizes a candidate only when it is read. Scoring
-    reads each candidate's parts by their numbers, ``graph.row_parts``, and
-    builds no ``Triple`` or verbalized text. The hashed embedder scores all
+    builds no ``Triple``. The hashed embedder scores all
     candidates at once in numpy from the parts' tokens in
     ``graph.text_index`` (see ``_hashed_scores``), at any dimension: each
     score is the cosine of the ``hashed_bow_sparse`` vectors of the question
     and ``.verbalized``, bit for bit, and no dense vector is made. A graph not
     decoded from a snapshot tokenizes all of its part texts at its first
-    hashed ranking. A remote embedder embeds the joined texts of
-    the parts' ``graph.part_texts`` in one batch; ``Popular`` scores each
-    relation code by its count in the whole graph.
+    hashed ranking. A remote embedder embeds the rows' texts,
+    ``graph.row_texts``, in one batch; ``Popular`` scores each relation code
+    by its count in the whole graph.
     """
     rows = graph.rows(candidates)
     if isinstance(strategy, Similarity) and strategy.embedder.kind == "hashed_bow":
         scores = _hashed_scores(graph, rows, question, strategy.embedder.dimension)
     elif isinstance(strategy, Similarity):
-        parts = zip(*graph.part_texts[graph.row_parts(rows)].reshape(3, -1).tolist())
-        scores = np.array(_similarity_scores(strategy.embedder, question, parts), dtype=np.float64)
+        scores = np.array(_similarity_scores(strategy.embedder, question, graph.row_texts(rows)), dtype=np.float64)
     elif isinstance(strategy, Random):
         rng = np.random.default_rng(strategy.seed & 0xFFFFFFFFFFFFFFFF)
         scores = rng.random(len(rows))
@@ -216,17 +207,7 @@ def top_k(ranked: Sequence[ScoredTriple], k: int) -> Sequence[ScoredTriple]:
 def answer_bearing(ranked: Ranking, answers: set[EntityId]) -> int | None:
     """Rank of the first row whose subject or entity object is an answer.
 
-    It is found from entity codes, without text or ``Triple``s.
+    It is the first hit of ``graph.touching``, found without text or ``Triple``s.
     """
-    graph = ranked.graph
-    subjects = graph.subjects[ranked.rows]
-    # A literal's object code is at least the entity count, which no answer's code reaches.
-    objects = graph.objects[ranked.rows]
-    hits = np.zeros(len(ranked.rows), dtype=bool)
-    for answer in answers:
-        code = graph.entity_codes.get(answer)
-        if code is not None:
-            hits |= subjects == code
-            hits |= objects == code
-    first = np.flatnonzero(hits)
+    first = np.flatnonzero(ranked.graph.touching(ranked.rows, answers))
     return int(first[0]) + 1 if first.size else None

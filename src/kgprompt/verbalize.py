@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from typing import NamedTuple
 
-from .kg import EntityRef, KnowledgeGraph, Triple, literal_text
+from .kg import EntityRef, KnowledgeGraph, Triple, joined, literal_text
 
 logger = logging.getLogger(__name__)
 
@@ -19,14 +19,9 @@ class VerbalizedTriple(NamedTuple):
     object: str
 
 
-def joined(subject: str, relation: str, object_text: str) -> str:
-    """The text of a triple from its three part texts."""
-    return f"({subject}, {relation}, {object_text})"
-
-
 def _entity_text(graph: KnowledgeGraph, entity_id: str) -> str:
     # Read by code, as ``part_texts`` reads it, so no ``Entity`` is made.
-    code = graph.entity_codes[entity_id]
+    code = graph.entities.codes[entity_id]
     name = graph.entities.names[code]
     if name is None:
         logger.warning("entity %s has no name; rendering raw id", entity_id)
@@ -37,7 +32,8 @@ def _entity_text(graph: KnowledgeGraph, entity_id: str) -> str:
 def verbalize(triple: Triple, graph: KnowledgeGraph) -> VerbalizedTriple:
     """Render a triple as ``(<subject>, <relation>, <object>)``.
 
-    The part texts are those of ``graph.part_texts``: entity references
+    ``text`` is what ``graph.row_texts`` gives the triple's row: ``kg.joined``
+    of the part texts of ``graph.part_texts``. Entity references
     render their canonical name, read by entity code (raw id when unnamed,
     with a warning), relations their name, and literals their
     ``kg.literal_text``: plain literals render their value as-is, time and

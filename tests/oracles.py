@@ -111,10 +111,10 @@ def _oracle_rows(path):
     """(line number, columns) of every data line: no blanks, no # comments.
 
     Line breaks are the universal-newline set (\\n, \\r\\n, \\r), as text
-    mode reads them.
+    mode reads them. A UTF-8 byte-order mark that starts the file is not data.
     """
     with open(path, "rb") as handle:
-        text = handle.read().decode("utf-8")
+        text = handle.read().decode("utf-8-sig")
     rows = []
     for number, line in enumerate(re.split(r"\r\n|\r|\n", text), 1):
         if line.strip() and not line.lstrip().startswith("#"):

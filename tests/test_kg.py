@@ -509,7 +509,7 @@ class TestDerivedViewSafety:
         assert sum(expected.values()) == len(graph.triples)
 
 
-LITERAL_VALUES = ["2010", "12:30:00", "a:b:c", "x y", "Q1", "+1976-03-17T00:00:00Z"]
+LITERAL_VALUES = ["2010", "12:30:00", "a:b:c", "x y", "Q1", "+1976-03-17T00:00:00Z", "x, y: z"]
 BAD_OBJECTS = ["X:Q1", "Q1", "E:", "L:plain", "L:plain:", "L:date:x", "L::x"]
 
 
@@ -521,15 +521,16 @@ def random_graph_files(rng: random.Random, tmp_path, lines: int = 200):
     """Random TSV graph files with the quirks the loader must absorb.
 
     Duplicate and re-padded lines, comments and blank lines, CRLF endings,
-    literals whose value holds ':', self-loops, relations that are never
-    declared, and unnamed entities. Returns the three paths; the relations
-    path is None when no relations file was written.
+    leading byte-order marks, literals whose value holds ':' or ', ',
+    self-loops, relations that are never declared, and unnamed entities.
+    Returns the three paths; the relations path is None when no relations
+    file was written.
     """
     ids = [f"Q{i}" for i in range(rng.randint(2, 30))]
 
     def write(path, rows):
         text = "".join(row + rng.choice(["\n", "\r\n"]) for row in rows)
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(rng.choice([b"", codecs.BOM_UTF8]) + text.encode("utf-8"))
         return path
 
     entity_rows = []
@@ -669,7 +670,7 @@ class TestLoaderMatchesOracle:
             self_loops += sum(t.subject == t.object_entity_id() for t in graph.triples)
             undeclared += sum(r.id == r.name for r in graph.relations.values())
             unnamed += sum(e.name is None for e in graph.entities.values())
-            data = [line for line in paths[0].read_text().splitlines() if line.strip()[:1] not in ("", "#")]
+            data = [line for line in paths[0].read_text("utf-8-sig").splitlines() if line.strip()[:1] not in ("", "#")]
             duplicates += len(data) - len(graph.triples)
         assert min(self_loops, undeclared, unnamed, duplicates) > 0
 
@@ -738,7 +739,7 @@ def assert_ids_interned(graph: KnowledgeGraph) -> int:
         assert relation.id is relation_id
         if relation.name == relation_id:  # undeclared: named by the id itself
             assert relation.name is relation_id
-    assert all(entity_id is entity_keys[entity_id] for entity_id in graph.entity_codes)
+    assert all(entity_id is entity_keys[entity_id] for entity_id in graph.entities.codes)
     assert all(entity_id is entity_keys[entity_id] for entity_id in graph.entity_ids.tolist())
     return len(graph.triples)
 
@@ -1229,6 +1230,57 @@ class TestTriplesAt:
         assert min(entity_rows, literal_rows) > 100
 
 
+def oracle_touching(triples: list, rows: list[int], entity_ids: set) -> list[bool]:
+    """Whether the subject or entity object of each of ``oracle_load``'s ``triples[row]`` is one of ``entity_ids``."""
+    return [
+        triples[row][0] in entity_ids or (triples[row][2][0] == "E" and triples[row][2][1] in entity_ids)
+        for row in rows
+    ]
+
+
+class TestRowTextsAndTouching:
+    def test_rows_read_as_verbalize_and_the_oracle_read_them(self, tmp_path, monkeypatch):
+        assert "entity_codes" not in {field.name for field in dataclasses.fields(KnowledgeGraph)}
+        rng = random.Random(20261027)
+        seen = Counter()
+        for _ in range(12):
+            paths = random_graph_files(rng, tmp_path, lines=rng.choice([0, 1, 60, 200]))
+            expected = oracle_load(*paths)
+            triples, entities = expected[0], expected[2]
+            count = len(triples)
+            index_arrays = [
+                rng.sample(range(count), count),
+                rng.choices(range(count), k=rng.randint(0, 40)) if count else [],  # rows repeated
+                [],
+            ]
+            some = rng.sample(sorted(entities), min(len(entities), 3))
+            id_sets = [set(), set(some[:1]), {*some, "Q999"}, {"Q999", "nope", ""}, set(LITERAL_VALUES)]
+            snapshot_path(paths[0]).unlink(missing_ok=True)
+            parsed = load_graph(*paths)
+            decoded = load_decoded(monkeypatch, *paths)
+            for graph in (parsed, decoded, oracle_graph(expected)):
+                assert graph.entities.ids is graph.entity_ids and not hasattr(graph, "entity_codes")
+                for rows in index_arrays:
+                    array = np.array(rows, dtype=np.int64)
+                    read = graph.triples_at(array)
+                    texts = graph.row_texts(array)
+                    assert texts == [verbalize(triple, graph).text for triple in read]
+                    for ids in id_sets:
+                        mask = graph.touching(array, ids)
+                        assert mask.dtype == bool and mask.tolist() == oracle_touching(triples, rows, ids)
+                        seen["self-loop hits"] += sum(
+                            hit and triple.subject == triple.object_entity_id() for hit, triple in zip(mask.tolist(), read)
+                        )
+                        seen["literal rows asked"] += sum(isinstance(triple.object, Literal) for triple in read) * bool(ids)
+                    seen["unnamed"] += sum(entities[triple.subject][0] is None for triple in read)
+                    seen.update(triple.object.datatype for triple in read if isinstance(triple.object, Literal))
+                    seen["', ' and ':' in a value"] += sum(
+                        isinstance(triple.object, Literal) and ", " in triple.object.value and ":" in triple.object.value
+                        for triple in read
+                    )
+        assert len(seen) == 7 and min(seen.values()) > 20, seen
+
+
 class TestNeighborhoodMatchesOracle:
     def test_random_graph_files(self, tmp_path, caplog):
         rng = random.Random(20261021)
@@ -1241,7 +1293,7 @@ class TestNeighborhoodMatchesOracle:
             entity_keys = key_objects(graph.entities)
             assert relation_frequency(graph) == Counter(relation for _, relation, _ in triples)
             for _ in range(6):
-                seeds = rng.sample(sorted(graph.entities), rng.randint(0, 3))
+                seeds = rng.sample(sorted(graph.entities), min(len(graph.entities), rng.randint(0, 3)))
                 seeds += rng.sample(["Q999", "nope", ""], rng.randint(0, 1))
                 for hops in (1, 2):
                     result = neighborhood(graph, seeds, hops)

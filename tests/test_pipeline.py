@@ -309,6 +309,19 @@ class TestDataset:
         expected_id = first.strip('"')
         assert str(excinfo.value) == f"{path}:4: field 'id' repeats {expected_id!r} from line 1"
 
+    @pytest.mark.parametrize("value", ["null", "true", "1.5", "[1, 2]", "{}"])
+    def test_id_neither_string_nor_integer_names_its_line(self, tmp_path, value):
+        # Line 4 holds the id that ``str`` would have made of line 1's.
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            f'{{"id": {value}, "question": "q?", "answer_entities": ["Q1"]}}\n'
+            '{"id": "other", "question": "r?", "answer_entities": ["Q1"]}\n\n'
+            f'{{"id": {json.dumps(str(json.loads(value)))}, "question": "s?", "answer_entities": ["Q1"]}}\n'
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"{path}:1: field 'id' must be a string or an integer"
+
     def test_numeric_category_fails_before_any_example_runs(self, alex_dir, tmp_path):
         dataset = tmp_path / "data.jsonl"
         dataset.write_text(
