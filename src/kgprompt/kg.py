@@ -52,12 +52,18 @@ object code plus the relation count. ``part_texts`` holds each part's text,
 as ``verbalize`` renders it, and ``row_parts`` gives the parts of rows, so
 ``row_texts`` gives rows' texts without any ``Triple`` or ``Entity``.
 One text index per graph, ``text_index``, holds the surface pairs (a
-normalized key and entity code per name or alias, from which
-``surface_index`` and so linking are built) and the part tokens (each
+normalized key and entity code per name or alias) and the part tokens (each
 part's normalized tokens as codes into one vocabulary, from which hashed
 ranking scores rows), in the form the snapshot stores them. A graph not
-decoded from a snapshot builds it by tokenizing each part text once. ``graph.triples`` is a derived
-view built on first access.
+decoded from a snapshot builds it by tokenizing each part text once.
+``graph.triples`` is a derived view built on first access.
+
+The surface pairs are ordered by the UTF-8 bytes of their keys, ties in
+entity-code order, so that linking needs no dict or ``str`` per surface:
+``surface_index`` is the pairs as one table, with each key's first 16 bytes
+as a sorted fixed-width array, and ``link_entities`` finds all of a
+question's n-grams in it at once with ``np.searchsorted``, checking a longer
+candidate against its full key bytes.
 
 Ids, literals and part tokens are coded by one kind of table, ``_Codes``,
 in first-seen order; loading parses each distinct object token once.
@@ -70,21 +76,25 @@ returns, and every id of an ``Entity`` it makes, is the very string object
 that keys ``graph.entities`` or ``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
-(``snapshot_path``): a pickle-free ``.npz`` (format 5) of the code columns,
+(``snapshot_path``): a pickle-free ``.npz`` (format 6) of the code columns,
 the CSR pair, the ids, names, aliases and literals as UTF-8 text, and the
 text index, stored under the SHA-256 of a format tag and the source files'
 bytes. A load whose files hash to a snapshot's key decodes it instead of
-parsing, after checking its structure, and hands its parts to ``_graph``,
-so it has the same dict orders, codes, literal order and interned ids as
-a parsed one. A hit makes no ``Entity``, ``EntityRef``, ``Literal``, alias
-tuple or linking index: it keeps the stored alias texts, literal datatype
-codes and text index as read, so the first link splits the stored surface
-keys instead of tokenizing every name, and the first hashed ranking reads
-the stored vocabulary instead of tokenizing every part text. A snapshot
-that is missing, stale, of another format, damaged or cannot be written
-costs only a parse. Format 5 has format 4's layout: its tag changed
-because format 4 kept a leading byte-order mark as data, so the same bytes
-now parse to another graph.
+parsing, after checking its structure (the surface keys' order included),
+and hands its parts to ``_graph``, so it has the same dict orders, codes,
+literal order and interned ids as a parsed one. A hit makes no ``Entity``,
+``EntityRef``, ``Literal`` or alias tuple, and no ``str`` per alias text
+or surface: the alias texts stay the stored UTF-8, each decoded when it is
+first read and then kept, and the surface table and literal datatype codes
+are read as stored, so the first link tokenizes no name and the first
+hashed ranking reads the stored vocabulary instead of tokenizing every part
+text. The names are split at load: each fact a run renders reads two, and
+one split of all of them costs less than decoding a fifth of them one at a
+time. A snapshot that is missing, stale, of another format, damaged or
+cannot be written costs only a parse. Format 5 has format 4's
+layout under a new tag, because format 4 kept a leading byte-order mark as
+data, so the same bytes now parse to another graph; format 6 orders the
+surface pairs by key, where format 5 kept them in entity order.
 """
 
 from __future__ import annotations
@@ -182,34 +192,169 @@ def _alias_tuple(text: str) -> tuple[str, ...]:
 class TextIndex(NamedTuple):
     """A graph's surface pairs and part tokens, as the snapshot members of these names store them.
 
-    ``surface_keys`` holds each surface's normalized key, preceded by a
-    newline, in entity order, and ``surface_entities`` each key's entity
-    code (int32). ``part_vocabulary`` holds each distinct part token once,
-    in first-seen order, preceded by a newline. Part ``p``'s tokens, parts
-    numbered as ``part_texts`` lists them, are the vocabulary's tokens
-    numbered ``part_tokens[part_offsets[p]:part_offsets[p + 1]]`` (int64
-    offsets, int32 codes), in text order.
+    ``surface_keys`` holds the UTF-8 (uint8) of each surface's normalized
+    key, preceded by a newline, in the byte order of the keys, ties in
+    entity-code order; ``surface_entities`` holds each key's entity code
+    (int32). ``part_vocabulary`` holds each distinct part token once, in first-seen
+    order, preceded by a newline. Part ``p``'s tokens, parts numbered as
+    ``part_texts`` lists them, are the vocabulary's tokens numbered
+    ``part_tokens[part_offsets[p]:part_offsets[p + 1]]`` (int64 offsets,
+    int32 codes), in text order.
     """
 
-    surface_keys: str
+    surface_keys: np.ndarray
     surface_entities: np.ndarray
     part_vocabulary: str
     part_offsets: np.ndarray
     part_tokens: np.ndarray
 
 
-@dataclass(frozen=True)
-class SurfaceIndex:
-    """Normalized surface forms of a graph's entity names and aliases.
+# A surface key is searched by its first 16 bytes, two 8-byte words.
+_PREFIX = 16
+# The bits of a little-endian word, which holds its first byte lowest, that
+# keep a key's bytes, by the key's length up to 16: one row per length.
+_KEPT = np.array(
+    [[(1 << 8 * min(length, 8)) - 1, (1 << 8 * max(length - 8, 0)) - 1] for length in range(_PREFIX + 1)],
+    dtype="<u8",
+)
 
-    ``entries`` maps a surface's normalized tokens, joined by single spaces,
-    to its entity id; a key shared by several surfaces maps to the tuple of
-    their ids in ``graph.entities`` order, one per surface. ``widths`` lists
-    the distinct surface token counts, longest first.
+
+def _line_bounds(data: np.ndarray) -> np.ndarray:
+    """Each newline's position in ``data`` (uint8), then its length.
+
+    String ``i`` of a ``_joined_lines`` text's UTF-8 ``data`` is
+    ``data[bounds[i] + 1 : bounds[i + 1]]``: UTF-8 codes a newline as one
+    byte, which no other character's bytes hold.
+    """
+    return np.append(np.flatnonzero(data == 10), len(data))
+
+
+def _prefixes(data: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The first 16 bytes of each string of ``data`` (``bounds`` from ``_line_bounds``), zero-padded, as ``S16``."""
+    starts = bounds[:-1] + 1
+    lengths = bounds[1:] - starts
+    prefixes = _KEPT.take(np.minimum(lengths, _PREFIX, out=lengths), axis=0)
+    # The 8 bytes from each position, as one word; the padding covers the second word of the last string.
+    padded = np.concatenate((data, np.zeros(_PREFIX, np.uint8)))
+    words = np.ndarray((len(padded) - 7,), "<u8", padded, 0, (1,))
+    for column in range(2):
+        prefixes[:, column] &= words[starts]
+        starts += 8
+    return prefixes.view(f"S{_PREFIX}").ravel()
+
+
+def _byte_order(texts: list[str]) -> np.ndarray:
+    """The positions of ``texts`` (each holding no newline or zero character) in UTF-8 byte order, ties by position.
+
+    One numpy sort orders them by a key made of the rank of their first 8
+    bytes, then the top bits of the next 8; only the texts in a run of equal
+    keys are compared in full (``str`` order is code point order, which is
+    UTF-8 byte order).
+    """
+    data = _utf8(_joined_lines(texts))
+    words = _prefixes(data, _line_bounds(data)).view(">u8").reshape(-1, 2)
+    bits = len(texts).bit_length()  # a rank is below 2**bits
+    keys = np.unique(words[:, 0], return_inverse=True)[1].astype(np.uint64) << np.uint64(64 - bits)
+    keys |= words[:, 1] >> np.uint64(bits)
+    order = np.argsort(keys)
+    ordered = keys[order]
+    runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+    for run in np.flatnonzero(np.diff(runs) > 1).tolist():
+        start, end = runs[run], runs[run + 1]
+        order[start:end] = sorted(order[start:end].tolist(), key=lambda position: (texts[position], position))
+    return order
+
+
+class SurfaceIndex:
+    """A graph's surface pairs as one key-ordered table, searched without a dict or ``str`` per surface.
+
+    ``keys`` is ``text_index.surface_keys``: surface ``i``'s key is the
+    bytes ``keys[bounds[i] + 1 : bounds[i + 1]]`` and its entity code
+    ``entities[i]``, in the byte order of the keys, ties in entity-code
+    order. ``prefixes`` holds each key's first 16 bytes as an ``S16`` array,
+    padded with zero bytes, which no key holds, so it is in the same order
+    and ``lookup`` searches it with ``np.searchsorted``. ``widths`` lists the
+    distinct key token counts, longest first.
     """
 
-    entries: dict[str, EntityId | tuple[EntityId, ...]]
-    widths: tuple[int, ...]
+    def __init__(self, keys: np.ndarray, entities: np.ndarray):
+        self.keys = keys
+        self.entities = entities
+        self.bounds = _line_bounds(keys)
+        self.prefixes = _prefixes(keys, self.bounds)
+
+    def _key(self, row: int) -> bytes:
+        return self.keys[self.bounds[row] + 1 : self.bounds[row + 1]].tobytes()
+
+    def lookup(self, keys: Sequence[str]) -> list[list[int]]:
+        """The entity codes of each key's surfaces in turn, in table order (empty for a key of none)."""
+        encoded = [key.encode("utf-8") for key in keys]
+        probes = np.array(encoded, dtype=self.prefixes.dtype)  # each cut to its first 16 bytes
+        lows = np.searchsorted(self.prefixes, probes)
+        highs = np.searchsorted(self.prefixes, probes, "right")
+        found: list[list[int]] = [[] for _ in keys]
+        for position in np.flatnonzero(highs > lows).tolist():
+            key, low, high = encoded[position], lows[position], highs[position]
+            if len(key) >= _PREFIX:
+                # Longer keys may share the prefix; the equal ones are a run of the table.
+                rows = [row for row in range(low, high) if self._key(row) == key]
+                low, high = (rows[0], rows[-1] + 1) if rows else (low, low)
+            found[position] = self.entities[low:high].tolist()
+        return found
+
+    @cached_property
+    def widths(self) -> tuple[int, ...]:
+        # Tokens hold no spaces, so a key's spaces count its tokens, less one.
+        spaces = np.flatnonzero(self.keys == 32)
+        tokens = np.diff(np.searchsorted(spaces, self.bounds)) + 1
+        return tuple(np.flatnonzero(np.bincount(tokens))[::-1].tolist())
+
+    def in_order(self) -> bool:
+        """Whether the keys are in byte order, ties in entity-code order, as ``text_index`` builds them."""
+        words = self.prefixes.view(">u8").reshape(-1, 2)
+        high, low = words[:, 0], words[:, 1]
+        same_high = high[1:] == high[:-1]
+        if not ((high[1:] > high[:-1]) | same_high & (low[1:] >= low[:-1])).all():
+            return False
+        tied = same_high & (low[1:] == low[:-1])
+        # Tied prefixes of a key shorter than 16 bytes are the same key.
+        same = tied & (np.diff(self.bounds)[:-1] - 1 < _PREFIX)
+        if (self.entities[1:][same] < self.entities[:-1][same]).any():
+            return False
+        for row in np.flatnonzero(tied & ~same).tolist():
+            key, next_key = self._key(row), self._key(row + 1)
+            if key > next_key or key == next_key and self.entities[row] > self.entities[row + 1]:
+                return False
+        return True
+
+
+class _Lines(Sequence):
+    """The strings of a ``_joined_lines`` text's UTF-8 ``blob`` (uint8), each decoded when first read, then kept.
+
+    ``read`` maps the position of each string decoded so far to it.
+    Iterating decodes them all at once.
+    """
+
+    __slots__ = ("data", "bounds", "read")
+
+    def __init__(self, blob: np.ndarray):
+        self.data = blob.tobytes()
+        self.bounds = memoryview(_line_bounds(blob))  # its items read as int
+        self.read: dict[int, str] = {}
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, index: int) -> str:
+        try:
+            return self.read[index]
+        except KeyError:
+            index = range(len(self))[index]  # IndexError past either end
+            text = self.read[index] = self.data[self.bounds[index] + 1 : self.bounds[index + 1]].decode("utf-8")
+            return text
+
+    def __iter__(self):
+        return iter(_split_lines(self.data.decode("utf-8")))
 
 
 class Entities(Mapping):
@@ -219,14 +364,15 @@ class Entities(Mapping):
     the parts by entity code, and ``codes``, the graph's one id-to-code map,
     gives an id's code. An alias text is the entity's aliases joined by ``|``
     (empty for none), as the snapshot stores it; it is split into the
-    ``Entity``'s tuple only when that entity is read. Iteration is in code
-    order. Like a dict, the view equals any mapping with equal items, and its
-    repr is the dict's.
+    ``Entity``'s tuple only when that entity is read. A snapshot hit keeps
+    the alias texts as their stored UTF-8 and decodes each when it is first
+    read. Iteration is in code order. Like a dict, the view equals any
+    mapping with equal items, and its repr is the dict's.
     """
 
     __slots__ = ("codes", "ids", "names", "alias_texts")
 
-    def __init__(self, codes: dict[EntityId, int], ids: np.ndarray, names: list, alias_texts: list):
+    def __init__(self, codes: dict[EntityId, int], ids: np.ndarray, names: list, alias_texts: list | _Lines):
         self.codes = codes
         self.ids = ids
         self.names = names
@@ -270,10 +416,11 @@ class KnowledgeGraph:
 
     ``triples`` (a ``Triple`` per row), ``part_texts``, ``text_index``,
     ``surface_index``, ``relation_counts`` and ``bucket_tables`` are derived
-    views, each built once on first access; the pipeline reads all but
-    ``triples``. They assume the graph is not mutated after it is built,
-    and changing a view does not change the graph. Two graphs are equal
-    when their entities, relations and triples are.
+    views, each built once on first access (a snapshot hit is given its text
+    index and surface table); the pipeline reads all but ``triples``. They
+    assume the graph is not mutated after it is built, and changing a view
+    does not change the graph. Two graphs are equal when their entities,
+    relations and triples are.
     """
 
     entities: Entities
@@ -381,6 +528,7 @@ class KnowledgeGraph:
         An entity's surfaces are its name, then its aliases; a surface's key
         is its normalized tokens joined by single spaces, so a named entity's
         key is its part tokens joined. A surface with no tokens has no pair.
+        The pairs are put in key order, ties in entity-code order.
         """
         token_lists = list(map(normalize_tokens, self.part_texts.tolist()))
         view = self.entities
@@ -390,12 +538,13 @@ class KnowledgeGraph:
                 if key:
                     keys.append(key)
                     codes.append(code)
+        order = _byte_order(keys)
         all_tokens = list(itertools.chain.from_iterable(token_lists))
         vocabulary = _Codes()
         token_codes = np.fromiter(map(vocabulary.__getitem__, all_tokens), np.int32, len(all_tokens))
         return TextIndex(
-            _joined_lines(keys),
-            np.array(codes, dtype=np.int32),
+            _utf8(_joined_lines([keys[position] for position in order.tolist()])),
+            np.array(codes, dtype=np.int32)[order],
             _joined_lines(vocabulary.ids),
             np.cumsum([0, *map(len, token_lists)], dtype=np.int64),
             token_codes,
@@ -403,20 +552,9 @@ class KnowledgeGraph:
 
     @cached_property
     def surface_index(self) -> SurfaceIndex:
-        """The ``SurfaceIndex`` of the text index's surface pairs, each key with the id of its entity."""
+        """The ``SurfaceIndex`` of the text index's surface pairs (a decoded graph is given it)."""
         index = self.text_index
-        entries: dict[str, EntityId | tuple[EntityId, ...]] = {}
-        for key, entity_id in zip(_split_lines(index.surface_keys), self.entity_ids[index.surface_entities].tolist()):
-            present = entries.get(key)
-            if present is None:
-                entries[key] = entity_id
-            elif isinstance(present, tuple):
-                entries[key] = (*present, entity_id)
-            else:
-                entries[key] = (present, entity_id)
-        # Tokens hold no spaces, so a key's spaces count its tokens.
-        widths = {key.count(" ") + 1 for key in entries}
-        return SurfaceIndex(entries, tuple(sorted(widths, reverse=True)))
+        return SurfaceIndex(index.surface_keys, index.surface_entities)
 
     @cached_property
     def relation_counts(self) -> Counter[RelationId]:
@@ -750,10 +888,11 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
 
 
 # The snapshot's format tag, hashed into its key. It changes when the layout
-# below changes, or when the same source bytes parse to a different graph
-# (format 5 reads past a leading byte-order mark), so a file that an older
-# version wrote is never read as this version's.
-_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 5"
+# below changes (format 6 orders the surface pairs by key), or when the same
+# source bytes parse to a different graph (format 5 reads past a leading
+# byte-order mark), so a file that an older version wrote is never read as
+# this version's.
+_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 6"
 # Every member of a snapshot and its dtype. Strings are stored as UTF-8,
 # each preceded by a newline, which no TSV field holds; an entity's aliases
 # are joined by "|", which no alias holds, and an unnamed entity's name is
@@ -837,6 +976,13 @@ def _strings(blob: np.ndarray) -> list[str]:
     return _split_lines(_text(blob))
 
 
+def _checked(blob: np.ndarray) -> np.ndarray:
+    """``blob``, once its bytes are found to be UTF-8 (UnicodeDecodeError if not); ASCII is checked without a copy."""
+    if blob.size and blob.max() > 127:
+        _text(blob)
+    return blob
+
+
 def _within(codes: np.ndarray, low: int, high: int, what: str) -> None:
     _require(not codes.size or (low <= codes.min() and codes.max() < high), f"{what} out of range")
 
@@ -916,17 +1062,22 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
         _require(array.dtype == dtype and array.ndim == 1, f"{name} is not a 1-d {np.dtype(dtype)} array")
     ids = _strings(members["entity_ids"])
     names = [name or None for name in _strings(members["entity_names"])]
-    aliases = _strings(members["entity_aliases"])
+    aliases = _Lines(_checked(members["entity_aliases"]))
     relation_ids = _strings(members["relation_ids"])
     relation_names = _strings(members["relation_names"])
     values = _strings(members["literal_values"])
     datatypes = members["literal_datatypes"]
     columns = [members[name] for name in _COLUMNS]
     subjects, predicates, objects, offsets, incident = columns
-    # Kept as read: nothing is split before linking reads it.
+    # Kept as read: no key or token is split into a str.
     index = TextIndex(
-        *(_text(members[name]) if _SNAPSHOT_MEMBERS[name] is np.uint8 else members[name] for name in TextIndex._fields)
+        _checked(members["surface_keys"]),
+        members["surface_entities"],
+        _text(members["part_vocabulary"]),
+        members["part_offsets"],
+        members["part_tokens"],
     )
+    surfaces = SurfaceIndex(index.surface_keys, index.surface_entities)
 
     count = len(subjects)
     _require(len(ids) == len(names) == len(aliases) == len(offsets) - 1, "entity counts")
@@ -939,9 +1090,9 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     _within(predicates, 0, len(relation_ids), "relation codes")
     _within(objects, 0, len(ids) + len(values), "object codes")
     _within(incident, 0, count, "incident rows")
-    _require(index.surface_keys.count("\n") == len(index.surface_entities), "surface counts")
+    _require(len(surfaces.prefixes) == len(index.surface_entities), "surface counts")
     _within(index.surface_entities, 0, len(ids), "surface entity codes")
-    _require((np.diff(index.surface_entities) >= 0).all(), "surface entity codes decrease")
+    _require(surfaces.in_order(), "surface keys out of order")
     _require(len(index.part_offsets) == len(ids) + len(relation_ids) + len(values) + 1, "part counts")
     _require_offsets(index.part_offsets, len(index.part_tokens), "part offsets")
     _within(index.part_tokens, 0, index.part_vocabulary.count("\n"), "part token codes")
@@ -949,6 +1100,7 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     graph = _graph(ids, names, aliases, relation_ids, relation_names, values, datatypes, columns)
     _require(len(graph.entities.codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")
     graph.text_index = index
+    graph.surface_index = surfaces
     return graph
 
 
@@ -1050,23 +1202,22 @@ def link_entities(graph: KnowledgeGraph, question: str) -> set[EntityId]:
 
     Matches every entity whose canonical name or alias occurs as a contiguous
     token sequence in the normalized question, longest match first, by
-    looking each question n-gram up in ``graph.surface_index``. Shorter
+    looking all question n-grams up at once in ``graph.surface_index``. Shorter
     matches nested inside an already-accepted longer match are suppressed
     ("York" inside an accepted "New York").
     """
-    question_tokens = normalize_tokens(question)
-    if not question_tokens:
+    tokens = normalize_tokens(question)
+    if not tokens:
         return set()
-
     index = graph.surface_index
-    occurrences: list[tuple[int, int, int, EntityId]] = []  # (length, start, end, id)
-    for width in index.widths:
-        for start in range(len(question_tokens) - width + 1):
-            ids = index.entries.get(" ".join(question_tokens[start : start + width]))
-            if ids is None:
-                continue
-            for entity_id in (ids,) if isinstance(ids, str) else ids:
-                occurrences.append((width, start, start + width, entity_id))
+    grams = [(width, start) for width in index.widths for start in range(len(tokens) - width + 1)]
+    found = index.lookup([" ".join(tokens[start : start + width]) for width, start in grams])
+    ids = graph.entity_ids
+    occurrences = [  # (length, start, end, id)
+        (width, start, start + width, ids[code])
+        for (width, start), codes in zip(grams, found)
+        for code in codes
+    ]
 
     occurrences.sort(key=lambda item: (-item[0], item[1], item[3]))
     accepted_spans: list[tuple[int, int]] = []

@@ -1,4 +1,9 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -377,3 +382,40 @@ class TestScoreAndReportCommands:
         code, _out, err = run_cli(capsys, "report", "--in", str(tmp_path / "none.jsonl"))
         assert code == 1
         assert "error:" in err
+
+
+# A fresh process that links and ranks on a snapshot hit, then reports whether ``numpy.ma`` was imported.
+WARM_RUN_AND_RETRIEVE = """
+import sys
+from kgprompt import kg
+from kgprompt.cli import main
+
+def parse_forbidden(*args):
+    raise AssertionError("parsed the triples file; expected a snapshot hit")
+
+kg._load_triples = parse_forbidden
+config, out = sys.argv[1:]
+assert main(["run", "--config", config, "--out", out]) == 0
+assert main(["retrieve", "--config", config, "--question", "Where was Mara Ellison born?"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_warm_run_and_retrieve_leave_numpy_ma_unimported(toy_dir, tmp_path):
+    # A bare ``np.unique(x)`` imports numpy.ma on its first call, which took
+    # milliseconds in a fresh process; ``np.bincount`` and ``np.unique`` with
+    # ``return_inverse`` or ``return_counts`` import nothing.
+    for name in ("config.json", "dataset.jsonl", "entities.tsv", "relations.tsv", "triples.tsv"):
+        shutil.copyfile(toy_dir / name, tmp_path / name)
+    load_graph(tmp_path / "triples.tsv", tmp_path / "entities.tsv")  # the snapshot is written
+    source = str(Path(cli.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", WARM_RUN_AND_RETRIEVE, str(tmp_path / "config.json"), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": source},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert '"linked_entities": [\n    "Q101"\n  ]' in result.stdout
+    assert result.stdout.splitlines()[-1] == "False"

@@ -451,12 +451,98 @@ class TestLinkerMatchesOracle:
         entities = [Entity("Q2", "Paris"), Entity("Q1", "Other", ("PARIS!",)), Entity("Q3", "!!!")]
         graph = build_graph(entities, [], [])
         assert link_entities(graph, "paris, !!!") == {"Q1", "Q2"}
-        assert graph.surface_index.entries["paris"] == ("Q2", "Q1")
-        assert "" not in graph.surface_index.entries
+        paris, empty = graph.surface_index.lookup(["paris", ""])
+        assert graph.entity_ids[paris].tolist() == ["Q2", "Q1"]
+        assert empty == []
 
     def test_equal_width_overlaps_both_kept(self):
         graph = build_graph([Entity("A", "new york"), Entity("B", "york café")], [], [])
         assert link_entities(graph, "New York Café") == {"A", "B"}
+
+
+# Surfaces a search by 16-byte key prefixes must tell apart: keys equal in
+# their first 16 bytes (one of exactly 16), multi-byte UTF-8 keys (one over 16
+# bytes), one key that three entities share, and keys of 1, 2 and 5 tokens.
+SURFACE_ENTITIES = [
+    Entity("Q5", "abcdefghijklmnop qrs"),
+    Entity("Q4", "abcdefghijklmnop", ("abcdefghijklmnop qrt",)),
+    Entity("Q3", "Paris", ("abcdefghijklmnopq",)),
+    Entity("Q1", "Café crème", ("東京大学 東京", "paris")),
+    Entity("Q2", "PARIS!", ("café",)),
+    Entity("Q6", "東京", ("a b c d e",)),
+]
+SURFACE_QUESTIONS = [
+    "abcdefghijklmnop qrs",
+    "abcdefghijklmnop qrt?",
+    "abcdefghijklmnop qr",
+    "abcdefghijklmnop",
+    "abcdefghijklmnopq abcdefghijklmnopqr",
+    "Is Paris in France?",
+    "a café crème in 東京",
+    "東京大学 東京 and café",
+    "A-B-C-D-E, then a b c d",
+    "abcdefghijklmno",
+]
+
+
+class TestSurfaceTable:
+    def graphs(self, tmp_path, monkeypatch):
+        """SURFACE_ENTITIES built, parsed from files, and decoded from their snapshot."""
+        rows = "".join(f"{e.id}\t{e.name}\t{'|'.join(e.aliases)}\n" for e in SURFACE_ENTITIES)
+        paths = write_graph_files(tmp_path, "", rows)
+        return build_graph(SURFACE_ENTITIES, [], []), load_graph(*paths), load_decoded(monkeypatch, *paths)
+
+    def test_links_as_the_oracle_when_built_parsed_and_decoded(self, tmp_path, monkeypatch):
+        linked = set()
+        for graph in self.graphs(tmp_path, monkeypatch):
+            for question in SURFACE_QUESTIONS:
+                expected = oracle_link(SURFACE_ENTITIES, question)
+                assert link_entities(graph, question) == expected, question
+                linked |= expected
+        assert linked == {entity.id for entity in SURFACE_ENTITIES}
+
+    def test_keys_in_byte_order_with_shared_keys_in_entity_order(self, tmp_path, monkeypatch):
+        for graph in self.graphs(tmp_path, monkeypatch):
+            index = graph.surface_index
+            keys = [index.keys[start + 1 : end].tobytes() for start, end in zip(index.bounds[:-1], index.bounds[1:])]
+            assert keys == sorted(keys) and len(keys) == 12
+            assert index.in_order()
+            paris, long_key, prefix_only = index.lookup(["paris", "abcdefghijklmnop qrt", "abcdefghijklmnop q"])
+            assert graph.entity_ids[paris].tolist() == ["Q3", "Q1", "Q2"]
+            assert (graph.entity_ids[long_key].tolist(), prefix_only) == (["Q4"], [])
+            assert index.widths == (5, 2, 1)
+
+    @pytest.mark.parametrize(
+        "keys, entities, ordered",
+        [
+            ("", [], True),
+            ("\na\nb", [1, 0], True),
+            ("\nb\na", [0, 1], False),
+            ("\nabcdefghij\nabcdefgha", [0, 0], False),  # the second word falls
+            ("\ncafe\ncafé", [0, 0], True),
+            ("\ncafé\ncafe", [0, 0], False),
+            ("\nparis\nparis", [0, 0], True),
+            ("\nparis\nparis", [0, 1], True),
+            ("\nparis\nparis", [1, 0], False),
+            ("\nabcdefghijklmnop\nabcdefghijklmnopq", [1, 0], True),
+            ("\nabcdefghijklmnopq\nabcdefghijklmnop", [0, 1], False),
+            ("\nabcdefghijklmnopa\nabcdefghijklmnopz", [1, 0], True),
+            ("\nabcdefghijklmnopz\nabcdefghijklmnopa", [0, 1], False),
+            ("\nabcdefghijklmnopq\nabcdefghijklmnopq", [0, 1], True),
+            ("\nabcdefghijklmnopq\nabcdefghijklmnopq", [1, 0], False),
+        ],
+    )
+    def test_order_check(self, keys, entities, ordered):
+        index = kg.SurfaceIndex(np.frombuffer(keys.encode(), np.uint8), np.array(entities, dtype=np.int32))
+        assert index.in_order() is ordered
+
+    def test_byte_order_matches_sorting_the_encoded_texts(self):
+        rng = random.Random(20261020)
+        words = ["abcdefgh", "abcdefghijklmnop", "café", "cafe", "東京", "x", "ñandú", "z"]
+        for _ in range(200):
+            texts = [" ".join(rng.choices(words, k=rng.randint(1, 4))) for _ in range(rng.randint(0, 30))]
+            expected = sorted(range(len(texts)), key=lambda position: (texts[position].encode(), position))
+            assert kg._byte_order(texts).tolist() == expected, texts
 
 
 def linking_graph(size: int = 3000):
@@ -619,7 +705,7 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
     texts compare as ``str``, and the literal values and datatype codes as
     the arrays they are. The text index is compared member by member, texts
     as ``str``, so a decoded index that drifts from the derived one fails
-    here.
+    here, and so is the surface table built from it.
     """
     for field in dataclasses.fields(KnowledgeGraph):
         expected, actual = getattr(parsed, field.name), getattr(decoded, field.name)
@@ -638,7 +724,8 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
         else:
             assert_same_array(actual, expected, f"text_index.{name}")
     index, expected_index = decoded.surface_index, parsed.surface_index
-    assert typed(list(index.entries.items())) == typed(list(expected_index.entries.items()))
+    for name in ("keys", "bounds", "entities", "prefixes"):
+        assert_same_array(getattr(index, name), getattr(expected_index, name), f"surface_index.{name}")
     assert index.widths == expected_index.widths
 
 
@@ -891,6 +978,12 @@ def flip_a_literal_digit(path) -> None:
     path.write_bytes(bytes(data))
 
 
+def reverse_surface_keys(members) -> None:
+    """Store the surface keys in reverse: SNAPSHOT_GRAPH's are distinct, so they fall."""
+    keys = members["surface_keys"].tobytes().split(b"\n")[1:]
+    members["surface_keys"] = np.frombuffer(b"".join(b"\n" + key for key in reversed(keys)), np.uint8)
+
+
 def save_bare_array(path) -> None:
     with path.open("wb") as file:
         np.save(file, np.arange(3))
@@ -948,9 +1041,7 @@ DAMAGED_SNAPSHOTS = {
     "negative surface entity": lambda path: rewrite_snapshot(
         path, lambda members: members["surface_entities"].__setitem__(0, -1)
     ),
-    "surface entities decrease": lambda path: rewrite_snapshot(
-        path, lambda members: members["surface_entities"].__setitem__(1, 1)
-    ),
+    "surface keys out of order": lambda path: rewrite_snapshot(path, reverse_surface_keys),
     "surface keys not utf-8": lambda path: rewrite_snapshot(
         path, lambda members: members["surface_keys"].__setitem__(-1, 0xFF)
     ),
@@ -1030,12 +1121,14 @@ class TestSnapshot:
     # The members each older format lacked, and those it held otherwise: format 1 stored no surface
     # pairs, format 2 no part tokens, and format 3 coded objects by term, each term's entity code (-1
     # for a literal) in ``term_entities``. SNAPSHOT_GRAPH's terms are E:Q2, L:time:1999, L:plain:a:b, E:Q1.
-    # Format 4 stored what format 5 stores, but kept a leading byte-order mark as data.
+    # Format 4 stored what format 5 stores, but kept a leading byte-order mark as data. Format 5 has
+    # format 6's members, but the surface pairs in entity order, not key order.
     OLDER_FORMATS = {
         1: (("surface_keys", "surface_entities", "part_vocabulary", "part_offsets", "part_tokens"), {}),
         2: (("part_vocabulary", "part_offsets", "part_tokens"), {}),
         3: ((), {"term_entities": [1, -1, -1, 0], "objects": [0, 1, 2, 3]}),
         4: ((), {}),
+        5: ((), {}),
     }
 
     @pytest.mark.parametrize("version", OLDER_FORMATS)
@@ -1070,6 +1163,7 @@ class TestSnapshot:
             assert snapshot["key"].tobytes() == kg._source_key([source.read_bytes() for source in sources])
             assert snapshot["objects"].tolist() == [1, 2, 3, 0]  # format 4: literal n is E + n
             assert snapshot["surface_entities"].tolist() == [0, 0, 0]
+            assert snapshot["surface_keys"].tobytes() == b"\na\nal\nalpha"  # format 6: in key order
             # Alpha | Q2 | knows | P9 | time: 1999 | a:b
             assert snapshot["part_offsets"].tolist() == [0, 1, 2, 3, 4, 6, 8]
         assert_same_store(parsed, load_decoded(monkeypatch, *paths))
@@ -1486,13 +1580,13 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
             self.count_made(patch, made)
             graph = load_decoded(monkeypatch, *paths)
             assert made == Counter()
-            for view in ("surface_index", "part_texts", "triples"):
+            for view in ("part_texts", "triples"):
                 assert view not in graph.__dict__, view
             # The aliases are kept as the stored texts, the literals as values and datatype codes.
-            assert graph.entities.alias_texts == ["A|Al", ""]
+            assert list(graph.entities.alias_texts) == ["A|Al", ""]
             assert graph.literal_values.tolist() == ["1999", "a:b"] and graph.literal_datatypes.tolist() == [1, 0]
-            # The hit holds the stored text index, split by nothing yet.
-            assert "text_index" in graph.__dict__
+            # The hit holds the stored text index, split by nothing yet, and its key-ordered surface table.
+            assert "text_index" in graph.__dict__ and "surface_index" in graph.__dict__
             # The index is built from the stored surface pairs, not by tokenizing the names again.
             patch.setattr(kg, "normalize_text", lambda text: pytest.fail("tokenized the surfaces on a hit"))
             assert link_entities(graph, "Where is Al?") == {"Q1"}
@@ -1516,6 +1610,27 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
         assert entity == Entity("Q1", "Alpha", ("A", "Al")) and triple.object == EntityRef("Q2")
         assert literal_triple == Triple("Q2", "P9", Literal("1999", "time"))
         assert_same_store(parsed, graph)
+
+    def test_a_link_decodes_no_alias_text_and_a_read_decodes_only_its_own(self, tmp_path, monkeypatch):
+        rows = "".join(f"Q{i}\tName {i}\tAlias {i}|Other {i}\n" for i in range(50))
+        paths = write_graph_files(tmp_path, "Q7\tP1\tE:Q3\n", rows)
+        load_graph(*paths)
+        graph = load_decoded(monkeypatch, *paths)
+        aliases = graph.entities.alias_texts
+        assert link_entities(graph, "Is Alias 7 Other 3?") == {"Q7", "Q3"}
+        assert aliases.read == {}
+        # The table is arrays: no dict, list or str per surface.
+        index = graph.surface_index
+        assert {type(value) for value in vars(index).values()} == {np.ndarray, tuple}
+        assert len(index.prefixes) == 150 and index.widths == (2,)
+        assert graph.entities["Q7"] == Entity("Q7", "Name 7", ("Alias 7", "Other 7"))
+        assert aliases.read == {7: "Alias 7|Other 7"}
+        [triple] = graph.triples_at(np.array([0]))
+        assert verbalize(triple, graph).text == "(Name 7, P1, Name 3)"
+        assert aliases.read == {7: "Alias 7|Other 7"} and aliases[7] is aliases[7] and len(aliases) == 50
+        assert aliases[-1] == "Alias 49|Other 49" and list(aliases)[48] == "Alias 48|Other 48"
+        with pytest.raises(IndexError):
+            aliases[50]
 
     @pytest.mark.parametrize("method", ["kaping", "popular_knowledge"])
     def test_only_hashed_ranking_reads_the_part_tokens(self, toy_dir, tmp_path, monkeypatch, method):
@@ -1620,3 +1735,35 @@ class TestNeighborhoodConcurrency:
         assert not any(thread.is_alive() for thread in threads)
         assert all(expected)
         assert results == [expected] * 4
+
+    def test_concurrent_first_links_and_alias_reads_on_a_hit_match_single_threaded(self, tmp_path, monkeypatch):
+        rows = "".join(f"Q{i}\tName {i % 700}\tAlias {i}|Other {i % 50}\n" for i in range(3000))
+        paths = write_graph_files(tmp_path, "", rows)
+        parsed = load_graph(*paths)
+        questions = [f"Is Name {n} the Other {n % 50} or Alias {n * 7}?" for n in range(40)]
+        expected = [link_entities(parsed, question) for question in questions]
+        alias_texts = parsed.entities.alias_texts
+        graph = load_decoded(monkeypatch, *paths)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(slot):
+            barrier.wait(timeout=60)
+            linked = [link_entities(graph, question) for question in questions]
+            read = [graph.entities.alias_texts[code] for code in range(slot, 3000, 3)]
+            results[slot] = (linked, read == alias_texts[slot::3])
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(expected)
+        assert results == [(expected, True)] * 4
+        assert graph.entities.alias_texts.read == dict(enumerate(alias_texts))
