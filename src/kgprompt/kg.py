@@ -58,12 +58,13 @@ ranking scores rows), in the form the snapshot stores them. A graph not
 decoded from a snapshot builds it by tokenizing each part text once.
 ``graph.triples`` is a derived view built on first access.
 
-The surface pairs are ordered by the UTF-8 bytes of their keys, ties in
-entity-code order, so that linking needs no dict or ``str`` per surface:
-``surface_index`` is the pairs as one table, with each key's first 16 bytes
-as a sorted fixed-width array, and ``link_entities`` finds all of a
-question's n-grams in it at once with ``np.searchsorted``, checking a longer
-candidate against its full key bytes.
+The surface pairs are ordered by the first 16 UTF-8 bytes of their keys,
+ties in entity-code order, so that linking needs no dict or ``str`` per
+surface: ``surface_index`` is the pairs as one table, with each key's first
+16 bytes as a sorted fixed-width array, and ``link_entities`` finds all of a
+question's n-grams in it at once with ``np.searchsorted``. The search reads
+no more than those 16 bytes, so the table is ordered by no more: a key of 16
+bytes or more is checked against the full keys of its prefix's run.
 
 Ids, literals and part tokens are coded by one kind of table, ``_Codes``,
 in first-seen order; loading parses each distinct object token once.
@@ -76,11 +77,11 @@ returns, and every id of an ``Entity`` it makes, is the very string object
 that keys ``graph.entities`` or ``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
-(``snapshot_path``): a pickle-free ``.npz`` (format 6) of the code columns,
+(``snapshot_path``): a pickle-free ``.npz`` (format 7) of the code columns,
 the CSR pair, the ids, names, aliases and literals as UTF-8 text, and the
 text index, stored under the SHA-256 of a format tag and the source files'
 bytes. A load whose files hash to a snapshot's key decodes it instead of
-parsing, after checking its structure (the surface keys' order included),
+parsing, after checking its structure (the surface table's order included),
 and hands its parts to ``_graph``, so it has the same dict orders, codes,
 literal order and interned ids as a parsed one. A hit makes no ``Entity``,
 ``EntityRef``, ``Literal`` or alias tuple, and no ``str`` per alias text
@@ -91,10 +92,9 @@ hashed ranking reads the stored vocabulary instead of tokenizing every part
 text. The names are split at load: each fact a run renders reads two, and
 one split of all of them costs less than decoding a fifth of them one at a
 time. A snapshot that is missing, stale, of another format, damaged or
-cannot be written costs only a parse. Format 5 has format 4's
-layout under a new tag, because format 4 kept a leading byte-order mark as
-data, so the same bytes now parse to another graph; format 6 orders the
-surface pairs by key, where format 5 kept them in entity order.
+cannot be written costs only a parse. The format tag changes whenever the
+stored layout or order changes, or the same source bytes come to parse to
+another graph.
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ class TextIndex(NamedTuple):
     """A graph's surface pairs and part tokens, as the snapshot members of these names store them.
 
     ``surface_keys`` holds the UTF-8 (uint8) of each surface's normalized
-    key, preceded by a newline, in the byte order of the keys, ties in
-    entity-code order; ``surface_entities`` holds each key's entity code
-    (int32). ``part_vocabulary`` holds each distinct part token once, in first-seen
+    key, preceded by a newline, in the order of the keys' first 16 bytes,
+    ties in entity-code order; ``surface_entities`` holds each key's entity
+    code (int32). ``part_vocabulary`` holds each distinct part token once, in first-seen
     order, preceded by a newline. Part ``p``'s tokens, parts numbered as
     ``part_texts`` lists them, are the vocabulary's tokens numbered
     ``part_tokens[part_offsets[p]:part_offsets[p + 1]]`` (int64 offsets,
@@ -243,38 +243,28 @@ def _prefixes(data: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return prefixes.view(f"S{_PREFIX}").ravel()
 
 
-def _byte_order(texts: list[str]) -> np.ndarray:
-    """The positions of ``texts`` (each holding no newline or zero character) in UTF-8 byte order, ties by position.
+def _order_columns(prefixes: np.ndarray, entities: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What a surface table is ordered by, least significant first as ``np.lexsort`` takes it.
 
-    One numpy sort orders them by a key made of the rank of their first 8
-    bytes, then the top bits of the next 8; only the texts in a run of equal
-    keys are compared in full (``str`` order is code point order, which is
-    UTF-8 byte order).
+    The table is ordered by the two big-endian 8-byte words of each key's
+    ``prefixes`` (an ``S16`` array), ties by entity code.
     """
-    data = _utf8(_joined_lines(texts))
-    words = _prefixes(data, _line_bounds(data)).view(">u8").reshape(-1, 2)
-    bits = len(texts).bit_length()  # a rank is below 2**bits
-    keys = np.unique(words[:, 0], return_inverse=True)[1].astype(np.uint64) << np.uint64(64 - bits)
-    keys |= words[:, 1] >> np.uint64(bits)
-    order = np.argsort(keys)
-    ordered = keys[order]
-    runs = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
-    for run in np.flatnonzero(np.diff(runs) > 1).tolist():
-        start, end = runs[run], runs[run + 1]
-        order[start:end] = sorted(order[start:end].tolist(), key=lambda position: (texts[position], position))
-    return order
+    words = prefixes.view(">u8").reshape(-1, 2)
+    return entities, words[:, 1], words[:, 0]
 
 
 class SurfaceIndex:
-    """A graph's surface pairs as one key-ordered table, searched without a dict or ``str`` per surface.
+    """A graph's surface pairs as one table ordered by key prefix, searched without a dict or ``str`` per surface.
 
     ``keys`` is ``text_index.surface_keys``: surface ``i``'s key is the
     bytes ``keys[bounds[i] + 1 : bounds[i + 1]]`` and its entity code
-    ``entities[i]``, in the byte order of the keys, ties in entity-code
-    order. ``prefixes`` holds each key's first 16 bytes as an ``S16`` array,
-    padded with zero bytes, which no key holds, so it is in the same order
-    and ``lookup`` searches it with ``np.searchsorted``. ``widths`` lists the
-    distinct key token counts, longest first.
+    ``entities[i]``. ``prefixes`` holds each key's first 16 bytes as an
+    ``S16`` array, padded with zero bytes, which no key holds; the table is
+    sorted by it, ties in entity-code order, and ``lookup`` searches it with
+    ``np.searchsorted``. A prefix shorter than 16 bytes is its whole key, so
+    only a run of 16-byte prefixes can hold distinct keys, each key's
+    surfaces in entity-code order among them. ``widths`` lists the distinct
+    key token counts, longest first.
     """
 
     def __init__(self, keys: np.ndarray, entities: np.ndarray):
@@ -287,7 +277,7 @@ class SurfaceIndex:
         return self.keys[self.bounds[row] + 1 : self.bounds[row + 1]].tobytes()
 
     def lookup(self, keys: Sequence[str]) -> list[list[int]]:
-        """The entity codes of each key's surfaces in turn, in table order (empty for a key of none)."""
+        """The entity codes of each key's surfaces in turn, in code order (empty for a key of none)."""
         encoded = [key.encode("utf-8") for key in keys]
         probes = np.array(encoded, dtype=self.prefixes.dtype)  # each cut to its first 16 bytes
         lows = np.searchsorted(self.prefixes, probes)
@@ -296,10 +286,10 @@ class SurfaceIndex:
         for position in np.flatnonzero(highs > lows).tolist():
             key, low, high = encoded[position], lows[position], highs[position]
             if len(key) >= _PREFIX:
-                # Longer keys may share the prefix; the equal ones are a run of the table.
-                rows = [row for row in range(low, high) if self._key(row) == key]
-                low, high = (rows[0], rows[-1] + 1) if rows else (low, low)
-            found[position] = self.entities[low:high].tolist()
+                # Longer keys may share the prefix: the equal ones are among the run, in entity-code order.
+                found[position] = self.entities[[row for row in range(low, high) if self._key(row) == key]].tolist()
+            else:
+                found[position] = self.entities[low:high].tolist()
         return found
 
     @cached_property
@@ -310,28 +300,19 @@ class SurfaceIndex:
         return tuple(np.flatnonzero(np.bincount(tokens))[::-1].tolist())
 
     def in_order(self) -> bool:
-        """Whether the keys are in byte order, ties in entity-code order, as ``text_index`` builds them."""
-        words = self.prefixes.view(">u8").reshape(-1, 2)
-        high, low = words[:, 0], words[:, 1]
-        same_high = high[1:] == high[:-1]
-        if not ((high[1:] > high[:-1]) | same_high & (low[1:] >= low[:-1])).all():
-            return False
-        tied = same_high & (low[1:] == low[:-1])
-        # Tied prefixes of a key shorter than 16 bytes are the same key.
-        same = tied & (np.diff(self.bounds)[:-1] - 1 < _PREFIX)
-        if (self.entities[1:][same] < self.entities[:-1][same]).any():
-            return False
-        for row in np.flatnonzero(tied & ~same).tolist():
-            key, next_key = self._key(row), self._key(row + 1)
-            if key > next_key or key == next_key and self.entities[row] > self.entities[row + 1]:
-                return False
-        return True
+        """Whether (first word, second word, entity code) never decreases down the table, as ``text_index`` orders it."""
+        ordered = np.ones(max(len(self.entities) - 1, 0), dtype=bool)
+        # Least significant column first: where a column ties, the columns folded in before it decide.
+        for column in _order_columns(self.prefixes, self.entities):
+            ordered = (column[1:] > column[:-1]) | (column[1:] == column[:-1]) & ordered
+        return bool(ordered.all())
 
 
 class _Lines(Sequence):
     """The strings of a ``_joined_lines`` text's UTF-8 ``blob`` (uint8), each decoded when first read, then kept.
 
-    ``read`` maps the position of each string decoded so far to it.
+    ``read`` maps the position of each string decoded so far to it. A slice
+    is the list of its strings, each decoded and kept as a single read is.
     Iterating decodes them all at once.
     """
 
@@ -345,7 +326,9 @@ class _Lines(Sequence):
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __getitem__(self, index: int) -> str:
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[position] for position in range(len(self))[index]]
         try:
             return self.read[index]
         except KeyError:
@@ -528,7 +511,8 @@ class KnowledgeGraph:
         An entity's surfaces are its name, then its aliases; a surface's key
         is its normalized tokens joined by single spaces, so a named entity's
         key is its part tokens joined. A surface with no tokens has no pair.
-        The pairs are put in key order, ties in entity-code order.
+        The pairs are put in the order of their keys' first 16 bytes, ties in
+        entity-code order.
         """
         token_lists = list(map(normalize_tokens, self.part_texts.tolist()))
         view = self.entities
@@ -538,13 +522,14 @@ class KnowledgeGraph:
                 if key:
                     keys.append(key)
                     codes.append(code)
-        order = _byte_order(keys)
+        data, entities = _blob(keys), np.array(codes, dtype=np.int32)
+        order = np.lexsort(_order_columns(_prefixes(data, _line_bounds(data)), entities))
         all_tokens = list(itertools.chain.from_iterable(token_lists))
         vocabulary = _Codes()
         token_codes = np.fromiter(map(vocabulary.__getitem__, all_tokens), np.int32, len(all_tokens))
         return TextIndex(
-            _utf8(_joined_lines([keys[position] for position in order.tolist()])),
-            np.array(codes, dtype=np.int32)[order],
+            _blob([keys[position] for position in order.tolist()]),
+            entities[order],
             _joined_lines(vocabulary.ids),
             np.cumsum([0, *map(len, token_lists)], dtype=np.int64),
             token_codes,
@@ -888,11 +873,10 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
 
 
 # The snapshot's format tag, hashed into its key. It changes when the layout
-# below changes (format 6 orders the surface pairs by key), or when the same
-# source bytes parse to a different graph (format 5 reads past a leading
-# byte-order mark), so a file that an older version wrote is never read as
-# this version's.
-_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 6"
+# or order of the members below changes, or when the same source bytes parse
+# to a different graph, so a file that an older version wrote is never read
+# as this version's.
+_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 7"
 # Every member of a snapshot and its dtype. Strings are stored as UTF-8,
 # each preceded by a newline, which no TSV field holds; an entity's aliases
 # are joined by "|", which no alias holds, and an unnamed entity's name is

@@ -485,6 +485,12 @@ SURFACE_QUESTIONS = [
 ]
 
 
+def table_rows(index) -> list[tuple[bytes, int]]:
+    """Each row of a ``SurfaceIndex`` in table order: its key's bytes and its entity code."""
+    keys = [index.keys[start + 1 : end].tobytes() for start, end in zip(index.bounds[:-1], index.bounds[1:])]
+    return list(zip(keys, index.entities.tolist()))
+
+
 class TestSurfaceTable:
     def graphs(self, tmp_path, monkeypatch):
         """SURFACE_ENTITIES built, parsed from files, and decoded from their snapshot."""
@@ -501,11 +507,27 @@ class TestSurfaceTable:
                 linked |= expected
         assert linked == {entity.id for entity in SURFACE_ENTITIES}
 
-    def test_keys_in_byte_order_with_shared_keys_in_entity_order(self, tmp_path, monkeypatch):
+    def test_keys_in_prefix_order_with_ties_in_entity_order(self, tmp_path, monkeypatch):
+        # Within the run of the 16-byte prefix "abcdefghijklmnop" the keys are in entity-code order, not byte order.
+        table = [
+            ("a b c d e", "Q6"),
+            ("abcdefghijklmnop qrs", "Q5"),
+            ("abcdefghijklmnop", "Q4"),
+            ("abcdefghijklmnop qrt", "Q4"),
+            ("abcdefghijklmnopq", "Q3"),
+            ("café", "Q2"),
+            ("café crème", "Q1"),
+            ("paris", "Q3"),
+            ("paris", "Q1"),
+            ("paris", "Q2"),
+            ("東京", "Q6"),
+            ("東京大学 東京", "Q1"),
+        ]
         for graph in self.graphs(tmp_path, monkeypatch):
             index = graph.surface_index
-            keys = [index.keys[start + 1 : end].tobytes() for start, end in zip(index.bounds[:-1], index.bounds[1:])]
-            assert keys == sorted(keys) and len(keys) == 12
+            assert [(key, graph.entity_ids[code]) for key, code in table_rows(index)] == [
+                (key.encode(), entity_id) for key, entity_id in table
+            ]
             assert index.in_order()
             paris, long_key, prefix_only = index.lookup(["paris", "abcdefghijklmnop qrt", "abcdefghijklmnop q"])
             assert graph.entity_ids[paris].tolist() == ["Q3", "Q1", "Q2"]
@@ -524,25 +546,68 @@ class TestSurfaceTable:
             ("\nparis\nparis", [0, 0], True),
             ("\nparis\nparis", [0, 1], True),
             ("\nparis\nparis", [1, 0], False),
-            ("\nabcdefghijklmnop\nabcdefghijklmnopq", [1, 0], True),
-            ("\nabcdefghijklmnopq\nabcdefghijklmnop", [0, 1], False),
-            ("\nabcdefghijklmnopa\nabcdefghijklmnopz", [1, 0], True),
-            ("\nabcdefghijklmnopz\nabcdefghijklmnopa", [0, 1], False),
+            # Keys tied in their first 16 bytes are ordered by entity code alone.
+            ("\nabcdefghijklmnop\nabcdefghijklmnopq", [1, 0], False),
+            ("\nabcdefghijklmnopq\nabcdefghijklmnop", [0, 1], True),
+            ("\nabcdefghijklmnopa\nabcdefghijklmnopz", [1, 0], False),
+            ("\nabcdefghijklmnopz\nabcdefghijklmnopa", [0, 1], True),
             ("\nabcdefghijklmnopq\nabcdefghijklmnopq", [0, 1], True),
             ("\nabcdefghijklmnopq\nabcdefghijklmnopq", [1, 0], False),
+            ("\nabcdefghijklmnoa\nabcdefghijklmnoz", [1, 0], True),  # the second word rises
         ],
     )
     def test_order_check(self, keys, entities, ordered):
         index = kg.SurfaceIndex(np.frombuffer(keys.encode(), np.uint8), np.array(entities, dtype=np.int32))
         assert index.in_order() is ordered
 
-    def test_byte_order_matches_sorting_the_encoded_texts(self):
+    def test_table_order_is_the_key_prefixes_then_the_entity_codes(self, tmp_path):
         rng = random.Random(20261020)
         words = ["abcdefgh", "abcdefghijklmnop", "café", "cafe", "東京", "x", "ñandú", "z"]
         for _ in range(200):
-            texts = [" ".join(rng.choices(words, k=rng.randint(1, 4))) for _ in range(rng.randint(0, 30))]
-            expected = sorted(range(len(texts)), key=lambda position: (texts[position].encode(), position))
-            assert kg._byte_order(texts).tolist() == expected, texts
+            names = [" ".join(rng.choices(words, k=rng.randint(1, 4))) for _ in range(rng.randint(0, 30))]
+            # The words are normalized already, so each name is its own key; aliases add ties within an entity.
+            surfaces = [[name, *rng.choices(names, k=rng.randint(0, 2))] for name in names]
+            rows = "".join(f"Q{code}\t{keys[0]}\t{'|'.join(keys[1:])}\n" for code, keys in enumerate(surfaces))
+            graph = load_graph(*write_graph_files(tmp_path, "", rows))
+            pairs = [(key.encode(), code) for code, keys in enumerate(surfaces) for key in dict.fromkeys(keys)]
+            expected = sorted(range(len(pairs)), key=lambda i: (pairs[i][0][:16], pairs[i][1]))
+            assert table_rows(graph.surface_index) == [pairs[i] for i in expected], rows
+            assert graph.surface_index.in_order()
+
+    def test_a_shared_long_prefix_links_as_the_oracle_and_a_hit_compares_no_keys(self, tmp_path, monkeypatch):
+        size = 3000
+        # Every alias starts with the same 16 bytes, and code i's numbered alias sorts before code i - 1's.
+        entities = [
+            Entity(f"Q{i}", f"entity {i}", (f"sharedprefix0000 {size - i:04d}", f"sharedprefix0000 group {i % 7}"))
+            for i in range(size)
+        ]
+        rows = "".join(f"{e.id}\t{e.name}\t{'|'.join(e.aliases)}\n" for e in entities)
+        paths = write_graph_files(tmp_path, "", rows)
+        parsed = load_graph(*paths)
+        keys_read = []
+        read_key = kg.SurfaceIndex._key
+
+        def counted_key(index, row):
+            keys_read.append(row)
+            return read_key(index, row)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kg.SurfaceIndex, "_key", counted_key)
+            decoded = load_decoded(monkeypatch, *paths)
+        assert keys_read == []  # the order check compares no full keys
+        questions = [
+            "is sharedprefix0000 0001 like sharedprefix0000 3000 or sharedprefix0000 1500?",
+            "sharedprefix0000 group 3, then entity 12 and sharedprefix0000 2999",
+            "sharedprefix0000 9999 sharedprefix0000 group sharedprefix0000",
+            "entity 7 sharedprefix0000 group 6 sharedprefix0000 0042",
+        ]
+        linked = 0
+        for question in questions:
+            expected = oracle_link(entities, question)
+            for graph in (build_graph(entities, [], []), parsed, decoded):
+                assert link_entities(graph, question) == expected, question
+            linked += len(expected)
+        assert linked > 2 * size // 7
 
 
 def linking_graph(size: int = 3000):
@@ -1122,13 +1187,15 @@ class TestSnapshot:
     # pairs, format 2 no part tokens, and format 3 coded objects by term, each term's entity code (-1
     # for a literal) in ``term_entities``. SNAPSHOT_GRAPH's terms are E:Q2, L:time:1999, L:plain:a:b, E:Q1.
     # Format 4 stored what format 5 stores, but kept a leading byte-order mark as data. Format 5 has
-    # format 6's members, but the surface pairs in entity order, not key order.
+    # format 6's members, but the surface pairs in entity order, not key order. Format 6 has format 7's
+    # members, but the surface pairs in the full byte order of their keys.
     OLDER_FORMATS = {
         1: (("surface_keys", "surface_entities", "part_vocabulary", "part_offsets", "part_tokens"), {}),
         2: (("part_vocabulary", "part_offsets", "part_tokens"), {}),
         3: ((), {"term_entities": [1, -1, -1, 0], "objects": [0, 1, 2, 3]}),
         4: ((), {}),
         5: ((), {}),
+        6: ((), {}),
     }
 
     @pytest.mark.parametrize("version", OLDER_FORMATS)
@@ -1163,7 +1230,7 @@ class TestSnapshot:
             assert snapshot["key"].tobytes() == kg._source_key([source.read_bytes() for source in sources])
             assert snapshot["objects"].tolist() == [1, 2, 3, 0]  # format 4: literal n is E + n
             assert snapshot["surface_entities"].tolist() == [0, 0, 0]
-            assert snapshot["surface_keys"].tobytes() == b"\na\nal\nalpha"  # format 6: in key order
+            assert snapshot["surface_keys"].tobytes() == b"\na\nal\nalpha"  # in key prefix order
             # Alpha | Q2 | knows | P9 | time: 1999 | a:b
             assert snapshot["part_offsets"].tolist() == [0, 1, 2, 3, 4, 6, 8]
         assert_same_store(parsed, load_decoded(monkeypatch, *paths))
@@ -1631,6 +1698,16 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
         assert aliases[-1] == "Alias 49|Other 49" and list(aliases)[48] == "Alias 48|Other 48"
         with pytest.raises(IndexError):
             aliases[50]
+
+    def test_alias_text_slices_read_as_the_parsed_lists(self, tmp_path, monkeypatch):
+        rows = "".join(f"Q{i}\tName {i}\t{'|'.join(f'Alias {i}.{n}' for n in range(i % 3))}\n" for i in range(6))
+        paths = write_graph_files(tmp_path, "", rows)
+        parsed = load_graph(*paths).entities.alias_texts
+        aliases = load_decoded(monkeypatch, *paths).entities.alias_texts
+        for index in (slice(1, 3), slice(-2, None), slice(None, None, -1)):
+            assert aliases[index] == parsed[index] and type(aliases[index]) is list, index
+        assert aliases.read == dict(enumerate(parsed))
+        assert aliases[4:5][0] is aliases[4]  # each string decoded once, then kept
 
     @pytest.mark.parametrize("method", ["kaping", "popular_knowledge"])
     def test_only_hashed_ranking_reads_the_part_tokens(self, toy_dir, tmp_path, monkeypatch, method):
