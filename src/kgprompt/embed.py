@@ -109,6 +109,8 @@ def hashed_bow_vector(text: str, dimension: int) -> np.ndarray:
 
 # The types a JSON number or null parses to; a bool is not a number here.
 _COMPONENT_TYPES = frozenset({int, float, type(None)})
+# The smallest normal float: an x·x below it has lost bits to underflow.
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class RemoteEmbedder:
@@ -118,7 +120,9 @@ class RemoteEmbedder:
     a vector that is not a list of JSON numbers (one with a string or a
     boolean component), or that has a null, NaN or infinite component, is
     rejected at once, and the rest re-normalized client-side so the unit-norm
-    invariant holds regardless of what the server returns.
+    invariant holds regardless of what the server returns. A vector whose
+    x·x overflows or underflows is first scaled by its largest component;
+    any other is divided by its ``np.linalg.norm``, bit for bit.
     """
 
     def __init__(self, config: EmbedderConfig, timeout: float = 30.0, sleep=time.sleep):
@@ -148,9 +152,14 @@ class RemoteEmbedder:
                 finite = False
             if not finite:
                 raise RemoteServiceError("embedding endpoint returned a null or non-finite component")
-            norm = float(np.linalg.norm(vector))
-            if norm > 0.0:
-                vector = vector / norm
+            with np.errstate(over="ignore"):  # an x·x past the largest float is rescaled below
+                squares = float(vector.dot(vector))  # what np.linalg.norm takes the root of
+            if not _TINY <= squares < math.inf and vector.any():
+                # x·x overflowed or lost bits: scaled by its largest component, the vector's does neither.
+                vector = vector / np.abs(vector).max()
+                squares = float(vector.dot(vector))
+            if squares > 0.0:
+                vector = vector / math.sqrt(squares)
             out.append(vector)
         return out
 

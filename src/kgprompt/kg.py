@@ -77,24 +77,25 @@ returns, and every id of an ``Entity`` it makes, is the very string object
 that keys ``graph.entities`` or ``graph.relations``.
 
 ``load_graph`` keeps what it parsed in a snapshot beside the triples file
-(``snapshot_path``): a pickle-free ``.npz`` (format 7) of the code columns,
-the CSR pair, the ids, names, aliases and literals as UTF-8 text, and the
-text index, stored under the SHA-256 of a format tag and the source files'
-bytes. A load whose files hash to a snapshot's key decodes it instead of
-parsing, after checking its structure (the surface table's order included),
-and hands its parts to ``_graph``, so it has the same dict orders, codes,
-literal order and interned ids as a parsed one. A hit makes no ``Entity``,
-``EntityRef``, ``Literal`` or alias tuple, and no ``str`` per alias text
-or surface: the alias texts stay the stored UTF-8, each decoded when it is
-first read and then kept, and the surface table and literal datatype codes
-are read as stored, so the first link tokenizes no name and the first
-hashed ranking reads the stored vocabulary instead of tokenizing every part
-text. The names are split at load: each fact a run renders reads two, and
-one split of all of them costs less than decoding a fifth of them one at a
-time. A snapshot that is missing, stale, of another format, damaged or
-cannot be written costs only a parse. The format tag changes whenever the
-stored layout or order changes, or the same source bytes come to parse to
-another graph.
+(``snapshot_path``): one flat, pickle-free file (format 8, laid out by
+``_pack``) of the code columns, the CSR pair, the ids, names, aliases and
+literals as UTF-8 text, and the text index, stored under the SHA-256 of a
+format tag and the source files' bytes. A load whose files hash to a
+snapshot's key reads it in one call and decodes it instead of parsing,
+after checking its member table, its CRC and its structure (the surface
+table's order included), and hands its parts to ``_graph``, so it has the
+same dict orders, codes, literal order and interned ids as a parsed one. A
+hit makes no ``Entity``, ``EntityRef``, ``Literal`` or alias tuple, and no
+``str`` per alias text or surface: the alias texts stay the stored UTF-8,
+each decoded when it is first read and then kept, and the surface table and
+literal datatype codes are read as stored, so the first link tokenizes no
+name and the first hashed ranking reads the stored vocabulary instead of
+tokenizing every part text. The names are split at load: each fact a run
+renders reads two, and one split of all of them costs less than decoding a
+fifth of them one at a time. A snapshot that is missing, stale, of another
+format (an ``.npz`` of an older one included), damaged or cannot be written
+costs only a parse. The format tag changes whenever the stored layout or
+order changes, or the same source bytes come to parse to another graph.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ import logging
 import os
 import shutil
 import tempfile
-import zipfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -273,8 +274,13 @@ class SurfaceIndex:
         self.bounds = _line_bounds(keys)
         self.prefixes = _prefixes(keys, self.bounds)
 
-    def _key(self, row: int) -> bytes:
-        return self.keys[self.bounds[row] + 1 : self.bounds[row + 1]].tobytes()
+    def _rows_of(self, key: bytes, low: int, high: int) -> np.ndarray:
+        """The rows of the run from ``low`` to ``high`` whose key is ``key``, ascending, found in numpy."""
+        starts = self.bounds[low:high] + 1
+        rows = np.flatnonzero(self.bounds[low + 1 : high + 1] - starts == len(key))
+        for position in range(_PREFIX, len(key)):  # the run's keys share the first 16 bytes
+            rows = rows[self.keys[starts[rows] + position] == key[position]]
+        return low + rows
 
     def lookup(self, keys: Sequence[str]) -> list[list[int]]:
         """The entity codes of each key's surfaces in turn, in code order (empty for a key of none)."""
@@ -287,7 +293,7 @@ class SurfaceIndex:
             key, low, high = encoded[position], lows[position], highs[position]
             if len(key) >= _PREFIX:
                 # Longer keys may share the prefix: the equal ones are among the run, in entity-code order.
-                found[position] = self.entities[[row for row in range(low, high) if self._key(row) == key]].tolist()
+                found[position] = self.entities[self._rows_of(key, low, high)].tolist()
             else:
                 found[position] = self.entities[low:high].tolist()
         return found
@@ -876,7 +882,7 @@ def _load_triples(path: Path, data: bytes, coder: _Coder) -> None:
 # or order of the members below changes, or when the same source bytes parse
 # to a different graph, so a file that an older version wrote is never read
 # as this version's.
-_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 7"
+_SNAPSHOT_FORMAT = b"kgprompt graph snapshot 8"
 # Every member of a snapshot and its dtype. Strings are stored as UTF-8,
 # each preceded by a newline, which no TSV field holds; an entity's aliases
 # are joined by "|", which no alias holds, and an unnamed entity's name is
@@ -903,8 +909,6 @@ _SNAPSHOT_MEMBERS = {
     "part_offsets": np.int64,
     "part_tokens": np.int32,
 }
-# What reading a damaged or foreign file can raise.
-_SNAPSHOT_ERRORS = (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile)
 
 
 class _BadSnapshot(ValueError):
@@ -993,6 +997,44 @@ def _snapshot_arrays(key: bytes, graph: KnowledgeGraph) -> dict[str, np.ndarray]
     }
 
 
+def _pack(members: dict[str, np.ndarray]) -> bytes:
+    """A snapshot file's bytes: a line of the format tag, the key, the member table, then the body.
+
+    The table is a line of the body's ``zlib.crc32``, a line of name, dtype,
+    offset in the body and byte length for each other member, then an empty
+    line. The body and each member in it start 8-byte aligned.
+    """
+    table, body = [], bytearray()
+    for name, array in members.items():
+        if name != "key":
+            body += bytes(-len(body) % 8)
+            table.append(b"%s %s %d %d\n" % (name.encode(), array.dtype.str.encode(), len(body), array.nbytes))
+            body += array.tobytes()
+    head = b"%s\n%s%d\n%s\n" % (_SNAPSHOT_FORMAT, members["key"].tobytes(), zlib.crc32(body), b"".join(table))
+    return head + bytes(-len(head) % 8) + body
+
+
+def _unpack(data: bytes) -> dict[str, np.ndarray]:
+    """The members of a snapshot file's ``data``, each a read-only view of it, once its table and CRC check out."""
+    start = len(_SNAPSHOT_FORMAT) + 33  # the member table's, after the format line and the key
+    end = data.find(b"\n\n", start) + 2
+    _require(data.startswith(_SNAPSHOT_FORMAT + b"\n") and end > 1, "no format line or member table")
+    crc, *table = data[start : end - 2].split(b"\n")
+    body = end + -end % 8
+    layout = [(name, np.dtype(dtype)) for name, dtype in _SNAPSHOT_MEMBERS.items() if name != "key"]
+    _require(len(table) == len(layout), "member count")
+    members = {"key": np.frombuffer(data, np.uint8, 32, start - 32)}
+    for row, (name, dtype) in zip(table, layout):
+        stored_name, stored_dtype, offset, length = row.split(b" ")
+        offset, length = int(offset), int(length)
+        _require(stored_name == name.encode() and stored_dtype == dtype.str.encode(), f"{name}: name or dtype")
+        _require(offset % 8 == 0 and length % dtype.itemsize == 0 and min(offset, length) >= 0, f"{name}: alignment")
+        _require(body + offset + length <= len(data), f"{name} past the end of the file")
+        members[name] = np.frombuffer(data, dtype, length // dtype.itemsize, body + offset)
+    _require(zlib.crc32(memoryview(data)[body:]) == int(crc), "body checksum")
+    return members
+
+
 def _write_snapshot(path: Path, key: bytes, graph: KnowledgeGraph, mode_of: Path) -> None:
     """Write ``graph``'s snapshot to ``path`` atomically, with ``mode_of``'s permission bits.
 
@@ -1005,7 +1047,7 @@ def _write_snapshot(path: Path, key: bytes, graph: KnowledgeGraph, mode_of: Path
     try:
         handle, temporary = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
         with os.fdopen(handle, "wb") as file:
-            np.savez(file, **_snapshot_arrays(key, graph))
+            file.write(_pack(_snapshot_arrays(key, graph)))
         shutil.copymode(mode_of, temporary)
         os.replace(temporary, path)
     except OSError as exc:
@@ -1017,24 +1059,21 @@ def _write_snapshot(path: Path, key: bytes, graph: KnowledgeGraph, mode_of: Path
 def _read_snapshot(path: Path, key: bytes) -> KnowledgeGraph | None:
     """The graph stored at ``path`` under ``key``, or None when there is none to use.
 
-    A missing file or one stored under another key is a plain miss; a file
-    that cannot be read or whose structure does not hold is logged as a
-    warning. Either way the caller parses the TSV files and rewrites it.
-    The key is compared before any other member is read, so a file of
-    another format, whose key differs, is a plain miss too.
+    A missing file, an older format's ``.npz`` (a zip archive) or one of this
+    format under another key, its body unchecked, is a plain miss; one that
+    cannot be read or does not hold is logged as a warning. Either way the
+    caller parses the TSV files and rewrites it.
     """
     try:
-        with path.open("rb") as file:
-            snapshot = np.load(file, allow_pickle=False)
-            _require(isinstance(snapshot, np.lib.npyio.NpzFile), "not an .npz archive")
-            if snapshot["key"].tobytes() != key:
-                logger.debug("graph snapshot %s holds other sources; re-parsing", path)
-                return None
-            members = {name: snapshot[name] for name in _SNAPSHOT_MEMBERS}
-        return _decode_snapshot(members)
+        data = path.read_bytes()
+        head = _SNAPSHOT_FORMAT + b"\n"
+        if data.startswith(b"PK") or data.startswith(head) and not data.startswith(key, len(head)):
+            logger.debug("graph snapshot %s holds other sources; re-parsing", path)
+            return None
+        return _decode_snapshot(_unpack(data))
     except FileNotFoundError:
         return None
-    except _SNAPSHOT_ERRORS as exc:
+    except (OSError, ValueError) as exc:  # what reading a damaged or foreign file raises
         logger.warning("graph snapshot %s is unusable (%s); re-parsing the TSV files", path, exc)
         return None
 

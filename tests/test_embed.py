@@ -1,11 +1,13 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from oracles import oracle_vector
 
+from kgprompt import embed
 from kgprompt.embed import (
     EmbedderConfig,
     RemoteEmbedder,
@@ -199,6 +201,37 @@ class TestRemoteEmbedder:
         )
         vector = embed_batch(config, ["text"])[0]
         assert vector.tolist() == pytest.approx([3 / 4] + [1 / 4] * 7)
+
+    @staticmethod
+    def embed_served(monkeypatch, vectors: list) -> list[np.ndarray]:
+        """What the embedder makes of ``vectors``, served by a fake transport; any warning is an error."""
+        monkeypatch.setattr(embed, "post_json", lambda endpoint, payload, timeout: {"vectors": vectors})
+        config = EmbedderConfig(kind="remote", dimension=len(vectors[0]), endpoint="http://127.0.0.1:1/embed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return RemoteEmbedder(config).embed(["text"] * len(vectors))
+
+    @pytest.mark.parametrize(
+        ("raw", "expected"),
+        [
+            ([1e308, 1e308], [math.sqrt(0.5), math.sqrt(0.5)]),  # x·x overflows
+            ([1e-200, 0.0], [1.0, 0.0]),  # x·x underflows to zero
+            ([3e-162, 4e-162], [0.6, 0.8]),  # x·x is subnormal, so its root is off by 0.6%
+        ],
+    )
+    def test_norm_that_overflows_or_underflows_is_rescaled(self, monkeypatch, raw, expected):
+        [vector] = self.embed_served(monkeypatch, [raw])
+        assert vector.tolist() == pytest.approx(expected, rel=1e-15)
+        assert float(np.linalg.norm(vector)) == pytest.approx(1.0, rel=1e-15)
+
+    def test_ordinary_vectors_are_divided_by_their_norm_bit_for_bit(self, monkeypatch):
+        rng = random.Random(5)
+        raw = [[rng.uniform(-10.0, 10.0) * 10.0 ** rng.randint(-100, 100) for _ in range(8)] for _ in range(50)]
+        raw.append([0.0] * 8)
+        for served, vector in zip(raw, self.embed_served(monkeypatch, raw)):
+            norm = float(np.linalg.norm(served))
+            expected = np.asarray(served) / norm if norm else np.zeros(8)
+            assert vector.tobytes() == expected.tobytes()
 
     def test_http_error_carries_status(self, http_service):
         config = EmbedderConfig(

@@ -534,6 +534,26 @@ class TestSurfaceTable:
             assert (graph.entity_ids[long_key].tolist(), prefix_only) == (["Q4"], [])
             assert index.widths == (5, 2, 1)
 
+    def test_a_long_run_of_one_prefix_links_as_the_oracle(self, tmp_path, monkeypatch):
+        # 20,002 keys start with the 16 bytes "sharedprefix0000": one is those bytes alone, one is 21
+        # bytes long, and two entities share a 22-byte key with 19,999 others of that length.
+        entities = [Entity(f"Q{number}", f"Sharedprefix0000 {number:05d}") for number in range(20_000)]
+        entities += [Entity("R1", "sharedprefix0000"), Entity("R2", "SHAREDPREFIX0000 00042", ("sharedprefix0000 0004",))]
+        questions = [
+            "Who is Sharedprefix0000 00042?",
+            "sharedprefix0000 19999 and sharedprefix0000",
+            "sharedprefix0000 0004 2",
+            "sharedprefix0000 20000, sharedprefix0000 0000, sharedprefix0000 000000",
+        ]
+        rows = "".join(f"{e.id}\t{e.name}\t{'|'.join(e.aliases)}\n" for e in entities)
+        paths = write_graph_files(tmp_path, "", rows)
+        expected = [oracle_link(entities, question) for question in questions]
+        assert expected == [{"Q42", "R2"}, {"Q19999", "R1"}, {"R2"}, {"R1"}]
+        for graph in (load_graph(*paths), load_decoded(monkeypatch, *paths)):
+            assert [link_entities(graph, question) for question in questions] == expected
+            shared, short, prefix = graph.surface_index.lookup(["sharedprefix0000 00042", "sharedprefix0000 0004", "sharedprefix0000"])
+            assert [graph.entity_ids[codes].tolist() for codes in (shared, short, prefix)] == [["Q42", "R2"], ["R2"], ["R1"]]
+
     @pytest.mark.parametrize(
         "keys, entities, ordered",
         [
@@ -585,14 +605,14 @@ class TestSurfaceTable:
         paths = write_graph_files(tmp_path, "", rows)
         parsed = load_graph(*paths)
         keys_read = []
-        read_key = kg.SurfaceIndex._key
+        rows_of = kg.SurfaceIndex._rows_of
 
-        def counted_key(index, row):
-            keys_read.append(row)
-            return read_key(index, row)
+        def counted_rows_of(index, *args):
+            keys_read.append(args)
+            return rows_of(index, *args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(kg.SurfaceIndex, "_key", counted_key)
+            patch.setattr(kg.SurfaceIndex, "_rows_of", counted_rows_of)
             decoded = load_decoded(monkeypatch, *paths)
         assert keys_read == []  # the order check compares no full keys
         questions = [
@@ -1023,11 +1043,9 @@ class TestLiteralsAndAliases:
 
 def rewrite_snapshot(path, change) -> None:
     """Apply ``change`` to the members of the snapshot at ``path`` and write them back."""
-    with np.load(path, allow_pickle=False) as snapshot:
-        members = {name: snapshot[name] for name in snapshot.files}
+    members = {name: array.copy() for name, array in kg._unpack(path.read_bytes()).items()}
     change(members)
-    with path.open("wb") as file:
-        np.savez(file, **members)
+    path.write_bytes(kg._pack(members))
 
 
 def flip_middle_third(path) -> None:
@@ -1052,6 +1070,22 @@ def reverse_surface_keys(members) -> None:
 def save_bare_array(path) -> None:
     with path.open("wb") as file:
         np.save(file, np.arange(3))
+
+
+def edit_member_table(path, change) -> None:
+    """Apply ``change`` to the rows of the snapshot's member table, each [name, dtype, offset, length] as bytes.
+
+    The snapshot is written back with its body as it was, at an aligned
+    offset after the new table, so its checksum still matches.
+    """
+    data = path.read_bytes()
+    start = len(kg._SNAPSHOT_FORMAT) + 1 + 32
+    end = data.index(b"\n\n", start) + 2
+    crc, *rows = data[start : end - 2].split(b"\n")
+    rows = [row.split(b" ") for row in rows]
+    change(rows)
+    head = data[:start] + b"\n".join([crc, *map(b" ".join, rows)]) + b"\n\n"
+    path.write_bytes(head + bytes(-len(head) % 8) + data[end + -end % 8 :])
 
 
 # Ways a snapshot can be unusable although its file is there: each is logged
@@ -1126,6 +1160,27 @@ DAMAGED_SNAPSHOTS = {
     "part vocabulary not utf-8": lambda path: rewrite_snapshot(
         path, lambda members: members["part_vocabulary"].__setitem__(-1, 0xFF)
     ),
+    # The member table and the body's checksum; the table's rows run from entity_ids (row 0) to part_tokens.
+    "body cut short": lambda path: path.write_bytes(path.read_bytes()[:-3]),
+    "member table overruns the file": lambda path: edit_member_table(
+        path, lambda rows: rows[-1].__setitem__(3, b"%d" % (int(rows[-1][3]) + 8))
+    ),
+    "misnamed member": lambda path: edit_member_table(path, lambda rows: rows[0].__setitem__(0, b"entity_keys")),
+    "misstated dtype": lambda path: edit_member_table(path, lambda rows: rows[10].__setitem__(1, b"<u8")),
+    "unaligned offset": lambda path: edit_member_table(
+        path, lambda rows: rows[1].__setitem__(2, b"%d" % (int(rows[1][2]) + 4))
+    ),
+}
+# What the reader finds first in each way the member table and checksum can be damaged.
+TABLE_DAMAGE = {
+    "flipped data byte": "body checksum",
+    "body cut short": "part_tokens past the end of the file",
+    "member table overruns the file": "part_tokens past the end of the file",
+    "misnamed member": "entity_ids: name or dtype",
+    "misstated dtype": "offsets: name or dtype",
+    "unaligned offset": "entity_names: alignment",
+    "missing member": "member count",
+    "empty": "no format line or member table",
 }
 SNAPSHOT_GRAPH = (
     "Q1\tP1\tE:Q2\nQ2\tP9\tL:time:1999\nQ1\tP9\tL:plain:a:b\nQ1\tP1\tE:Q1\n",
@@ -1147,8 +1202,8 @@ class TestSnapshot:
         path = snapshot_path(triples)
         assert path == tmp_path / ".triples.tsv.kgprompt.npz"
         assert sorted(os.listdir(tmp_path)) == [path.name, *SOURCE_FILES]
-        with np.load(path, allow_pickle=False) as snapshot:
-            assert all(snapshot[name].dtype != object for name in snapshot.files)
+        snapshot = kg._unpack(path.read_bytes())
+        assert all(snapshot[name].dtype != object for name in snapshot)
         decoded = load_decoded(monkeypatch, triples, entities)
         assert_same_store(graph, decoded)
         assert assert_ids_interned(decoded) == 4
@@ -1169,6 +1224,37 @@ class TestSnapshot:
             assert_same_store(parsed, load_graph(triples, entities))
         assert "graph snapshot" in caplog.text and "unusable" in caplog.text
         assert_same_store(parsed, load_decoded(monkeypatch, triples, entities))
+
+    @pytest.mark.parametrize("damage", TABLE_DAMAGE)
+    def test_table_and_checksum_damage_is_named(self, tmp_path, caplog, damage):
+        triples, entities = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+        load_graph(triples, entities)
+        DAMAGED_SNAPSHOTS[damage](snapshot_path(triples))
+        with caplog.at_level("WARNING", logger="kgprompt.kg"):
+            load_graph(triples, entities)
+        assert f"is unusable ({TABLE_DAMAGE[damage]});" in caplog.text
+
+    def test_format_7_npz_is_a_plain_miss_and_rewritten_in_place(self, tmp_path, monkeypatch, caplog):
+        paths = write_graph_files(tmp_path, *SNAPSHOT_GRAPH)
+        parsed = load_graph(*paths)
+        path = snapshot_path(paths[0])
+        members = dict(kg._unpack(path.read_bytes()))
+        # What format 7 wrote: the same members in an .npz, under that format's key.
+        with monkeypatch.context() as patch:
+            patch.setattr(kg, "_SNAPSHOT_FORMAT", b"kgprompt graph snapshot 7")
+            sources = (*paths, tmp_path / "relations.tsv")
+            members["key"] = np.frombuffer(kg._source_key([source.read_bytes() for source in sources]), np.uint8)
+        with path.open("wb") as file:
+            np.savez(file, **members)
+        assert path.read_bytes()[:2] == b"PK"
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="kgprompt.kg"):
+            assert_same_store(parsed, load_graph(*paths))
+        assert not [record for record in caplog.records if record.levelname == "WARNING"]
+        assert "holds other sources" in caplog.text
+        assert sorted(os.listdir(tmp_path)) == [path.name, *SOURCE_FILES]
+        assert path.read_bytes().startswith(b"kgprompt graph snapshot 8\n")
+        assert_same_store(parsed, load_decoded(monkeypatch, *paths))
 
     def test_snapshot_of_other_files_is_parsed_again_and_rewritten(self, tmp_path, monkeypatch, caplog):
         other = tmp_path / "other"
@@ -1224,15 +1310,15 @@ class TestSnapshot:
             assert_same_store(parsed, load_graph(*paths))
         assert not [record for record in caplog.records if record.levelname == "WARNING"]
         assert "holds other sources" in caplog.text
-        with np.load(path, allow_pickle=False) as snapshot:
-            assert set(lacked) <= set(snapshot.files) and "term_entities" not in snapshot.files
-            assert snapshot["key"].tobytes() != old_key
-            assert snapshot["key"].tobytes() == kg._source_key([source.read_bytes() for source in sources])
-            assert snapshot["objects"].tolist() == [1, 2, 3, 0]  # format 4: literal n is E + n
-            assert snapshot["surface_entities"].tolist() == [0, 0, 0]
-            assert snapshot["surface_keys"].tobytes() == b"\na\nal\nalpha"  # in key prefix order
-            # Alpha | Q2 | knows | P9 | time: 1999 | a:b
-            assert snapshot["part_offsets"].tolist() == [0, 1, 2, 3, 4, 6, 8]
+        snapshot = kg._unpack(path.read_bytes())
+        assert set(lacked) <= set(snapshot) and "term_entities" not in snapshot
+        assert snapshot["key"].tobytes() != old_key
+        assert snapshot["key"].tobytes() == kg._source_key([source.read_bytes() for source in sources])
+        assert snapshot["objects"].tolist() == [1, 2, 3, 0]  # format 4: literal n is E + n
+        assert snapshot["surface_entities"].tolist() == [0, 0, 0]
+        assert snapshot["surface_keys"].tobytes() == b"\na\nal\nalpha"  # in key prefix order
+        # Alpha | Q2 | knows | P9 | time: 1999 | a:b
+        assert snapshot["part_offsets"].tolist() == [0, 1, 2, 3, 4, 6, 8]
         assert_same_store(parsed, load_decoded(monkeypatch, *paths))
 
     @pytest.mark.parametrize(
