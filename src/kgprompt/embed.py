@@ -55,15 +55,14 @@ def fnv1a_64(token: str) -> int:
     return value
 
 
-def fnv1a_64_lines(text: str) -> np.ndarray:
-    """The ``fnv1a_64`` of each string of ``text``, which precedes each with a newline, as uint64s.
+def fnv1a_64_lines(data: np.ndarray) -> np.ndarray:
+    """The ``fnv1a_64`` of each string of ``data``, UTF-8 (uint8) that precedes each with a newline, as uint64s.
 
     Bytes before the first newline belong to no string. The strings are
     hashed together in numpy, one pass per byte position over the strings
     that long, and each hash equals ``fnv1a_64``'s bit for bit: a uint64
     product wraps modulo 2**64 as the masked one does.
     """
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
     starts = np.flatnonzero(data == ord("\n")) + 1
     lengths = np.diff(np.append(starts, len(data) + 1)) - 1
     hashes = np.full(len(starts), _FNV_OFFSET, dtype=np.uint64)

@@ -40,9 +40,10 @@ entity's incident rows in ascending order.
 
 Objects are made only when they are read. ``graph.entities`` is an
 ``Entities`` mapping view over the ids, names and ``|``-joined alias texts
-by code, which makes an ``Entity`` (and splits its aliases) for the id
-looked up. ``neighborhood`` returns a ``Neighborhood``, a ``RowView``
-sequence over rows that makes a ``Triple`` only when an element is read.
+by code, which makes an ``Entity`` (and decodes and splits its alias text)
+for the id looked up. ``neighborhood`` returns a ``Neighborhood``, a
+``RowView`` sequence over rows that makes a ``Triple`` only when an element
+is read.
 ``triples_at`` makes each object from its code: an ``EntityRef`` below
 ``E``, and the literal's ``Literal`` above.
 
@@ -86,16 +87,19 @@ after checking its member table, its CRC and its structure (the surface
 table's order included), and hands its parts to ``_graph``, so it has the
 same dict orders, codes, literal order and interned ids as a parsed one. A
 hit makes no ``Entity``, ``EntityRef``, ``Literal`` or alias tuple, and no
-``str`` per alias text or surface: the alias texts stay the stored UTF-8,
-each decoded when it is first read and then kept, and the surface table and
-literal datatype codes are read as stored, so the first link tokenizes no
-name and the first hashed ranking reads the stored vocabulary instead of
-tokenizing every part text. The names are split at load: each fact a run
-renders reads two, and one split of all of them costs less than decoding a
-fifth of them one at a time. A snapshot that is missing, stale, of another
-format (an ``.npz`` of an older one included), damaged or cannot be written
-costs only a parse. The format tag changes whenever the stored layout or
-order changes, or the same source bytes come to parse to another graph.
+``str`` per alias text, surface or part token: the alias texts, the surface
+table, the part vocabulary and the literal datatype codes are kept as
+stored, the UTF-8 every graph holds its alias texts and vocabulary in, so
+the first link tokenizes no name and the first hashed ranking hashes the
+stored vocabulary instead of tokenizing every part text. Each text member
+is found to be UTF-8 at load, so a bad byte makes the snapshot unusable
+rather than a later read fail. The names are split at load: each fact a
+run renders reads two, and one split of all of them costs less than
+decoding a fifth of them one at a time. A snapshot that is missing, stale,
+of another format (an ``.npz`` of an older one included), damaged or
+cannot be written costs only a parse. The format tag changes whenever the
+stored layout or order changes, or the same source bytes come to parse to
+another graph.
 """
 
 from __future__ import annotations
@@ -196,8 +200,9 @@ class TextIndex(NamedTuple):
     ``surface_keys`` holds the UTF-8 (uint8) of each surface's normalized
     key, preceded by a newline, in the order of the keys' first 16 bytes,
     ties in entity-code order; ``surface_entities`` holds each key's entity
-    code (int32). ``part_vocabulary`` holds each distinct part token once, in first-seen
-    order, preceded by a newline. Part ``p``'s tokens, parts numbered as
+    code (int32). ``part_vocabulary`` holds the UTF-8 (uint8) of each
+    distinct part token once, in first-seen order, preceded by a newline.
+    Every field is an array. Part ``p``'s tokens, parts numbered as
     ``part_texts`` lists them, are the vocabulary's tokens numbered
     ``part_tokens[part_offsets[p]:part_offsets[p + 1]]`` (int64 offsets,
     int32 codes), in text order.
@@ -205,7 +210,7 @@ class TextIndex(NamedTuple):
 
     surface_keys: np.ndarray
     surface_entities: np.ndarray
-    part_vocabulary: str
+    part_vocabulary: np.ndarray
     part_offsets: np.ndarray
     part_tokens: np.ndarray
 
@@ -223,9 +228,9 @@ _KEPT = np.array(
 def _line_bounds(data: np.ndarray) -> np.ndarray:
     """Each newline's position in ``data`` (uint8), then its length.
 
-    String ``i`` of a ``_joined_lines`` text's UTF-8 ``data`` is
-    ``data[bounds[i] + 1 : bounds[i + 1]]``: UTF-8 codes a newline as one
-    byte, which no other character's bytes hold.
+    String ``i`` of a ``_blob`` ``data`` is ``data[bounds[i] + 1 :
+    bounds[i + 1]]``: UTF-8 codes a newline as one byte, which no other
+    character's bytes hold.
     """
     return np.append(np.flatnonzero(data == 10), len(data))
 
@@ -314,62 +319,35 @@ class SurfaceIndex:
         return bool(ordered.all())
 
 
-class _Lines(Sequence):
-    """The strings of a ``_joined_lines`` text's UTF-8 ``blob`` (uint8), each decoded when first read, then kept.
-
-    ``read`` maps the position of each string decoded so far to it. A slice
-    is the list of its strings, each decoded and kept as a single read is.
-    Iterating decodes them all at once.
-    """
-
-    __slots__ = ("data", "bounds", "read")
-
-    def __init__(self, blob: np.ndarray):
-        self.data = blob.tobytes()
-        self.bounds = memoryview(_line_bounds(blob))  # its items read as int
-        self.read: dict[int, str] = {}
-
-    def __len__(self) -> int:
-        return len(self.bounds) - 1
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[position] for position in range(len(self))[index]]
-        try:
-            return self.read[index]
-        except KeyError:
-            index = range(len(self))[index]  # IndexError past either end
-            text = self.read[index] = self.data[self.bounds[index] + 1 : self.bounds[index + 1]].decode("utf-8")
-            return text
-
-    def __iter__(self):
-        return iter(_split_lines(self.data.decode("utf-8")))
-
-
 class Entities(Mapping):
     """A graph's entities: each id mapped to its ``Entity``, made only when read.
 
-    ``ids`` (the graph's ``entity_ids``), ``names`` and ``alias_texts`` hold
-    the parts by entity code, and ``codes``, the graph's one id-to-code map,
-    gives an id's code. An alias text is the entity's aliases joined by ``|``
-    (empty for none), as the snapshot stores it; it is split into the
-    ``Entity``'s tuple only when that entity is read. A snapshot hit keeps
-    the alias texts as their stored UTF-8 and decodes each when it is first
-    read. Iteration is in code order. Like a dict, the view equals any
-    mapping with equal items, and its repr is the dict's.
+    ``ids`` (the graph's ``entity_ids``) and ``names`` hold the parts by
+    entity code, and ``codes``, the graph's one id-to-code map, gives an
+    id's code. An alias text is the entity's aliases joined by ``|`` (empty
+    for none). Every graph holds its alias texts as the snapshot stores
+    them: ``alias_blob`` is their UTF-8 (uint8), each preceded by a newline,
+    and entity ``c``'s is ``alias_blob[alias_bounds[c] + 1 :
+    alias_bounds[c + 1]]``. Reading an entity decodes and splits its own
+    text, and no other, into the ``Entity``'s tuple; nothing is kept.
+    Iteration is in code order. Like a dict, the view equals any mapping
+    with equal items, and its repr is the dict's.
     """
 
-    __slots__ = ("codes", "ids", "names", "alias_texts")
+    __slots__ = ("codes", "ids", "names", "alias_blob", "alias_bounds")
 
-    def __init__(self, codes: dict[EntityId, int], ids: np.ndarray, names: list, alias_texts: list | _Lines):
+    def __init__(self, codes: dict[EntityId, int], ids: np.ndarray, names: list, alias_blob: np.ndarray):
         self.codes = codes
         self.ids = ids
         self.names = names
-        self.alias_texts = alias_texts
+        self.alias_blob = alias_blob
+        self.alias_bounds = _line_bounds(alias_blob)
 
     def __getitem__(self, entity_id: EntityId) -> Entity:
         code = self.codes[entity_id]
-        return Entity(self.ids[code], self.names[code], _alias_tuple(self.alias_texts[code]))
+        start, end = self.alias_bounds[code : code + 2].tolist()
+        text = self.alias_blob[start + 1 : end].tobytes().decode("utf-8")
+        return Entity(self.ids[code], self.names[code], _alias_tuple(text))
 
     def __contains__(self, entity_id: object) -> bool:
         return entity_id in self.codes
@@ -523,7 +501,7 @@ class KnowledgeGraph:
         token_lists = list(map(normalize_tokens, self.part_texts.tolist()))
         view = self.entities
         keys, codes = [], []
-        for code, (name, aliases, tokens) in enumerate(zip(view.names, view.alias_texts, token_lists)):
+        for code, (name, aliases, tokens) in enumerate(zip(view.names, _strings(view.alias_blob), token_lists)):
             for key in (" ".join(tokens) if name else "", *map(normalize_text, _alias_tuple(aliases))):
                 if key:
                     keys.append(key)
@@ -536,7 +514,7 @@ class KnowledgeGraph:
         return TextIndex(
             _blob([keys[position] for position in order.tolist()]),
             entities[order],
-            _joined_lines(vocabulary.ids),
+            _blob(vocabulary.ids),
             np.cumsum([0, *map(len, token_lists)], dtype=np.int64),
             token_codes,
         )
@@ -708,7 +686,7 @@ class _Coder:
         return _graph(
             self.entities.ids,
             [entity.name for entity in self.entity_list],
-            ["|".join(filter(None, entity.aliases)) for entity in self.entity_list],
+            _blob("|".join(filter(None, entity.aliases)) for entity in self.entity_list),
             self.relations.ids,
             relation_names,
             [value for value, _ in self.literals.ids],
@@ -722,20 +700,20 @@ _COLUMNS = ("subjects", "predicates", "objects", "offsets", "incident")
 
 
 def _graph(
-    ids, names, alias_texts, relation_ids, relation_names, literal_values, literal_datatypes, columns
+    ids, names, alias_blob, relation_ids, relation_names, literal_values, literal_datatypes, columns
 ) -> KnowledgeGraph:
     """The graph of its parts; every graph is made here.
 
-    Entity ``ids``, ``names`` and ``alias_texts`` and the relation ids and
-    names are in code order, the literal values (a list of str) and datatype
-    codes (a uint8 array) in literal order, ``columns`` as ``_COLUMNS`` names
-    them. Each id the graph holds is the very object of ``ids`` or
+    Entity ``ids`` and ``names``, the alias texts as one ``_blob`` and the
+    relation ids and names are in code order, the literal values (a list of
+    str) and datatype codes (a uint8 array) in literal order, ``columns`` as
+    ``_COLUMNS`` names them. Each id the graph holds is the very object of ``ids`` or
     ``relation_ids``, a relation named by its own id included. No
     ``Entity``, ``EntityRef``, ``Literal`` or alias tuple is made here.
     """
     entity_ids = np.array(ids, dtype=object)
     return KnowledgeGraph(
-        entities=Entities(dict(zip(ids, range(len(ids)))), entity_ids, names, alias_texts),
+        entities=Entities(dict(zip(ids, range(len(ids)))), entity_ids, names, alias_blob),
         relations={
             relation_id: Relation(relation_id, relation_id if name == relation_id else name)
             for relation_id, name in zip(relation_ids, relation_names)
@@ -938,36 +916,20 @@ def _source_key(sources: Sequence[bytes | None]) -> bytes:
     return digest.digest()
 
 
-def _joined_lines(strings: Iterable[str]) -> str:
-    """One text of ``strings``, each preceded by a newline."""
-    return "\n".join(["", *strings])
-
-
-def _split_lines(text: str) -> list[str]:
-    """The strings of a ``_joined_lines`` text."""
-    return text.split("\n")[1:]
-
-
-def _utf8(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-
-
 def _blob(strings: Iterable[str]) -> np.ndarray:
-    return _utf8(_joined_lines(strings))
-
-
-def _text(blob: np.ndarray) -> str:
-    return blob.tobytes().decode("utf-8")
+    """The UTF-8 (uint8) of ``strings``, each preceded by a newline."""
+    return np.frombuffer("\n".join(["", *strings]).encode("utf-8"), dtype=np.uint8)
 
 
 def _strings(blob: np.ndarray) -> list[str]:
-    return _split_lines(_text(blob))
+    """The strings of a ``_blob`` (UnicodeDecodeError if its bytes are not UTF-8)."""
+    return blob.tobytes().decode("utf-8").split("\n")[1:]
 
 
 def _checked(blob: np.ndarray) -> np.ndarray:
     """``blob``, once its bytes are found to be UTF-8 (UnicodeDecodeError if not); ASCII is checked without a copy."""
     if blob.size and blob.max() > 127:
-        _text(blob)
+        blob.tobytes().decode("utf-8")
     return blob
 
 
@@ -982,18 +944,17 @@ def _require_offsets(offsets: np.ndarray, total: int, what: str) -> None:
 
 def _snapshot_arrays(key: bytes, graph: KnowledgeGraph) -> dict[str, np.ndarray]:
     """The members of ``graph``'s snapshot under ``key``, as ``_SNAPSHOT_MEMBERS`` lists them."""
-    index = graph.text_index._asdict()
     return {
         "key": np.frombuffer(key, dtype=np.uint8),
         "entity_ids": _blob(graph.entity_ids.tolist()),
         "entity_names": _blob(name or "" for name in graph.entities.names),
-        "entity_aliases": _blob(graph.entities.alias_texts),
+        "entity_aliases": graph.entities.alias_blob,
         "relation_ids": _blob(graph.relation_ids.tolist()),
         "relation_names": _blob(relation.name for relation in graph.relations.values()),
         "literal_values": _blob(graph.literal_values.tolist()),
         "literal_datatypes": graph.literal_datatypes,
         **{name: getattr(graph, name) for name in _COLUMNS},
-        **{name: _utf8(value) if isinstance(value, str) else value for name, value in index.items()},
+        **graph.text_index._asdict(),
     }
 
 
@@ -1085,7 +1046,7 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
         _require(array.dtype == dtype and array.ndim == 1, f"{name} is not a 1-d {np.dtype(dtype)} array")
     ids = _strings(members["entity_ids"])
     names = [name or None for name in _strings(members["entity_names"])]
-    aliases = _Lines(_checked(members["entity_aliases"]))
+    aliases = _checked(members["entity_aliases"])
     relation_ids = _strings(members["relation_ids"])
     relation_names = _strings(members["relation_names"])
     values = _strings(members["literal_values"])
@@ -1096,14 +1057,14 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     index = TextIndex(
         _checked(members["surface_keys"]),
         members["surface_entities"],
-        _text(members["part_vocabulary"]),
+        _checked(members["part_vocabulary"]),
         members["part_offsets"],
         members["part_tokens"],
     )
     surfaces = SurfaceIndex(index.surface_keys, index.surface_entities)
 
     count = len(subjects)
-    _require(len(ids) == len(names) == len(aliases) == len(offsets) - 1, "entity counts")
+    _require(len(ids) == len(names) == np.count_nonzero(aliases == 10) == len(offsets) - 1, "entity counts")
     _require(len(relation_ids) == len(relation_names), "relation counts")
     _require(len(values) == len(datatypes), "literal counts")
     _require(len(predicates) == len(objects) == count, "row counts")
@@ -1118,7 +1079,7 @@ def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
     _require(surfaces.in_order(), "surface keys out of order")
     _require(len(index.part_offsets) == len(ids) + len(relation_ids) + len(values) + 1, "part counts")
     _require_offsets(index.part_offsets, len(index.part_tokens), "part offsets")
-    _within(index.part_tokens, 0, index.part_vocabulary.count("\n"), "part token codes")
+    _within(index.part_tokens, 0, np.count_nonzero(index.part_vocabulary == 10), "part token codes")
 
     graph = _graph(ids, names, aliases, relation_ids, relation_names, values, datatypes, columns)
     _require(len(graph.entities.codes) == len(ids) and len(graph.relations) == len(relation_ids), "duplicate ids")

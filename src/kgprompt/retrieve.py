@@ -59,7 +59,7 @@ def _bucket_table(graph: KnowledgeGraph, dimension: int) -> tuple[np.ndarray, np
     """The distinct buckets of the vocabulary's tokens, ascending (uint64), and each token's slot among them.
 
     A token's bucket is ``fnv1a_64(token) % dimension``, hashed in numpy
-    from the stored text ``graph.text_index.part_vocabulary``
+    from the vocabulary's UTF-8 ``graph.text_index.part_vocabulary``
     (``fnv1a_64_lines``); the pair is built on first use and kept in
     ``graph.bucket_tables``.
     """

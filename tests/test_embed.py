@@ -20,6 +20,11 @@ from kgprompt.embed import (
 from kgprompt.errors import ConfigError, RemoteServiceError
 
 
+def utf8(text: str) -> np.ndarray:
+    """The UTF-8 of ``text`` as uint8, the form ``fnv1a_64_lines`` hashes."""
+    return np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+
+
 class TestFnv1a:
     def test_reference_vectors(self):
         # standard 64-bit FNV-1a test vectors
@@ -37,15 +42,15 @@ class TestFnv1a:
         tokens = ["", "a", "foobar"] + [
             "".join(rng.choices(self.LETTERS, k=rng.randint(1, 12))) for _ in range(300)
         ]
-        hashes = fnv1a_64_lines("\n".join(["", *tokens]))
+        hashes = fnv1a_64_lines(utf8("\n".join(["", *tokens])))
         assert hashes.dtype == np.uint64
         assert hashes.tolist() == [fnv1a_64(token) for token in tokens]
         assert (hashes % np.uint64(dimension)).tolist() == [fnv1a_64(token) % dimension for token in tokens]
 
     def test_lines_ignore_bytes_before_the_first_newline(self):
-        assert fnv1a_64_lines("").tolist() == []
-        assert fnv1a_64_lines("ignored").tolist() == []
-        assert fnv1a_64_lines("ignored\nfoobar").tolist() == [0x85944171F73967E8]
+        assert fnv1a_64_lines(utf8("")).tolist() == []
+        assert fnv1a_64_lines(utf8("ignored")).tolist() == []
+        assert fnv1a_64_lines(utf8("ignored\nfoobar")).tolist() == [0x85944171F73967E8]
 
 
 class TestHashedBow:

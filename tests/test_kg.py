@@ -787,9 +787,9 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
     Mappings (dicts and the entities view) compare in the same order, arrays
     in value, dtype and element type, and both down to the type of each
     element of an ``Entity``, term or index entry. The entities' alias
-    texts compare as ``str``, and the literal values and datatype codes as
-    the arrays they are. The text index is compared member by member, texts
-    as ``str``, so a decoded index that drifts from the derived one fails
+    texts compare as their UTF-8 and its bounds, and the literal values and
+    datatype codes as the arrays they are. The text index is compared member
+    by member, so a decoded index that drifts from the derived one fails
     here, and so is the surface table built from it.
     """
     for field in dataclasses.fields(KnowledgeGraph):
@@ -799,15 +799,12 @@ def assert_same_store(parsed: KnowledgeGraph, decoded: KnowledgeGraph) -> None:
             assert typed(list(actual.items())) == typed(list(expected.items())), field.name
         else:
             assert_same_array(actual, expected, field.name)
-    assert typed(decoded.entities.alias_texts) == typed(parsed.entities.alias_texts)
+    for name in ("alias_blob", "alias_bounds"):
+        assert_same_array(getattr(decoded.entities, name), getattr(parsed.entities, name), f"entities.{name}")
     assert typed(decoded.triples_at(slice(None))) == typed(parsed.triples_at(slice(None)))
     assert_same_array(decoded.part_texts, parsed.part_texts, "part_texts")
     for name, expected in parsed.text_index._asdict().items():
-        actual = getattr(decoded.text_index, name)
-        if isinstance(expected, str):
-            assert type(actual) is str and actual == expected, f"text_index.{name}"
-        else:
-            assert_same_array(actual, expected, f"text_index.{name}")
+        assert_same_array(getattr(decoded.text_index, name), expected, f"text_index.{name}")
     index, expected_index = decoded.surface_index, parsed.surface_index
     for name in ("keys", "bounds", "entities", "prefixes"):
         assert_same_array(getattr(index, name), getattr(expected_index, name), f"surface_index.{name}")
@@ -1037,7 +1034,7 @@ class TestLiteralsAndAliases:
             build_graph([Entity("Q1")], [], [Triple("Q1", "P1", Literal("x", "date"))])
         # Empty aliases name nothing, and the loader drops them too.
         graph = build_graph([Entity("Q1", "Alpha", ("", "A", "")), Entity("Q2", None, ("",))], [], [])
-        assert graph.entities.alias_texts == ["A", ""]
+        assert graph.entities.alias_blob.tobytes() == b"\nA\n"
         assert list(graph.entities.values()) == [Entity("Q1", "Alpha", ("A",)), Entity("Q2")]
 
 
@@ -1120,6 +1117,10 @@ DAMAGED_SNAPSHOTS = {
     "offsets": lambda path: rewrite_snapshot(path, lambda members: members["offsets"].__setitem__(-1, 99)),
     "not utf-8": lambda path: rewrite_snapshot(
         path, lambda members: members["entity_ids"].__setitem__(-1, 0xFF)
+    ),
+    # The alias member is "\nA|Al\n": its last byte is the newline before Q2's empty text.
+    "alias texts not utf-8": lambda path: rewrite_snapshot(
+        path, lambda members: members["entity_aliases"].__setitem__(-2, 0xFF)
     ),
     "missing surface keys": lambda path: rewrite_snapshot(path, lambda members: members.pop("surface_keys")),
     "missing surface entities": lambda path: rewrite_snapshot(
@@ -1736,7 +1737,7 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
             for view in ("part_texts", "triples"):
                 assert view not in graph.__dict__, view
             # The aliases are kept as the stored texts, the literals as values and datatype codes.
-            assert list(graph.entities.alias_texts) == ["A|Al", ""]
+            assert graph.entities.alias_blob.tobytes() == b"\nA|Al\n"
             assert graph.literal_values.tolist() == ["1999", "a:b"] and graph.literal_datatypes.tolist() == [1, 0]
             # The hit holds the stored text index, split by nothing yet, and its key-ordered surface table.
             assert "text_index" in graph.__dict__ and "surface_index" in graph.__dict__
@@ -1751,7 +1752,7 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
             patch.setattr(kg, "normalize_tokens", lambda text: pytest.fail("tokenized a part text on a hit"))
             ranked = rank_candidates(Similarity(), "alpha knows", neighborhood(graph, ["Q1"], 1), graph)
             assert ranked.rows.tolist() == [3, 0, 2] and ranked.scores[0] > 0  # (Alpha, knows, Alpha) first
-            assert graph.text_index.part_vocabulary == "\nalpha\nq2\nknows\np9\ntime\n1999\na\nb"
+            assert graph.text_index.part_vocabulary.tobytes() == b"\nalpha\nq2\nknows\np9\ntime\n1999\na\nb"
             assert list(graph.bucket_tables) == [Similarity().embedder.dimension]
             assert made == Counter()
             entity = graph.entities["Q1"]
@@ -1769,31 +1770,37 @@ class TestSnapshotHitBuildsOnlyWhatIsRead:
         paths = write_graph_files(tmp_path, "Q7\tP1\tE:Q3\n", rows)
         load_graph(*paths)
         graph = load_decoded(monkeypatch, *paths)
-        aliases = graph.entities.alias_texts
+        read = []
+
+        class ReadSpy(np.ndarray):
+            """The alias texts' UTF-8, recording the bytes of each part of it read, or of all of it."""
+
+            def __getitem__(self, index):
+                part = np.asarray(self)[index]
+                read.append(part.tobytes())
+                return part
+
+            def tobytes(self, *args):
+                data = np.asarray(self).tobytes(*args)
+                read.append(data)
+                return data
+
+        graph.entities.alias_blob = graph.entities.alias_blob.view(ReadSpy)
         assert link_entities(graph, "Is Alias 7 Other 3?") == {"Q7", "Q3"}
-        assert aliases.read == {}
+        assert read == []
         # The table is arrays: no dict, list or str per surface.
         index = graph.surface_index
         assert {type(value) for value in vars(index).values()} == {np.ndarray, tuple}
         assert len(index.prefixes) == 150 and index.widths == (2,)
         assert graph.entities["Q7"] == Entity("Q7", "Name 7", ("Alias 7", "Other 7"))
-        assert aliases.read == {7: "Alias 7|Other 7"}
+        assert read == [b"Alias 7|Other 7"]
         [triple] = graph.triples_at(np.array([0]))
         assert verbalize(triple, graph).text == "(Name 7, P1, Name 3)"
-        assert aliases.read == {7: "Alias 7|Other 7"} and aliases[7] is aliases[7] and len(aliases) == 50
-        assert aliases[-1] == "Alias 49|Other 49" and list(aliases)[48] == "Alias 48|Other 48"
-        with pytest.raises(IndexError):
-            aliases[50]
-
-    def test_alias_text_slices_read_as_the_parsed_lists(self, tmp_path, monkeypatch):
-        rows = "".join(f"Q{i}\tName {i}\t{'|'.join(f'Alias {i}.{n}' for n in range(i % 3))}\n" for i in range(6))
-        paths = write_graph_files(tmp_path, "", rows)
-        parsed = load_graph(*paths).entities.alias_texts
-        aliases = load_decoded(monkeypatch, *paths).entities.alias_texts
-        for index in (slice(1, 3), slice(-2, None), slice(None, None, -1)):
-            assert aliases[index] == parsed[index] and type(aliases[index]) is list, index
-        assert aliases.read == dict(enumerate(parsed))
-        assert aliases[4:5][0] is aliases[4]  # each string decoded once, then kept
+        assert read == [b"Alias 7|Other 7"]
+        # Nothing is kept: a second read decodes its text again.
+        assert graph.entities["Q49"] == Entity("Q49", "Name 49", ("Alias 49", "Other 49"))
+        assert graph.entities["Q7"] == Entity("Q7", "Name 7", ("Alias 7", "Other 7"))
+        assert read == [b"Alias 7|Other 7", b"Alias 49|Other 49", b"Alias 7|Other 7"]
 
     @pytest.mark.parametrize("method", ["kaping", "popular_knowledge"])
     def test_only_hashed_ranking_reads_the_part_tokens(self, toy_dir, tmp_path, monkeypatch, method):
@@ -1905,7 +1912,7 @@ class TestNeighborhoodConcurrency:
         parsed = load_graph(*paths)
         questions = [f"Is Name {n} the Other {n % 50} or Alias {n * 7}?" for n in range(40)]
         expected = [link_entities(parsed, question) for question in questions]
-        alias_texts = parsed.entities.alias_texts
+        entities = list(parsed.entities.values())
         graph = load_decoded(monkeypatch, *paths)
         barrier = threading.Barrier(4)
         results = [None] * 4
@@ -1913,8 +1920,8 @@ class TestNeighborhoodConcurrency:
         def worker(slot):
             barrier.wait(timeout=60)
             linked = [link_entities(graph, question) for question in questions]
-            read = [graph.entities.alias_texts[code] for code in range(slot, 3000, 3)]
-            results[slot] = (linked, read == alias_texts[slot::3])
+            read = [graph.entities[entity.id] for entity in entities[slot::3]]
+            results[slot] = (linked, read == entities[slot::3])
 
         threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
         interval = sys.getswitchinterval()
@@ -1929,4 +1936,3 @@ class TestNeighborhoodConcurrency:
         assert not any(thread.is_alive() for thread in threads)
         assert all(expected)
         assert results == [(expected, True)] * 4
-        assert graph.entities.alias_texts.read == dict(enumerate(alias_texts))

@@ -3,7 +3,8 @@
 A change that is meant to keep outputs byte-identical must leave every
 digest here as it is. Each configuration runs once cold (the graph parsed
 and its snapshot written) and once warm (decoded from the snapshot), and
-both runs must write the pinned bytes.
+both runs must write the pinned bytes. The toy graph's snapshot file is
+pinned too, by format tag, so the stored bytes change only with the tag.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from kgprompt.kg import snapshot_path
+from kgprompt.embed import EmbedderConfig
+from kgprompt.kg import _SNAPSHOT_FORMAT, load_graph, snapshot_path
+from kgprompt.llm import ProviderConfig
 from kgprompt.pipeline import config_from_dict, load_config, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -25,8 +28,9 @@ import gen  # noqa: E402  (the benchmark's seeded graph generator, imported as a
 
 TOY_FILES = ("config.json", "dataset.jsonl", "entities.tsv", "relations.tsv", "triples.tsv")
 
-# (predictions.jsonl, report.json) by toy method: every method but generated_knowledge, whose
-# template the toy config does not set.
+# (predictions.jsonl, report.json) by toy method; generated_knowledge, whose template the toy
+# config does not set, runs with GENERATED_KNOWLEDGE_TEMPLATE.
+GENERATED_KNOWLEDGE_TEMPLATE = "Facts about: {question}"
 TOY_DIGESTS = {
     "no_knowledge": (
         "d8c7eabd658e1ac3affe0ee1165dfbff37c93e663f57a6f7e59ff7f0c75d648f",
@@ -44,6 +48,21 @@ TOY_DIGESTS = {
         "2ecdc3c263b32d4067206aad3ac22957e14986efb79d2de099a9b6faa252f91a",
         "de4ee02b673c095c40154c7bea8eaecaf937accedf358e05fe2e197f52346157",
     ),
+    "generated_knowledge": (
+        "8f8aeea3967d674856d0d4579b1cec57af4710c9d3b7143cb8ee333e1f7b9e80",
+        "6c9e132b3555bc099b97e1f27c4cf7afe6d47b7d4f73625cfb41b7d550bf58ee",
+    ),
+}
+# The toy kaping run with a remote embedder (dimension 8) and a remote provider, both the
+# ``http_service`` fake's. No record holds an endpoint, so the fake's port does not enter them.
+REMOTE_KAPING_DIGESTS = (
+    "bcbe89459d26e9891e7b4168c760c7aed5232b129ca4bc8d1d9b3431230f6074",
+    "de2896cf6a4a2cfe4aead5634168655ad5c60ef986499037b518362c076c98db",
+)
+# The sha256 of the toy graph's snapshot file, by snapshot format: a change to the stored bytes
+# must come with a new format tag.
+SNAPSHOT_DIGESTS = {
+    b"kgprompt graph snapshot 8": "8510e54a59eabd4b90a70610b1ed57241ef0144862858f49122b4c20c1d38928",
 }
 
 # Two benchmark workloads' configurations on a small graph of the benchmark's generator.
@@ -90,9 +109,29 @@ def toy_copy(toy_dir, tmp_path_factory) -> Path:
 
 @pytest.mark.parametrize("method", TOY_DIGESTS)
 def test_toy_outputs_are_pinned(toy_copy, tmp_path, method):
-    config = dataclasses.replace(load_config(toy_copy / "config.json"), method=method)
+    config = dataclasses.replace(
+        load_config(toy_copy / "config.json"), method=method, generated_knowledge_template=GENERATED_KNOWLEDGE_TEMPLATE
+    )
     snapshot = snapshot_path(config.triples_path)
     assert cold_and_warm(config, snapshot, tmp_path) == [TOY_DIGESTS[method]] * 2
+
+
+def test_toy_outputs_with_remote_services_are_pinned(toy_copy, tmp_path, http_service):
+    config = dataclasses.replace(
+        load_config(toy_copy / "config.json"),
+        embedder=EmbedderConfig(kind="remote", dimension=8, endpoint=f"{http_service.url}/embed"),
+        provider=ProviderConfig(kind="remote", endpoint=f"{http_service.url}/complete"),
+    )
+    snapshot = snapshot_path(config.triples_path)
+    assert cold_and_warm(config, snapshot, tmp_path) == [REMOTE_KAPING_DIGESTS] * 2
+
+
+def test_toy_snapshot_bytes_are_pinned(toy_copy):
+    config = load_config(toy_copy / "config.json")
+    snapshot = snapshot_path(config.triples_path)
+    snapshot.unlink(missing_ok=True)
+    load_graph(config.triples_path, config.entities_path, config.relations_path)
+    assert hashlib.sha256(snapshot.read_bytes()).hexdigest() == SNAPSHOT_DIGESTS[_SNAPSHOT_FORMAT]
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -384,7 +384,7 @@ class TestScorerEdgeCases:
 
     def test_graph_without_tokens_scores_zero(self):
         graph = build_graph([Entity("Q1", "!!")], [Relation("P1", "--")], [Triple("Q1", "P1", Literal("(, )"))])
-        assert graph.text_index.part_vocabulary == ""
+        assert graph.text_index.part_vocabulary.tobytes() == b""
         ranked = rank_candidates(Similarity(), "amber harbor", graph.triples, graph)
         assert ranked.scores.dtype == np.float64 and ranked.scores.tolist() == [0.0]
 
