@@ -145,7 +145,7 @@ def _cmd_retrieve(args: argparse.Namespace) -> int:
     payload = {
         "question": args.question,
         "linked_entities": list(step.entities),
-        "candidates": len(step.candidates),
+        "candidates": len(step.ranked),
         "results": pipeline.fact_entries(step.top),
     }
     print(json.dumps(payload, ensure_ascii=False, indent=2))

@@ -26,6 +26,8 @@ EMBEDDER_KINDS = ("hashed_bow", "remote")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _UINT64_MASK = (1 << 64) - 1
+# Seconds an embedding request may take; the provider's is its config's ``timeout``.
+_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -121,12 +123,13 @@ class RemoteEmbedder:
     rejected at once, and the rest re-normalized client-side so the unit-norm
     invariant holds regardless of what the server returns. A vector whose
     x·x overflows or underflows is first scaled by its largest component;
-    any other is divided by its ``np.linalg.norm``, bit for bit.
+    any other is divided by its ``np.linalg.norm``, bit for bit. Each
+    request times out after 30 s.
     """
 
-    def __init__(self, config: EmbedderConfig, timeout: float = 30.0, sleep=time.sleep):
+    def __init__(self, config: EmbedderConfig, sleep=time.sleep):
         self.config = config
-        self.transport = Transport(config.endpoint, timeout, config.max_concurrency, post_json, sleep)
+        self.transport = Transport(config.endpoint, _TIMEOUT_S, config.max_concurrency, post_json, sleep)
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         body, _ = self.transport.call({"texts": list(texts)})

@@ -270,7 +270,8 @@ class SurfaceIndex:
     ``np.searchsorted``. A prefix shorter than 16 bytes is its whole key, so
     only a run of 16-byte prefixes can hold distinct keys, each key's
     surfaces in entity-code order among them. ``widths`` lists the distinct
-    key token counts, longest first.
+    key token counts, longest first: ``link_entities`` decides nesting in one
+    pass over the n-grams in that order.
     """
 
     def __init__(self, keys: np.ndarray, entities: np.ndarray):
@@ -1040,10 +1041,7 @@ def _read_snapshot(path: Path, key: bytes) -> KnowledgeGraph | None:
 
 
 def _decode_snapshot(members: dict[str, np.ndarray]) -> KnowledgeGraph:
-    """The graph of a snapshot's members; _BadSnapshot when they do not fit together."""
-    for name, dtype in _SNAPSHOT_MEMBERS.items():
-        array = members[name]
-        _require(array.dtype == dtype and array.ndim == 1, f"{name} is not a 1-d {np.dtype(dtype)} array")
+    """The graph of a snapshot's members, as ``_unpack`` reads them; _BadSnapshot when they do not fit together."""
     ids = _strings(members["entity_ids"])
     names = [name or None for name in _strings(members["entity_names"])]
     aliases = _checked(members["entity_aliases"])
@@ -1185,10 +1183,11 @@ def link_entities(graph: KnowledgeGraph, question: str) -> set[EntityId]:
     """Exact surface-form entity linking over normalized tokens.
 
     Matches every entity whose canonical name or alias occurs as a contiguous
-    token sequence in the normalized question, longest match first, by
-    looking all question n-grams up at once in ``graph.surface_index``. Shorter
-    matches nested inside an already-accepted longer match are suppressed
-    ("York" inside an accepted "New York").
+    token sequence in the normalized question, by looking all question
+    n-grams up at once in ``graph.surface_index``. Shorter matches nested
+    inside an already-accepted longer match are suppressed ("York" inside an
+    accepted "New York"), in one pass that relies on ``widths`` being longest
+    first: each longer span is decided before the n-grams it holds.
     """
     tokens = normalize_tokens(question)
     if not tokens:
@@ -1197,22 +1196,14 @@ def link_entities(graph: KnowledgeGraph, question: str) -> set[EntityId]:
     grams = [(width, start) for width in index.widths for start in range(len(tokens) - width + 1)]
     found = index.lookup([" ".join(tokens[start : start + width]) for width, start in grams])
     ids = graph.entity_ids
-    occurrences = [  # (length, start, end, id)
-        (width, start, start + width, ids[code])
-        for (width, start), codes in zip(grams, found)
-        for code in codes
-    ]
-
-    occurrences.sort(key=lambda item: (-item[0], item[1], item[3]))
     accepted_spans: list[tuple[int, int]] = []
     linked: set[EntityId] = set()
-    for width, start, end, entity_id in occurrences:
-        nested = any(
+    for (width, start), codes in zip(grams, found):
+        end = start + width
+        if codes and not any(
             span_start <= start and end <= span_end and width < span_end - span_start
             for span_start, span_end in accepted_spans
-        )
-        if nested:
-            continue
-        accepted_spans.append((start, end))
-        linked.add(entity_id)
+        ):
+            accepted_spans.append((start, end))
+            linked.update(ids[code] for code in codes)
     return linked

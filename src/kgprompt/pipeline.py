@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ConfigError, RemoteServiceError, check_json_text
 from .embed import EmbedderConfig, remote_embedder
-from .kg import EntityId, KnowledgeGraph, Triple, link_entities, load_graph, neighborhood
+from .kg import EntityId, KnowledgeGraph, link_entities, load_graph, neighborhood
 from .llm import CompletionClient, CompletionRequest, ProviderConfig, RemoteClient, build_client
 from .metrics import (
     AnswerEntity,
@@ -269,10 +269,9 @@ def strategy_for(config: RunConfig, seed: int):
 
 
 class Retrieval(NamedTuple):
-    """What one retrieval step found for a question."""
+    """What one retrieval step found for a question: its entities, every candidate ranked, and the top k."""
 
     entities: tuple[EntityId, ...]
-    candidates: Sequence[Triple]
     ranked: Ranking
     top: Ranking
 
@@ -290,13 +289,14 @@ def retrieve_facts(
     ``config.hops`` neighborhood, ranks it with ``strategy_for(config,
     seed)`` and keeps the top ``config.k`` as a lazy ``Ranking``: a fact
     is verbalized only when it is read, so ``run`` verbalizes only what
-    ``render_prompt`` reads and ``kgprompt retrieve`` all k.
+    ``render_prompt`` reads and ``kgprompt retrieve`` all k. ``ranked``
+    holds every candidate, so its length is the candidate count.
     """
     if entities is None:
         entities = sorted(link_entities(graph, question))
     candidates = neighborhood(graph, entities, config.hops)
     ranked = rank_candidates(strategy_for(config, seed), question, candidates, graph)
-    return Retrieval(tuple(entities), candidates, ranked, top_k(ranked, config.k))
+    return Retrieval(tuple(entities), ranked, top_k(ranked, config.k))
 
 
 def fact_entries(facts: Sequence[ScoredTriple]) -> list[dict]:
@@ -371,7 +371,7 @@ def run_example(
             config, graph, example.question, example.question_entities, derive_seed(config.seed, example.id)
         )
         retrieval = score_retrieval(answer_bearing(step.ranked, set(example.answer_entities)))
-        if not step.candidates:
+        if not step.ranked:
             flags.append("empty_candidates")
         rendered = render_prompt(spec, step.top, example.question)
         prompt_text, included, truncated = rendered.text, rendered.included_triples, rendered.truncated

@@ -5,6 +5,10 @@ digest here as it is. Each configuration runs once cold (the graph parsed
 and its snapshot written) and once warm (decoded from the snapshot), and
 both runs must write the pinned bytes. The toy graph's snapshot file is
 pinned too, by format tag, so the stored bytes change only with the tag.
+
+The warm run must find the snapshot file the cold run left, not a rewrite
+of it, so a snapshot that no longer decodes fails here rather than passing
+on a re-parse. ``kgprompt retrieve``'s printed JSON is pinned the same way.
 """
 
 from __future__ import annotations
@@ -14,10 +18,13 @@ import hashlib
 import json
 import shutil
 import sys
+import threading
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
+from kgprompt.cli import main
 from kgprompt.embed import EmbedderConfig
 from kgprompt.kg import _SNAPSHOT_FORMAT, load_graph, snapshot_path
 from kgprompt.llm import ProviderConfig
@@ -25,6 +32,7 @@ from kgprompt.pipeline import config_from_dict, load_config, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  (the benchmark's seeded graph generator, imported as a library)
+import stub  # noqa: E402  (the benchmark's local embedding and completion service, imported as a library)
 
 TOY_FILES = ("config.json", "dataset.jsonl", "entities.tsv", "relations.tsv", "triples.tsv")
 
@@ -59,6 +67,16 @@ REMOTE_KAPING_DIGESTS = (
     "bcbe89459d26e9891e7b4168c760c7aed5232b129ca4bc8d1d9b3431230f6074",
     "de2896cf6a4a2cfe4aead5634168655ad5c60ef986499037b518362c076c98db",
 )
+# The toy kaping run on a copy in which every named entity also answers to "<name> one" and
+# "<name> two", after its own aliases: answers with two or more aliases, in their stored order.
+MANY_ALIASES_DIGESTS = (
+    "d3cf5fb753eba177f84db85f1959a53ace1068631e94bd7f9512997043ce98cb",
+    "de4ee02b673c095c40154c7bea8eaecaf937accedf358e05fe2e197f52346157",
+)
+# The sha256 of ``kgprompt retrieve``'s printed JSON for every toy question under each method below,
+# in turn: linking, the candidate count and the listed facts.
+RETRIEVE_METHODS = ("kaping", "random_knowledge", "popular_knowledge")
+RETRIEVE_DIGEST = "3c48141c097f0b5ff9dbdc3c35cd0b9f7c687e474c74b514ec6e51f92a8df90c"
 # The sha256 of the toy graph's snapshot file, by snapshot format: a change to the stored bytes
 # must come with a new format tag.
 SNAPSHOT_DIGESTS = {
@@ -82,6 +100,13 @@ WORKLOAD_DIGESTS = {
         "c25dca0a63947b081ae3af4918b65f1b2b9764700058fbacc1ee8b7b34544fcd",
     ),
 }
+# The remote_kaping workload's configuration on the same small graph, against the benchmark's
+# stub service with no reply delay.
+REMOTE_WORKLOAD_FIELDS = {"method": "kaping", "hops": 1, "k": 10, "prompt": {"max_input_tokens": 1024}}
+REMOTE_WORKLOAD_DIGESTS = (
+    "024e46133f287bd387caa4bca34740ecf54c0e93090d38df0968b168f09bc07b",
+    "87bed1db24e5076b866375c8d1524c8098f99d3c3ef08b0135abeefe50a269ea",
+)
 
 
 def digests(out: Path) -> tuple[str, str]:
@@ -92,10 +117,14 @@ def cold_and_warm(config, snapshot: Path, out: Path) -> list[tuple[str, str]]:
     """The digests of a run that parses the graph, then of one that decodes its snapshot."""
     snapshot.unlink(missing_ok=True)
     found = []
+    inodes = []
     for name in ("cold", "warm"):
         run(dataclasses.replace(config, output_dir=str(out / name)))
         assert snapshot.is_file()
+        inodes.append(snapshot.stat().st_ino)
         found.append(digests(out / name))
+    # A rewrite replaces the file, so the same inode shows the warm run decoded the snapshot.
+    assert inodes[0] == inodes[1], "the warm run was not a snapshot hit"
     return found
 
 
@@ -154,3 +183,85 @@ def test_benchmark_workload_outputs_are_pinned(tmp_path, workload):
     )
     snapshot = snapshot_path(config.triples_path)
     assert cold_and_warm(config, snapshot, tmp_path / "out") == [WORKLOAD_DIGESTS[workload]] * 2
+
+
+def test_toy_outputs_with_many_aliases_are_pinned(toy_dir, tmp_path):
+    directory = tmp_path / "toy"
+    directory.mkdir()
+    for name in TOY_FILES:
+        shutil.copyfile(toy_dir / name, directory / name)
+    header, *rows = (toy_dir / "entities.tsv").read_text(encoding="utf-8").splitlines()
+    lines = [header]
+    for row in rows:
+        entity_id, name, *aliases = row.split("\t")
+        lines.append("\t".join((entity_id, name, "|".join([*aliases, f"{name} one", f"{name} two"]))))
+    (directory / "entities.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = load_config(directory / "config.json")
+    snapshot = snapshot_path(config.triples_path)
+    assert cold_and_warm(config, snapshot, tmp_path / "out") == [MANY_ALIASES_DIGESTS] * 2
+
+
+def test_toy_retrieve_output_is_pinned(toy_copy, capsys):
+    config_path = str(toy_copy / "config.json")
+    snapshot = snapshot_path(load_config(config_path).triples_path)
+    questions = [json.loads(line)["question"] for line in (toy_copy / "dataset.jsonl").read_text().splitlines()]
+    calls = [("--method", method, "--question", question) for method in RETRIEVE_METHODS for question in questions]
+
+    def retrieve(call) -> str:
+        assert main(["retrieve", "--config", config_path, *call]) == 0
+        return capsys.readouterr().out
+
+    cold = []
+    for call in calls:
+        snapshot.unlink(missing_ok=True)
+        cold.append(retrieve(call))
+    warm = []
+    for call in calls:
+        inode = snapshot.stat().st_ino
+        warm.append(retrieve(call))
+        # A rewrite replaces the file, so the same inode shows the call decoded the snapshot.
+        assert snapshot.stat().st_ino == inode
+    assert warm == cold
+    assert hashlib.sha256("".join(cold).encode("utf-8")).hexdigest() == RETRIEVE_DIGEST
+
+
+@pytest.fixture()
+def small_gold_graph(tmp_path) -> Path:
+    """The directory of the small graph with gold question entities, as the remote workload reads it."""
+    data = tmp_path / "data"
+    gen.generate(SMALL_SCALE, SMALL_SEED, data, True)
+    return data
+
+
+@pytest.fixture()
+def stub_url(small_gold_graph):
+    """The URL of the benchmark's stub service for the small graph's script, with no reply delay."""
+    script = json.loads((small_gold_graph / "script.json").read_text(encoding="utf-8"))
+    delays = {"/embed": 0.0, "/complete": 0.0}
+    server = ThreadingHTTPServer(("127.0.0.1", 0), stub.make_handler(stub.Counters(delays), script, 256, delays))
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def test_remote_workload_outputs_are_pinned(small_gold_graph, stub_url, tmp_path):
+    data = small_gold_graph
+    config = config_from_dict(
+        {
+            **REMOTE_WORKLOAD_FIELDS,
+            "seed": SMALL_SEED,
+            "triples_path": str(data / "triples.tsv"),
+            "entities_path": str(data / "entities.tsv"),
+            "relations_path": str(data / "relations.tsv"),
+            "dataset_path": str(data / "dataset.jsonl"),
+            "embedder": {"kind": "remote", "dimension": 256, "endpoint": f"{stub_url}/embed", "max_concurrency": 2},
+            "provider": {"kind": "remote", "model_name": "perfbench", "endpoint": f"{stub_url}/complete", "max_concurrency": 2},
+        }
+    )
+    snapshot = snapshot_path(config.triples_path)
+    assert cold_and_warm(config, snapshot, tmp_path / "out") == [REMOTE_WORKLOAD_DIGESTS] * 2

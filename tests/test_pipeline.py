@@ -649,7 +649,7 @@ class TestRetrievalWorkBound:
         with caplog.at_level(logging.WARNING, logger="kgprompt.verbalize"):
             step = pipeline.retrieve_facts(config, graph, "Alex Chilton place of death", ("Q1",), 0)
         assert [scored.verbalized for scored in step.top] == ["(Alex Chilton, place of death, New Orleans)"]
-        assert len(step.candidates) == 2
+        assert len(step.ranked) == 2
         assert not caplog.records
         with caplog.at_level(logging.WARNING, logger="kgprompt.verbalize"):
             assert step.ranked[1].verbalized == "(Alex Chilton, sibling, Q9)"
@@ -661,7 +661,7 @@ class TestRetrieveFacts:
         config = base_config(k=2)
         step = pipeline.retrieve_facts(config, alex_graph, ALEX_QUESTION, None, 0)
         assert step.entities == ("Q304461",)
-        assert len(step.candidates) == 4
+        assert len(step.ranked) == 4
         assert [scored.rank for scored in step.top] == [1, 2]
         assert step.top == list(step.ranked)[:2]
         assert step.top[0].verbalized == "(Alex Chilton, place of death, New Orleans)"
